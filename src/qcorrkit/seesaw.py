@@ -3,12 +3,14 @@
 Alternating minimization of the squared Euclidean distance between a target
 table and the correlation of a dimension-d model.  The iterate is kept in
 relaxed form (a mixed state on C^d (x) C^d and one POVM per question) so
-every block subproblem is convex:
+every block subproblem is a convex quadratic.  Both kinds of block run one
+pairwise Frank-Wolfe core (away steps, exact line search, pruning of spent
+atoms) and differ only in their linear-minimization oracle and atoms:
 
-* state block: quadratic over density operators, attacked with conditional
-  gradient whose linear subproblem is an extreme-eigenvector computation;
-* measurement block: quadratic over one question's POVM, attacked with
-  conditional gradient whose linear subproblem assigns, eigen-direction by
+* state block: atoms are pure states, and the oracle returns the smallest
+  eigenvector of the gradient;
+* measurement block: atoms are whole POVMs of one question, and the oracle
+  returns a projective measurement that assigns, eigen-direction by
   eigen-direction of the gradient, full weight to the minimizing outcome.
 
 Exact line search keeps the objective non-increasing across every step.
@@ -22,13 +24,14 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .correlation import Correlation
 from .separating import truncation_distance
-from .strategy import Strategy
+from .strategy import Strategy, _random_measurements
 
 __all__ = [
     "SeesawConfig",
@@ -59,7 +62,6 @@ class SeesawConfig:
     restarts: int = 10
     seed: int = 0
     convergence_tol: float = 1e-10
-    metric: str = "l2"
     rounding: str = "none"
     state_steps: int = 40
     meas_steps: int = 12
@@ -70,8 +72,6 @@ class SeesawConfig:
             raise SeesawError(f"local_dim must be >= 1, got {self.local_dim}")
         if self.max_outer_iters < 1 or self.restarts < 1:
             raise SeesawError("max_outer_iters and restarts must be >= 1")
-        if self.metric != "l2":
-            raise SeesawError("only the l2 metric is supported")
         if self.rounding not in ("none", "projective"):
             raise SeesawError(f"unknown rounding mode {self.rounding!r}")
         if self.state_steps < 1 or self.meas_steps < 1:
@@ -93,15 +93,16 @@ class SeesawResult:
     """Best relaxed iterate over all restarts, plus per-restart traces.
 
     ``distance`` is the Euclidean distance of the best iterate's correlation
-    from the target.  ``strategy`` (and ``dilated_dims``) are populated only
-    under projective rounding; the dilated dimensions are reported separately
-    from the search dimension.
+    from the target.  ``alice_povms`` and ``bob_povms`` have shape
+    (questions, answers, d, d).  ``strategy`` (and ``dilated_dims``) are
+    populated only under projective rounding; the dilated dimensions are
+    reported separately from the search dimension.
     """
 
     distance: float
     rho: np.ndarray
-    alice_povms: list[list[np.ndarray]]
-    bob_povms: list[list[np.ndarray]]
+    alice_povms: np.ndarray
+    bob_povms: np.ndarray
     traces: list[RestartTrace]
     config: SeesawConfig
     converged: bool
@@ -129,155 +130,109 @@ class SeesawResult:
         }
 
 
-def _partial_trace_b(rho4: np.ndarray, op: np.ndarray) -> np.ndarray:
-    # tr_B[rho (I (x) op)]
-    return np.einsum("ijkl,lj->ik", rho4, op)
-
-
-def _partial_trace_a(rho4: np.ndarray, op: np.ndarray) -> np.ndarray:
-    # tr_A[rho (op (x) I)]
-    return np.einsum("ijkl,ki->jl", rho4, op)
-
-
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def _all_probs(
-    rho4: np.ndarray,
-    alice: list[list[np.ndarray]],
-    bob: list[list[np.ndarray]],
-) -> np.ndarray:
-    m, r = len(alice), len(alice[0])
-    n, s = len(bob), len(bob[0])
-    out = np.empty((m, n, r, s))
-    reduced = [[_partial_trace_b(rho4, bob[y][b]) for b in range(s)] for y in range(n)]
-    for x in range(m):
-        for y in range(n):
-            for a in range(r):
-                for b in range(s):
-                    out[x, y, a, b] = float(np.real(np.sum(alice[x][a] * reduced[y][b].T)))
-    return out
+def _all_probs(rho4: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # p(a,b|x,y) = Re tr[rho (A_x^a (x) B_y^b)]
+    return np.real(np.einsum("ijkl,xaki,yblj->xyab", rho4, alice, bob))
 
 
-def _line_search(res: np.ndarray, step: np.ndarray) -> float:
-    # minimize ||res + gamma*step||^2 over gamma in [0, 1]
-    denom = float(step @ step)
-    if denom <= 0.0:
-        return 0.0
-    gamma = -float(res @ step) / denom
-    return min(1.0, max(0.0, gamma))
+def _kron_stack(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # row (x,y,a,b) is conj vec(A_x^a (x) B_y^b), so probabilities are Re(rows @ vec(rho))
+    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
+    prods = np.einsum("xaik,ybjl->xyabijkl", alice.conj(), bob.conj())
+    return prods.reshape(m * n * r * s, (d * e) ** 2)
 
 
-def _eigh2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a 2x2 Hermitian matrix."""
-    a = h[0, 0].real
-    c = h[1, 1].real
-    b = h[0, 1]
-    half = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + (b.real**2 + b.imag**2))
-    scale = abs(a) + abs(c) + abs(b)
-    if rad <= 1e-15 * max(scale, 1e-300):
-        return np.array([half - rad, half + rad]), np.eye(2, dtype=complex)
-    w1 = half + rad
-    va = np.array([b, w1 - a], dtype=complex)
-    vb = np.array([w1 - c, np.conj(b)], dtype=complex)
-    v1 = va if np.linalg.norm(va) >= np.linalg.norm(vb) else vb
-    v1 = v1 / np.linalg.norm(v1)
-    v0 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)
-    return np.array([half - rad, w1]), np.stack([v0, v1], axis=1)
+def _pairwise_fw(
+    atoms: list,
+    weights,
+    images,
+    res: np.ndarray,
+    lmo: Callable[[np.ndarray], tuple[object, np.ndarray]],
+    steps: int,
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Pairwise conditional gradient over the convex hull of a block's atoms.
 
-
-def _eigh_small(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = h.shape[0]
-    if k == 1:
-        return np.array([h[0, 0].real]), np.ones((1, 1), dtype=complex)
-    if k == 2:
-        return _eigh2(h)
-    return np.linalg.eigh(h)
+    The iterate is sum_j weights[j] * atoms[j] and images[j] is atom j's image
+    in residual space, so the block objective is ||res||^2 with res the
+    iterate's image minus the targets and its gradient pairs with any point
+    as 2 res . image.  ``lmo(res)`` returns the vertex minimizing that
+    pairing and its image.  Each step takes the better, by exact line search,
+    of a pairwise swap from the worst active atom onto the vertex and a plain
+    step toward it; away steps avoid the zigzag stalls of the plain method
+    near low-rank optima.  Atoms are opaque here: the caller assembles the
+    final iterate from the returned atoms and weights.
+    """
+    weights = np.array(weights, dtype=float)
+    images = np.array(images)
+    cur_img = weights @ images
+    for _ in range(steps):
+        vertex, v_img = lmo(res)
+        step_fw = v_img - cur_img
+        # stop once the Frank-Wolfe gap is under 1e-6 of the objective
+        if 2.0 * float(res @ step_fw) > -1e-6 * max(float(res @ res), 1e-120):
+            break
+        away = int(np.argmax(images @ res))
+        # minimize ||res + gamma*step||^2 over gamma in [0, cap]
+        candidates = []
+        for step, cap in ((v_img - images[away], weights[away]), (step_fw, 1.0)):
+            denom, slope = float(step @ step), float(res @ step)
+            gamma = 0.0 if denom <= 0.0 else min(cap, max(0.0, -slope / denom))
+            candidates.append((-gamma * slope - 0.5 * gamma**2 * denom, gamma, step))
+        pairwise = candidates[0][0] >= candidates[1][0]
+        _, gamma, step = candidates[0] if pairwise else candidates[1]
+        if gamma <= 0.0:
+            break
+        if pairwise:
+            weights[away] -= gamma
+        else:
+            weights *= 1.0 - gamma
+        atoms.append(vertex)
+        weights = np.append(weights, gamma)
+        images = np.vstack([images, v_img])
+        res = res + gamma * step
+        cur_img = cur_img + gamma * step
+        keep = weights > 1e-15
+        atoms = [atom for atom, k in zip(atoms, keep) if k]
+        weights, images = weights[keep], images[keep]
+    return atoms, weights, res
 
 
 def _state_block(
-    rho: np.ndarray,
-    res: np.ndarray,
-    kconj: np.ndarray,
-    steps: int,
-    rel_gap: float = 1e-6,
+    rho: np.ndarray, res: np.ndarray, kconj: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise conditional-gradient descent over density operators.
+    """Conditional gradient over density operators; atoms are pure-state vectors.
 
     ``kconj`` holds the conjugated, flattened measurement tensor products, so
     probabilities are real parts of kconj @ vec(rho).  The linear subproblem
     min <grad, sigma> over densities is solved by the smallest eigenvector of
-    the gradient; away steps over the active rank-one atoms avoid the
-    zigzag stalls of the plain method near low-rank optima.  Every atom
-    caches its residual-space image, so step selection costs dot products.
+    the gradient.
     """
     dim = rho.shape[0]
+
+    def image(vec: np.ndarray) -> np.ndarray:
+        return np.real(kconj @ np.outer(vec, vec.conj()).reshape(-1))
+
+    def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grad = _hermitize((2.0 * res @ kconj).conj().reshape(dim, dim))
+        vec = np.linalg.eigh(grad)[1][:, 0]
+        return vec, image(vec)
+
     evals, evecs = np.linalg.eigh(_hermitize(rho))
-    order = np.nonzero(evals > 1e-14)[0]
-    atoms = [evecs[:, j] for j in order]
-    weights = [float(evals[j]) for j in order]
-    images = [np.real(kconj @ (np.outer(v, v.conj())).reshape(-1)) for v in atoms]
-    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, atoms))
-
-    for _ in range(steps):
-        grad = _hermitize((kconj.conj().T @ (2.0 * res)).reshape(dim, dim))
-        gvals, gvecs = np.linalg.eigh(grad)
-        v_fw = gvecs[:, 0]
-        fw_img = np.real(kconj @ np.outer(v_fw, v_fw.conj()).reshape(-1))
-        # <grad, rho> = 2 res . image(rho), and image(rho) = res + targets
-        scores = 2.0 * np.array([res @ img for img in images])
-        away = int(np.argmax(scores))
-        rho_score = 2.0 * float(
-            res @ sum(w * img for w, img in zip(weights, images))
-        )
-        fw_gap = float(gvals[0]) - rho_score
-        if fw_gap > -rel_gap * max(float(res @ res), 1e-120):
-            break
-
-        # candidate 1: pairwise swap from the worst atom onto the new vertex
-        step_pw = fw_img - images[away]
-        cap = weights[away]
-        denom = float(step_pw @ step_pw)
-        gamma_pw = 0.0 if denom <= 0.0 else min(cap, max(0.0, -float(res @ step_pw) / denom))
-        dec_pw = -gamma_pw * float(res @ step_pw) - 0.5 * gamma_pw**2 * denom
-
-        # candidate 2: plain step toward the new vertex
-        rho_img = sum(w * img for w, img in zip(weights, images))
-        step_fw = fw_img - rho_img
-        gamma_fw = _line_search(res, step_fw)
-        denom_fw = float(step_fw @ step_fw)
-        dec_fw = -gamma_fw * float(res @ step_fw) - 0.5 * gamma_fw**2 * denom_fw
-
-        fw_vertex = np.outer(v_fw, v_fw.conj())
-        if dec_pw >= dec_fw:
-            if gamma_pw <= 0.0:
-                break
-            rho = rho + gamma_pw * (fw_vertex - np.outer(atoms[away], atoms[away].conj()))
-            weights[away] -= gamma_pw
-            atoms.append(v_fw)
-            weights.append(gamma_pw)
-            images.append(fw_img)
-            res = res + gamma_pw * step_pw
-        else:
-            if gamma_fw <= 0.0:
-                break
-            rho = (1.0 - gamma_fw) * rho + gamma_fw * fw_vertex
-            weights = [w * (1.0 - gamma_fw) for w in weights]
-            atoms.append(v_fw)
-            weights.append(gamma_fw)
-            images.append(fw_img)
-            res = res + gamma_fw * step_fw
-        keep = [j for j, w in enumerate(weights) if w > 1e-15]
-        atoms = [atoms[j] for j in keep]
-        weights = [weights[j] for j in keep]
-        images = [images[j] for j in keep]
-    return _hermitize(rho), res
+    keep = evals > 1e-14
+    atoms = list(evecs[:, keep].T)
+    atoms, weights, res = _pairwise_fw(
+        atoms, evals[keep], [image(v) for v in atoms], res, lmo, steps
+    )
+    vecs = np.array(atoms).T
+    return _hermitize((vecs * weights) @ vecs.conj().T), res
 
 
-def _povm_vertex(grads: list[np.ndarray], sweeps: int = 2) -> list[np.ndarray]:
-    """Linear subproblem over one question's POVM set.
+def _povm_vertex(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
+    """Linear subproblem over one question's POVM set, for (r, d, d) gradients.
 
     Builds an orthonormal basis greedily (eigen-direction by eigen-direction
     of the gradient blocks, each given full weight on its minimizing
@@ -286,168 +241,59 @@ def _povm_vertex(grads: list[np.ndarray], sweeps: int = 2) -> list[np.ndarray]:
     the negative/nonnegative eigenspace split of the restricted gradient
     difference.
     """
-    dim = grads[0].shape[0]
-    num_out = len(grads)
+    num_out, dim = grads.shape[:2]
     basis = np.eye(dim, dtype=complex)
-    owners: list[list[np.ndarray]] = [[] for _ in range(num_out)]
+    cols: list[list[np.ndarray]] = [[] for _ in range(num_out)]
     while basis.shape[1] > 0:
-        best_val = None
-        best = None
-        for a, grad in enumerate(grads):
-            sub = _hermitize(basis.conj().T @ grad @ basis)
-            evals, evecs = _eigh_small(sub)
-            if best_val is None or evals[0] < best_val:
-                best_val = evals[0]
-                best = (a, evecs[:, 0], evecs[:, 1:])
-        a_star, v0, v_rest = best  # type: ignore[misc]
-        owners[a_star].append(basis @ v0)
-        basis = basis @ v_rest
+        evals, evecs = np.linalg.eigh(_hermitize(basis.conj().T @ grads @ basis))
+        a = int(np.argmin(evals[:, 0]))
+        cols[a].append(basis @ evecs[a, :, 0])
+        basis = basis @ evecs[a, :, 1:]
+    owners = [np.array(c, dtype=complex).reshape(-1, dim).T for c in cols]
 
     for _ in range(sweeps):
         improved = False
         for a in range(num_out):
             for b in range(a + 1, num_out):
-                pool = owners[a] + owners[b]
-                if not pool:
+                span = np.hstack([owners[a], owners[b]])
+                if span.shape[1] == 0:
                     continue
-                span = np.stack(pool, axis=1)
-                diff = _hermitize(span.conj().T @ (grads[a] - grads[b]) @ span)
-                evals, evecs = _eigh_small(diff)
-                neg = evecs[:, evals < 0.0]
-                pos = evecs[:, evals >= 0.0]
-                if neg.shape[1] != len(owners[a]):
+                evals, evecs = np.linalg.eigh(
+                    _hermitize(span.conj().T @ (grads[a] - grads[b]) @ span)
+                )
+                neg = evals < 0.0
+                if np.count_nonzero(neg) != owners[a].shape[1]:
                     improved = True
-                owners[a] = [span @ neg[:, j] for j in range(neg.shape[1])]
-                owners[b] = [span @ pos[:, j] for j in range(pos.shape[1])]
+                owners[a], owners[b] = span @ evecs[:, neg], span @ evecs[:, ~neg]
         if not improved:
             break
-
-    vertex = []
-    for vecs in owners:
-        if vecs:
-            stack = np.stack(vecs, axis=1)
-            vertex.append(stack @ stack.conj().T)
-        else:
-            vertex.append(np.zeros((dim, dim), dtype=complex))
-    return vertex
+    return np.array([o @ o.conj().T for o in owners])
 
 
 def _povm_block(
-    povm: list[np.ndarray],
-    reduced: list[np.ndarray],
-    targets: np.ndarray,
-    steps: int,
-    rel_gap: float = 1e-6,
-) -> list[np.ndarray]:
-    """Pairwise conditional-gradient descent over one question's POVM.
-
-    ``reduced`` are the Hermitian partial-trace operators for the opposite
-    side's (question, answer) pairs; the block objective is
-    sum_(a,k) (tr(E^a reduced_k) - targets[a,k])^2.  The iterate is kept as
-    a convex combination of discovered projective vertices (plus the
-    entering POVM), each caching its residual-space image, so away-step
-    selection and line searches cost dot products only.
-    """
-    num_out = len(povm)
-    red_stack = np.stack(reduced)  # (num_red, d, d)
-
-    def apply_map(elements: list[np.ndarray]) -> np.ndarray:
-        vals = np.real(np.einsum("aij,kji->ak", np.stack(elements), red_stack))
-        return vals.reshape(-1)
-
-    current = [e.copy() for e in povm]
-    cur_img = apply_map(current)
-    res = cur_img - targets.reshape(-1)
-    atoms: list[list[np.ndarray]] = [[e.copy() for e in povm]]
-    weights = [1.0]
-    images = [cur_img.copy()]
-
-    for _ in range(steps):
-        res_mat = res.reshape(num_out, -1)
-        grads = [
-            _hermitize(np.einsum("k,kij->ij", 2.0 * res_mat[a], red_stack))
-            for a in range(num_out)
-        ]
-        vertex = _povm_vertex(grads)
-        v_img = apply_map(vertex)
-        # <grads, E> = 2 res . image(E)
-        fw_gap = 2.0 * float(res @ (v_img - cur_img))
-        if fw_gap > -rel_gap * max(float(res @ res), 1e-120):
-            break
-        away = int(np.argmax([res @ img for img in images]))
-
-        step_pw = v_img - images[away]
-        cap = weights[away]
-        denom = float(step_pw @ step_pw)
-        gamma_pw = 0.0 if denom <= 0.0 else min(cap, max(0.0, -float(res @ step_pw) / denom))
-        dec_pw = -gamma_pw * float(res @ step_pw) - 0.5 * gamma_pw**2 * denom
-
-        step_fw = v_img - cur_img
-        gamma_fw = _line_search(res, step_fw)
-        denom_fw = float(step_fw @ step_fw)
-        dec_fw = -gamma_fw * float(res @ step_fw) - 0.5 * gamma_fw**2 * denom_fw
-
-        if dec_pw >= dec_fw:
-            if gamma_pw <= 0.0:
-                break
-            current = [
-                current[a] + gamma_pw * (vertex[a] - atoms[away][a])
-                for a in range(num_out)
-            ]
-            weights[away] -= gamma_pw
-            atoms.append(vertex)
-            weights.append(gamma_pw)
-            images.append(v_img)
-            res = res + gamma_pw * step_pw
-            cur_img = cur_img + gamma_pw * step_pw
-        else:
-            if gamma_fw <= 0.0:
-                break
-            current = [
-                current[a] + gamma_fw * (vertex[a] - current[a]) for a in range(num_out)
-            ]
-            weights = [w * (1.0 - gamma_fw) for w in weights]
-            atoms.append(vertex)
-            weights.append(gamma_fw)
-            images.append(v_img)
-            res = res + gamma_fw * step_fw
-            cur_img = cur_img + gamma_fw * step_fw
-        keep = [j for j, w in enumerate(weights) if w > 1e-15]
-        atoms = [atoms[j] for j in keep]
-        weights = [weights[j] for j in keep]
-        images = [images[j] for j in keep]
-    return [_hermitize(e) for e in current]
-
-
-def _random_init(
-    rng: np.random.Generator, dim: int, questions: int, answers: int
-) -> list[list[np.ndarray]]:
-    from .strategy import haar_unitary
-
-    sizes = [dim // answers + (1 if i < dim % answers else 0) for i in range(answers)]
-    povms = []
-    for _ in range(questions):
-        u = haar_unitary(rng, dim)
-        elements = []
-        col = 0
-        for size in sizes:
-            block = u[:, col : col + size]
-            elements.append((block @ block.conj().T).astype(complex))
-            col += size
-        povms.append(elements)
-    return povms
-
-
-def _kron_stack(
-    alice: list[list[np.ndarray]], bob: list[list[np.ndarray]]
+    povm: np.ndarray, reduced: np.ndarray, targets: np.ndarray, steps: int
 ) -> np.ndarray:
-    rows = []
-    for x in range(len(alice)):
-        for y in range(len(bob)):
-            for a in range(len(alice[0])):
-                for b in range(len(bob[0])):
-                    rows.append(np.kron(alice[x][a], bob[y][b]).reshape(-1).conj())
-    return np.stack(rows)
+    """Conditional gradient over one question's POVM; atoms are whole POVMs.
+
+    ``reduced`` stacks the Hermitian partial-trace operators for the opposite
+    side's (question, answer) pairs; the block objective is
+    sum_(a,k) (tr(E^a reduced_k) - targets[a,k])^2.  The entering POVM is the
+    first atom, and every later atom is a projective vertex.
+    """
+
+    def image(elements: np.ndarray) -> np.ndarray:
+        return np.real(np.einsum("aij,kji->ak", elements, reduced)).reshape(-1)
+
+    def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        grads = np.einsum("ak,kij->aij", 2.0 * res.reshape(len(povm), -1), reduced)
+        vertex = _povm_vertex(_hermitize(grads))
+        return vertex, image(vertex)
+
+    img = image(povm)
+    atoms, weights, _ = _pairwise_fw(
+        [povm], [1.0], [img], img - targets.reshape(-1), lmo, steps
+    )
+    return _hermitize(np.tensordot(weights, np.array(atoms), axes=1))
 
 
 def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
@@ -471,20 +317,14 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
         res = np.real(kconj @ rho.reshape(-1)) - t_flat
         rho, res = _state_block(rho, res, kconj, cfg.state_steps)
         rho4 = rho.reshape(d, d, d, d)
+        # tr_B[rho (I (x) B_y^b)] for every (y, b); Alice's blocks leave them fixed
+        reduced = _hermitize(np.einsum("ijkl,yblj->ybik", rho4, bob).reshape(n * s, d, d))
         for x in range(m):
-            reduced = [
-                _hermitize(_partial_trace_b(rho4, bob[y][b]))
-                for y in range(n)
-                for b in range(s)
-            ]
             block_targets = t4[x].transpose(1, 0, 2).reshape(r, n * s)
             alice[x] = _povm_block(alice[x], reduced, block_targets, cfg.meas_steps)
+        # tr_A[rho (A_x^a (x) I)] for every (x, a)
+        reduced = _hermitize(np.einsum("ijkl,xaki->xajl", rho4, alice).reshape(m * r, d, d))
         for y in range(n):
-            reduced = [
-                _hermitize(_partial_trace_a(rho4, alice[x][a]))
-                for x in range(m)
-                for a in range(r)
-            ]
             block_targets = t4[:, y].reshape(m * r, s).T
             bob[y] = _povm_block(bob[y], reduced, block_targets, cfg.meas_steps)
         probs = _all_probs(rho4, alice, bob)
@@ -498,8 +338,8 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
         vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
-        alice = _random_init(rng, d, m, r)
-        bob = _random_init(rng, d, n, s)
+        alice = np.array(_random_measurements(rng, d, m, r), dtype=complex)
+        bob = np.array(_random_measurements(rng, d, n, s), dtype=complex)
 
         trace = RestartTrace(restart=k)
         probs = _all_probs(rho.reshape(d, d, d, d), alice, bob)
@@ -562,27 +402,18 @@ def _naimark(povms: list[list[np.ndarray]], dim: int) -> tuple[list[list[np.ndar
     big = dim * num_out
     dilated = []
     for elements in povms:
-        w = np.zeros((big, dim), dtype=complex)
-        for a, e in enumerate(elements):
-            root = _sqrtm_psd(e)
-            for i in range(dim):
-                w[i * num_out + a, :] = root[i, :]
+        # row i*num_out + a of w is row i of sqrt(E^a)
+        w = np.stack([_sqrtm_psd(e) for e in elements], axis=1).reshape(big, dim)
         # complete the isometry's columns to a unitary
         q, _ = np.linalg.qr(np.concatenate([w, np.eye(big, dtype=complex)], axis=1))
-        comp = q[:, dim:big]
-        u = np.zeros((big, big), dtype=complex)
-        for j in range(dim):
-            u[:, j * num_out] = w[:, j]
-        extra = 0
-        for j in range(dim):
-            for anc in range(1, num_out):
-                u[:, j * num_out + anc] = comp[:, extra]
-                extra += 1
+        u = np.empty((big, big), dtype=complex)
+        cols = u.reshape(big, dim, num_out)
+        cols[:, :, 0] = w
+        cols[:, :, 1:] = q[:, dim:big].reshape(big, dim, num_out - 1)
+        ancilla = np.arange(big) % num_out
         projs = []
         for a in range(num_out):
-            anc_proj = np.zeros((big, big), dtype=complex)
-            for i in range(dim):
-                anc_proj[i * num_out + a, i * num_out + a] = 1.0
+            anc_proj = np.diag((ancilla == a).astype(complex))
             projs.append(u.conj().T @ anc_proj @ u)
         dilated.append(projs)
     return dilated, big
@@ -615,9 +446,7 @@ def _round_to_projective(
     r = len(alice[0])
     s = len(bob[0])
     state = np.zeros((da_dilated, db_dilated), dtype=complex)
-    for i in range(d):
-        for j in range(d * k):
-            state[i * r, j * s] = psi[i, j]
+    state[::r, ::s] = psi
     strategy = Strategy(
         dA=da_dilated,
         dB=db_dilated,

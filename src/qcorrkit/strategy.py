@@ -461,6 +461,24 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
+def _random_measurements(
+    rng: np.random.Generator, dim: int, questions: int, answers: int
+) -> list[list[np.ndarray]]:
+    """One Haar-random projective measurement per question, split as in :func:`random_strategy`."""
+    sizes = [dim // answers + (1 if i < dim % answers else 0) for i in range(answers)]
+    out = []
+    for _ in range(questions):
+        u = haar_unitary(rng, dim)
+        elements = []
+        col = 0
+        for size in sizes:
+            block = u[:, col : col + size]
+            elements.append(block @ block.conj().T)
+            col += size
+        out.append(elements)
+    return out
+
+
 def random_strategy(
     rng: np.random.Generator,
     dA: int = 2,
@@ -478,25 +496,10 @@ def random_strategy(
     """
     state = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
     state /= np.linalg.norm(state)
-
-    def _measurements(dim: int, questions: int, answers: int):
-        out = []
-        sizes = [dim // answers + (1 if i < dim % answers else 0) for i in range(answers)]
-        for _ in range(questions):
-            u = haar_unitary(rng, dim)
-            elements = []
-            col = 0
-            for size in sizes:
-                block = u[:, col : col + size]
-                elements.append(block @ block.conj().T)
-                col += size
-            out.append(elements)
-        return out
-
     return Strategy(
         dA=dA,
         dB=dB,
         state=state,
-        alice_meas=_measurements(dA, m, r),
-        bob_meas=_measurements(dB, n, s),
+        alice_meas=_random_measurements(rng, dA, m, r),
+        bob_meas=_random_measurements(rng, dB, n, s),
     )

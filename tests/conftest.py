@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qcorrkit.correlation import Correlation
 from qcorrkit.strategy import Strategy
+
+# Property tests draw the same examples on every run and stay bounded in time.
+settings.register_profile("qcorrkit", derandomize=True, deadline=None, max_examples=25, database=None)
+settings.load_profile("qcorrkit")
 
 
 def kron_induce(s: Strategy) -> np.ndarray:

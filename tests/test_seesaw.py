@@ -4,16 +4,27 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import kron_induce, random_correlation
 from qcorrkit.correlation import distance, restrict
 from qcorrkit.separating import exact_pstar, truncation_distance
 from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
+    _all_probs,
+    _kron_stack,
+    _povm_block,
+    _povm_vertex,
+    _state_block,
     optimize,
     upper_bound_from_truncation,
 )
-from qcorrkit.strategy import induce, random_strategy, validate
+from qcorrkit.strategy import _random_measurements, induce, random_strategy, validate
+
+seeds = st.integers(0, 2**32 - 1)
+small = st.integers(1, 3)
 
 
 def chsh_target(alpha=0.5):
@@ -24,7 +35,7 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(SeesawError):
             SeesawConfig(local_dim=0)
-        with pytest.raises(SeesawError):
+        with pytest.raises(TypeError):
             SeesawConfig(local_dim=2, metric="max_tv")
         with pytest.raises(SeesawError):
             SeesawConfig(local_dim=2, rounding="snap")
@@ -138,3 +149,80 @@ class TestUpperBound:
             upper_bound_from_truncation(0.5, 7)
         with pytest.raises(SeesawError, match=">= 4"):
             upper_bound_from_truncation(0.5, 2)
+
+
+def _random_density(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_hermitian_psd(ops, tol=1e-10):
+    assert np.abs(ops - ops.conj().swapaxes(-1, -2)).max() < tol
+    assert np.linalg.eigvalsh(ops).min() > -tol
+
+
+def _assert_povm(elements, tol=1e-10):
+    _assert_hermitian_psd(elements, tol)
+    assert np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max() < tol
+
+
+class TestBlockProperties:
+    @given(seeds, small, small, small, small, small, small)
+    def test_probabilities_match_kron_oracle(self, seed, dA, dB, m, n, r, s):
+        strat = random_strategy(np.random.default_rng(seed), dA=dA, dB=dB, m=m, n=n, r=r, s=s)
+        alice, bob = np.array(strat.alice_meas), np.array(strat.bob_meas)
+        psi = np.asarray(strat.state)
+        rho = np.outer(psi, psi.conj())
+        oracle = kron_induce(strat)
+        probs = _all_probs(rho.reshape(dA, dB, dA, dB), alice, bob)
+        np.testing.assert_allclose(probs, oracle, atol=1e-12)
+        flat = np.real(_kron_stack(alice, bob) @ rho.reshape(-1))
+        np.testing.assert_allclose(flat, oracle.reshape(-1), atol=1e-12)
+
+    @given(seeds, st.integers(1, 4), st.integers(1, 4))
+    def test_povm_vertex_is_projective_and_beats_random(self, seed, dim, answers):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(answers, dim, dim)) + 1j * rng.normal(size=(answers, dim, dim))
+        grads = g + g.conj().swapaxes(-1, -2)
+        vertex = _povm_vertex(grads)
+        assert vertex.shape == (answers, dim, dim)
+        _assert_povm(vertex)
+        for a in range(answers):
+            for b in range(answers):
+                want = vertex[a] if a == b else 0.0
+                assert np.abs(vertex[a] @ vertex[b] - want).max() < 1e-10
+        value = np.real(np.einsum("aij,aji->", grads, vertex))
+        for povm in _random_measurements(rng, dim, 20, answers):
+            assert value <= np.real(np.einsum("aij,aji->", grads, np.array(povm))) + 1e-10
+
+    @given(seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_state_block_feasible_and_non_increasing(self, seed, dim, questions, answers):
+        rng = np.random.default_rng(seed)
+        alice = np.array(_random_measurements(rng, dim, questions, answers))
+        bob = np.array(_random_measurements(rng, dim, questions, answers))
+        target = random_correlation(rng, questions, questions, answers, answers).table.reshape(-1)
+        kconj = _kron_stack(alice, bob)
+        rho = _random_density(rng, dim * dim)
+        res = np.real(kconj @ rho.reshape(-1)) - target
+        rho_out, res_out = _state_block(rho, res, kconj, 10)
+        _assert_hermitian_psd(rho_out)
+        assert np.trace(rho_out).real == pytest.approx(1.0, abs=1e-10)
+        recomputed = np.real(kconj @ rho_out.reshape(-1)) - target
+        np.testing.assert_allclose(res_out, recomputed, atol=1e-10)
+        assert recomputed @ recomputed <= res @ res + 1e-12
+
+    @given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
+    def test_povm_block_feasible_and_non_increasing(self, seed, dim, answers, num_red):
+        rng = np.random.default_rng(seed)
+        povm = np.array(_random_measurements(rng, dim, 1, answers)[0])
+        reduced = np.array([_random_density(rng, dim) for _ in range(num_red)])
+        targets = rng.random((answers, num_red))
+
+        def objective(elements):
+            res = np.real(np.einsum("aij,kji->ak", elements, reduced)) - targets
+            return float((res**2).sum())
+
+        out = _povm_block(povm, reduced, targets, 10)
+        _assert_povm(out)
+        assert objective(out) <= objective(povm) + 1e-12
