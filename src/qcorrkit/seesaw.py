@@ -8,7 +8,7 @@ pairwise Frank-Wolfe core (away steps, exact line search, pruning of spent
 atoms) and differ only in their linear-minimization oracle and atoms:
 
 * state block: atoms are pure states, and the oracle returns the smallest
-  eigenvector of the gradient;
+  eigenvector of the gradient, formed as sum_xa A_x^a (x) C_xa by matmuls;
 * measurement block: atoms are whole POVMs of one question, and the oracle
   returns a projective measurement that assigns, eigen-direction by
   eigen-direction of the gradient, full weight to the minimizing outcome.
@@ -134,16 +134,34 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def _all_probs(rho4: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # p(a,b|x,y) = Re tr[rho (A_x^a (x) B_y^b)]
-    return np.real(np.einsum("ijkl,xaki,yblj->xyab", rho4, alice, bob))
+def _realign(rho: np.ndarray, d: int, e: int) -> np.ndarray:
+    # R[(k,i),(l,j)] = rho[(i,j),(k,l)], so tr[rho (A (x) B)] = vec(A) . R . vec(B)
+    return rho.reshape(d, e, d, e).transpose(2, 0, 3, 1).reshape(d * d, e * e)
 
 
-def _kron_stack(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # row (x,y,a,b) is conj vec(A_x^a (x) B_y^b), so probabilities are Re(rows @ vec(rho))
+def _reduced(ops: np.ndarray, realigned: np.ndarray) -> np.ndarray:
+    # row k is vec tr_A[rho (O_k (x) I)]^T for a stack of O_k; realigned.T traces out B
+    return ops.reshape(-1, realigned.shape[0]) @ realigned
+
+
+def _all_probs(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # p[(x,a),(y,b)] = Re tr[rho (A_x^a (x) B_y^b)] as two GEMMs on the realigned rho
+    d, e = alice.shape[-1], bob.shape[-1]
+    return np.real(_reduced(alice, _realign(rho, d, e)) @ bob.reshape(-1, e * e).T)
+
+
+def _atom_image(vec: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # with V = vec as d x e, p[(x,a),(y,b)] = Re sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
     (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
-    prods = np.einsum("xaik,ybjl->xyabijkl", alice.conj(), bob.conj())
-    return prods.reshape(m * n * r * s, (d * e) ** 2)
+    local = vec.reshape(d, e).conj().T @ alice.reshape(m * r, d, d) @ vec.reshape(d, e)
+    return np.real(local.reshape(m * r, e * e) @ bob.reshape(n * s, e * e).T).reshape(-1)
+
+
+def _state_grad(res: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # sum res[(x,a),(y,b)] A_x^a (x) B_y^b = sum_xa A_x^a (x) C_xa with C = res @ B
+    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
+    grad = alice.reshape(m * r, d * d).T @ (res.reshape(m * r, n * s) @ bob.reshape(n * s, e * e))
+    return grad.reshape(d, d, e, e).transpose(0, 2, 1, 3).reshape(d * e, d * e)
 
 
 def _pairwise_fw(
@@ -202,31 +220,27 @@ def _pairwise_fw(
 
 
 def _state_block(
-    rho: np.ndarray, res: np.ndarray, kconj: np.ndarray, steps: int
+    rho: np.ndarray, res: np.ndarray, alice: np.ndarray, bob: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional gradient over density operators; atoms are pure-state vectors.
 
-    ``kconj`` holds the conjugated, flattened measurement tensor products, so
-    probabilities are real parts of kconj @ vec(rho).  The linear subproblem
+    ``res`` is the residual in (x, a, y, b) order.  No A_x^a (x) B_y^b is
+    formed: an atom's image is a batched V^+ A V against Bob's stack, and the
+    gradient is sum_xa A_x^a (x) C_xa with C = res @ B.  The linear subproblem
     min <grad, sigma> over densities is solved by the smallest eigenvector of
     the gradient.
     """
-    dim = rho.shape[0]
-
-    def image(vec: np.ndarray) -> np.ndarray:
-        return np.real(kconj @ np.outer(vec, vec.conj()).reshape(-1))
 
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grad = _hermitize((2.0 * res @ kconj).conj().reshape(dim, dim))
-        vec = np.linalg.eigh(grad)[1][:, 0]
-        return vec, image(vec)
+        # eigh reads one triangle, so the gradient needs no Hermitization
+        vec = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, 0]
+        return vec, _atom_image(vec, alice, bob)
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
     keep = evals > 1e-14
     atoms = list(evecs[:, keep].T)
-    atoms, weights, res = _pairwise_fw(
-        atoms, evals[keep], [image(v) for v in atoms], res, lmo, steps
-    )
+    images = [_atom_image(v, alice, bob) for v in atoms]
+    atoms, weights, res = _pairwise_fw(atoms, evals[keep], images, res, lmo, steps)
     vecs = np.array(atoms).T
     return _hermitize((vecs * weights) @ vecs.conj().T), res
 
@@ -309,30 +323,33 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
     """
     d = cfg.local_dim
     m, n, r, s = target.shape
-    t_flat = target.table.reshape(-1)
-    t4 = target.table
+    # targets laid out as (x, a) rows and (y, b) columns, like every residual
+    t_ab = target.table.transpose(0, 2, 1, 3).reshape(m * r, n * s)
 
-    def outer_iteration(rho, alice, bob):
-        kconj = _kron_stack(alice, bob)
-        res = np.real(kconj @ rho.reshape(-1)) - t_flat
-        rho, res = _state_block(rho, res, kconj, cfg.state_steps)
-        rho4 = rho.reshape(d, d, d, d)
-        # tr_B[rho (I (x) B_y^b)] for every (y, b); Alice's blocks leave them fixed
-        reduced = _hermitize(np.einsum("ijkl,yblj->ybik", rho4, bob).reshape(n * s, d, d))
-        for x in range(m):
-            block_targets = t4[x].transpose(1, 0, 2).reshape(r, n * s)
-            alice[x] = _povm_block(alice[x], reduced, block_targets, cfg.meas_steps)
-        # tr_A[rho (A_x^a (x) I)] for every (x, a)
-        reduced = _hermitize(np.einsum("ijkl,xaki->xajl", rho4, alice).reshape(m * r, d, d))
-        for y in range(n):
-            block_targets = t4[:, y].reshape(m * r, s).T
-            bob[y] = _povm_block(bob[y], reduced, block_targets, cfg.meas_steps)
-        probs = _all_probs(rho4, alice, bob)
-        return rho, float(np.sqrt(((probs - t4) ** 2).sum()))
+    def descend(rho, alice, bob, res, trace, iters):
+        # outer iterations, each ending on the residual that seeds the next
+        for _ in range(iters):
+            rho, res = _state_block(rho, res.reshape(-1), alice, bob, cfg.state_steps)
+            realigned = _realign(rho, d, d)
+            # tr_B[rho (I (x) B_y^b)] for every (y, b); Alice's blocks leave them fixed
+            reduced = _hermitize(_reduced(bob, realigned.T).reshape(n * s, d, d)).conj()
+            for x, block_targets in enumerate(t_ab.reshape(m, r, n * s)):
+                alice[x] = _povm_block(alice[x], reduced, block_targets, cfg.meas_steps)
+            # tr_A[rho (A_x^a (x) I)] for every (x, a); conj() undoes _reduced's transpose
+            reduced = _hermitize(_reduced(alice, realigned).reshape(m * r, d, d)).conj()
+            for y, block_targets in enumerate(t_ab.reshape(m * r, n, s).transpose(1, 2, 0)):
+                bob[y] = _povm_block(bob[y], reduced, block_targets, cfg.meas_steps)
+            res = _all_probs(rho, alice, bob) - t_ab
+            trace.objectives.append(float(np.sqrt((res**2).sum())))
+            trace.iterations += 1
+            if trace.objectives[-2] - trace.objectives[-1] < cfg.convergence_tol:
+                trace.converged = True
+                break
+        return rho, res
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     traces: list[RestartTrace] = []
-    best = None  # (distance, rho, alice, bob, converged, trace)
+    best = None  # (rho, alice, bob, res, trace)
     for k in range(cfg.restarts):
         rng = np.random.default_rng(seeds[k])
         vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
@@ -342,41 +359,24 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
         bob = np.array(_random_measurements(rng, d, n, s), dtype=complex)
 
         trace = RestartTrace(restart=k)
-        probs = _all_probs(rho.reshape(d, d, d, d), alice, bob)
-        trace.objectives.append(float(np.sqrt(((probs - t4) ** 2).sum())))
-        converged = False
-        for outer in range(cfg.max_outer_iters):
-            rho, obj = outer_iteration(rho, alice, bob)
-            trace.objectives.append(obj)
-            trace.iterations = outer + 1
-            if trace.objectives[-2] - obj < cfg.convergence_tol:
-                converged = True
-                break
-        trace.converged = converged
+        res = _all_probs(rho, alice, bob) - t_ab
+        trace.objectives.append(float(np.sqrt((res**2).sum())))
+        rho, res = descend(rho, alice, bob, res, trace, cfg.max_outer_iters)
         traces.append(trace)
-        final = trace.objectives[-1]
-        if best is None or final < best[0]:
-            best = (final, rho, alice, bob, converged, trace)
+        if best is None or trace.objectives[-1] < best[-1].objectives[-1]:
+            best = (rho, alice, bob, res, trace)
 
     assert best is not None
-    _, rho, alice, bob, converged, best_trace = best
-    for _ in range(cfg.polish_iters):
-        rho, obj = outer_iteration(rho, alice, bob)
-        best_trace.objectives.append(obj)
-        best_trace.iterations += 1
-        if best_trace.objectives[-2] - obj < cfg.convergence_tol:
-            best_trace.converged = True
-            converged = True
-            break
-    dist = best_trace.objectives[-1]
+    rho, alice, bob, res, best_trace = best
+    rho, _ = descend(rho, alice, bob, res, best_trace, cfg.polish_iters)
     result = SeesawResult(
-        distance=dist,
+        distance=best_trace.objectives[-1],
         rho=rho,
         alice_povms=alice,
         bob_povms=bob,
         traces=traces,
         config=cfg,
-        converged=converged,
+        converged=best_trace.converged,
     )
     if cfg.rounding == "projective":
         strategy, dims = _round_to_projective(rho, alice, bob)
@@ -457,12 +457,12 @@ def _round_to_projective(
     return strategy, (da_dilated, db_dilated)
 
 
-def upper_bound_from_truncation(alpha: float, d: int, metric: str = "max_tv") -> float:
+def upper_bound_from_truncation(alpha: float, d: int, metric: str = "l2") -> float:
     """Constructive upper bound at even local dimension d from the ideal cut.
 
     The dimension-d truncation of the ideal strategy is itself a feasible
     dimension-d model, so its distance to the exact correlation bounds the
-    optimum from above; useful as a regression target for :func:`optimize`.
+    optimum from above; a regression target for :func:`optimize` in l2.
     """
     if d % 2 != 0:
         raise SeesawError(f"d must be even, got {d}")

@@ -14,10 +14,13 @@ from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
     _all_probs,
-    _kron_stack,
+    _atom_image,
     _povm_block,
     _povm_vertex,
+    _realign,
+    _reduced,
     _state_block,
+    _state_grad,
     optimize,
     upper_bound_from_truncation,
 )
@@ -144,6 +147,11 @@ class TestUpperBound:
         assert l2 >= tv / 1.5
         assert tv > 0 and l2 > 0
 
+    def test_default_metric_is_the_seesaw_objective(self):
+        # optimize minimizes l2, so the bound it is compared against is l2 too
+        assert upper_bound_from_truncation(0.5, 8) == truncation_distance(0.5, 4, "l2")
+        assert upper_bound_from_truncation(0.5, 8) != truncation_distance(0.5, 4, "max_tv")
+
     def test_rejects_odd_or_tiny_dimension(self):
         with pytest.raises(SeesawError, match="even"):
             upper_bound_from_truncation(0.5, 7)
@@ -167,18 +175,57 @@ def _assert_povm(elements, tol=1e-10):
     assert np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max() < tol
 
 
+def _kron_products(alice, bob):
+    # explicit A_x^a (x) B_y^b, indexed [(x, a), (y, b)]
+    a_ops = alice.reshape(-1, *alice.shape[2:])
+    b_ops = bob.reshape(-1, *bob.shape[2:])
+    return np.array([[np.kron(a_op, b_op) for b_op in b_ops] for a_op in a_ops])
+
+
+def _random_model(seed, dA, dB, m, n, r, s):
+    rng = np.random.default_rng(seed)
+    strat = random_strategy(rng, dA=dA, dB=dB, m=m, n=n, r=r, s=s)
+    rho = _random_density(rng, dA * dB)
+    return rng, strat, np.array(strat.alice_meas), np.array(strat.bob_meas), rho
+
+
 class TestBlockProperties:
     @given(seeds, small, small, small, small, small, small)
     def test_probabilities_match_kron_oracle(self, seed, dA, dB, m, n, r, s):
-        strat = random_strategy(np.random.default_rng(seed), dA=dA, dB=dB, m=m, n=n, r=r, s=s)
-        alice, bob = np.array(strat.alice_meas), np.array(strat.bob_meas)
+        _, strat, alice, bob, rho = _random_model(seed, dA, dB, m, n, r, s)
         psi = np.asarray(strat.state)
-        rho = np.outer(psi, psi.conj())
-        oracle = kron_induce(strat)
-        probs = _all_probs(rho.reshape(dA, dB, dA, dB), alice, bob)
-        np.testing.assert_allclose(probs, oracle, atol=1e-12)
-        flat = np.real(_kron_stack(alice, bob) @ rho.reshape(-1))
-        np.testing.assert_allclose(flat, oracle.reshape(-1), atol=1e-12)
+        oracle = kron_induce(strat).transpose(0, 2, 1, 3).reshape(m * r, n * s)
+        pure = _all_probs(np.outer(psi, psi.conj()), alice, bob)
+        np.testing.assert_allclose(pure, oracle, atol=1e-12)
+        np.testing.assert_allclose(_atom_image(psi, alice, bob), oracle.reshape(-1), atol=1e-12)
+        kron = np.real(np.einsum("uvij,ji->uv", _kron_products(alice, bob), rho))
+        np.testing.assert_allclose(_all_probs(rho, alice, bob), kron, atol=1e-12)
+
+    @given(seeds, small, small, small, small, small, small)
+    def test_state_gradient_matches_kron_sum(self, seed, dA, dB, m, n, r, s):
+        rng, strat, alice, bob, _ = _random_model(seed, dA, dB, m, n, r, s)
+        res = rng.normal(size=m * r * n * s)
+        grad = _state_grad(res, alice, bob)
+        kron = np.einsum("uv,uvij->ij", res.reshape(m * r, n * s), _kron_products(alice, bob))
+        np.testing.assert_allclose(grad, kron, atol=1e-12)
+        # <psi|grad|psi> pairs the residual with the table psi induces
+        psi = np.asarray(strat.state)
+        oracle = kron_induce(strat).transpose(0, 2, 1, 3).reshape(-1)
+        assert np.real(psi.conj() @ grad @ psi) == pytest.approx(res @ oracle, abs=1e-12)
+
+    @given(seeds, small, small, small, small, small, small)
+    def test_partial_traces_match_kron(self, seed, dA, dB, m, n, r, s):
+        _, _, alice, bob, rho = _random_model(seed, dA, dB, m, n, r, s)
+        realigned = _realign(rho, dA, dB)
+        # rows of _reduced are the transposed partial traces
+        traced_a = _reduced(alice, realigned).reshape(m * r, dB, dB).swapaxes(1, 2)
+        traced_b = _reduced(bob, realigned.T).reshape(n * s, dA, dA).swapaxes(1, 2)
+        for k, op in enumerate(alice.reshape(m * r, dA, dA)):
+            prod = (rho @ np.kron(op, np.eye(dB))).reshape(dA, dB, dA, dB)
+            np.testing.assert_allclose(traced_a[k], np.einsum("ijil->jl", prod), atol=1e-12)
+        for k, op in enumerate(bob.reshape(n * s, dB, dB)):
+            prod = (rho @ np.kron(np.eye(dA), op)).reshape(dA, dB, dA, dB)
+            np.testing.assert_allclose(traced_b[k], np.einsum("ijkj->ik", prod), atol=1e-12)
 
     @given(seeds, st.integers(1, 4), st.integers(1, 4))
     def test_povm_vertex_is_projective_and_beats_random(self, seed, dim, answers):
@@ -196,19 +243,19 @@ class TestBlockProperties:
         for povm in _random_measurements(rng, dim, 20, answers):
             assert value <= np.real(np.einsum("aij,aji->", grads, np.array(povm))) + 1e-10
 
-    @given(seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
-    def test_state_block_feasible_and_non_increasing(self, seed, dim, questions, answers):
+    @given(seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_state_block_feasible_and_non_increasing(self, seed, dA, dB, questions, answers):
         rng = np.random.default_rng(seed)
-        alice = np.array(_random_measurements(rng, dim, questions, answers))
-        bob = np.array(_random_measurements(rng, dim, questions, answers))
-        target = random_correlation(rng, questions, questions, answers, answers).table.reshape(-1)
-        kconj = _kron_stack(alice, bob)
-        rho = _random_density(rng, dim * dim)
-        res = np.real(kconj @ rho.reshape(-1)) - target
-        rho_out, res_out = _state_block(rho, res, kconj, 10)
+        alice = np.array(_random_measurements(rng, dA, questions, answers))
+        bob = np.array(_random_measurements(rng, dB, questions, answers))
+        table = random_correlation(rng, questions, questions, answers, answers).table
+        target = table.transpose(0, 2, 1, 3).reshape(-1)
+        rho = _random_density(rng, dA * dB)
+        res = _all_probs(rho, alice, bob).reshape(-1) - target
+        rho_out, res_out = _state_block(rho, res, alice, bob, 10)
         _assert_hermitian_psd(rho_out)
         assert np.trace(rho_out).real == pytest.approx(1.0, abs=1e-10)
-        recomputed = np.real(kconj @ rho_out.reshape(-1)) - target
+        recomputed = _all_probs(rho_out, alice, bob).reshape(-1) - target
         np.testing.assert_allclose(res_out, recomputed, atol=1e-10)
         assert recomputed @ recomputed <= res @ res + 1e-12
 
