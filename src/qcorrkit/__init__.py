@@ -40,7 +40,6 @@ from .tilted_chsh import (
     params_from_beta,
 )
 from .separating import (
-    PairIsometry,
     SeparatingError,
     TruncationSpec,
     exact_pstar,
@@ -94,7 +93,6 @@ __all__ = [
     "ideal_table",
     "params_from_alpha",
     "params_from_beta",
-    "PairIsometry",
     "SeparatingError",
     "TruncationSpec",
     "exact_pstar",

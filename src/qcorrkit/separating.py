@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .tilted_chsh import (
 
 __all__ = [
     "TruncationSpec",
-    "PairIsometry",
     "SeparatingError",
     "ideal_truncated_strategy",
     "exact_pstar",
@@ -89,61 +87,28 @@ class TruncationSpec:
         return 2 * int(self.m)
 
 
-@dataclass(frozen=True)
-class PairIsometry:
-    """Embedding of a 2-dim block at consecutive basis indices.
-
-    ``even`` blocks sit at (2m, 2m+1); ``odd`` blocks at (2m+1, 2m+2).
-    """
-
-    kind: Literal["even", "odd"]
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("even", "odd"):
-            raise SeparatingError(f"kind must be 'even' or 'odd', got {self.kind!r}")
-        if int(self.m) != self.m or self.m < 0:
-            raise SeparatingError(f"block index must be a nonnegative integer, got {self.m!r}")
-
-    def indices(self) -> tuple[int, int]:
-        if self.kind == "even":
-            return (2 * self.m, 2 * self.m + 1)
-        return (2 * self.m + 1, 2 * self.m + 2)
-
-    def push(self, op: np.ndarray, dim: int) -> np.ndarray:
-        """Pushforward V op V^dagger of a 2x2 operator into dimension ``dim``."""
-        op = np.asarray(op)
-        if op.shape != (2, 2):
-            raise SeparatingError(f"pair isometries push 2x2 operators, got {op.shape}")
-        i, j = self.indices()
-        if j >= dim:
-            raise SeparatingError(
-                f"block {self.kind}[{self.m}] needs indices ({i},{j}) < dim {dim}"
-            )
-        out = np.zeros((dim, dim), dtype=complex)
-        out[i, i] = op[0, 0]
-        out[i, j] = op[0, 1]
-        out[j, i] = op[1, 0]
-        out[j, j] = op[1, 1]
-        return out
-
-
 def _pm(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (I +/- O)/2; exact projectors because the 2x2 observables square to I
     eye = np.eye(2)
     return (eye + obs) / 2.0, (eye - obs) / 2.0
 
 
+def _pairs(op: np.ndarray, first: np.ndarray, dim: int) -> np.ndarray:
+    """The 2x2 ``op`` placed on every pair (i, i+1) with i in ``first``."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[first, first] = op[0, 0]
+    out[first, first + 1] = op[0, 1]
+    out[first + 1, first] = op[1, 0]
+    out[first + 1, first + 1] = op[1, 1]
+    return out
+
+
 def _aligned_measurement(obs: np.ndarray, num_blocks: int, dim: int) -> list[np.ndarray]:
     """Three elements for an aligned-pair question: (+1 -> 0, -1 -> 1, zero)."""
     plus, minus = _pm(obs)
-    p_plus = np.zeros((dim, dim), dtype=complex)
-    p_minus = np.zeros((dim, dim), dtype=complex)
-    for k in range(num_blocks):
-        iso = PairIsometry("even", k)
-        p_plus += iso.push(plus, dim)
-        p_minus += iso.push(minus, dim)
-    return [p_plus, p_minus, np.zeros((dim, dim), dtype=complex)]
+    first = 2 * np.arange(num_blocks)
+    zero = np.zeros((dim, dim), dtype=complex)
+    return [_pairs(plus, first, dim), _pairs(minus, first, dim), zero]
 
 
 def _shifted_measurement(obs: np.ndarray, num_blocks: int, dim: int) -> list[np.ndarray]:
@@ -156,16 +121,12 @@ def _shifted_measurement(obs: np.ndarray, num_blocks: int, dim: int) -> list[np.
     ``obs`` is diagonal.
     """
     plus, minus = _pm(obs)
-    p_plus = np.zeros((dim, dim), dtype=complex)
-    p_minus = np.zeros((dim, dim), dtype=complex)
-    for k in range(num_blocks - 1):
-        iso = PairIsometry("odd", k)
-        p_plus += iso.push(plus, dim)
-        p_minus += iso.push(minus, dim)
+    first = 2 * np.arange(num_blocks - 1) + 1
+    p_plus = _pairs(plus, first, dim)
     p_plus[dim - 1, dim - 1] += 1.0
     p_kernel = np.zeros((dim, dim), dtype=complex)
     p_kernel[0, 0] = 1.0
-    return [p_minus, p_plus, p_kernel]
+    return [_pairs(minus, first, dim), p_plus, p_kernel]
 
 
 def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:

@@ -283,6 +283,10 @@ def validate(
 def induce(s: Strategy, check: bool = True) -> Correlation:
     """Correlation induced by a strategy: p(a,b|x,y) = <psi| A_x^a (x) B_y^b |psi>.
 
+    With the state as a dA x dB matrix psi, this is the Frobenius pairing
+    p(a,b|x,y) = sum_jl (psi^H A_x^a psi)[j,l] * B_y^b[j,l]: two matrix
+    products per Alice element, then one O(dB^2) sum per Bob element.
+
     The strategy must pass :func:`validate`.  Imaginary parts of the inner
     products are asserted below 1e-10 and discarded.
     """
@@ -291,16 +295,16 @@ def induce(s: Strategy, check: bool = True) -> Correlation:
         if not report.ok:
             raise InvalidStrategyError(report)
     psi = s.state_matrix()
-    psi_conj = psi.conj()
+    psi_h = psi.conj().T
     table = np.empty((s.m, s.n, s.r, s.s))
     worst_imag = 0.0
-    for x in range(s.m):
-        lefts = [s.alice_meas[x][a] @ psi for a in range(s.r)]
-        for y in range(s.n):
-            for b in range(s.s):
-                bt = s.bob_meas[y][b].T
-                for a in range(s.r):
-                    val = complex(np.sum(psi_conj * (lefts[a] @ bt)))
+    for x, elements in enumerate(s.alice_meas):
+        for a, proj in enumerate(elements):
+            # np.vdot conjugates its first argument, which undoes this conj
+            local_conj = (psi_h @ proj @ psi).conj()
+            for y, bob_elements in enumerate(s.bob_meas):
+                for b, bob in enumerate(bob_elements):
+                    val = complex(np.vdot(local_conj, bob))
                     worst_imag = max(worst_imag, abs(val.imag))
                     table[x, y, a, b] = val.real
     if worst_imag > 1e-10:

@@ -8,7 +8,6 @@ import pytest
 from qcorrkit.correlation import distance, restrict
 from qcorrkit.separating import (
     PRINTED_PAIRS,
-    PairIsometry,
     SeparatingError,
     TruncationSpec,
     exact_pstar,
@@ -17,7 +16,14 @@ from qcorrkit.separating import (
     truncation_distance,
 )
 from qcorrkit.strategy import induce, validate
-from qcorrkit.tilted_chsh import ideal_table, params_from_alpha
+from qcorrkit.tilted_chsh import (
+    SIGMA_X,
+    SIGMA_Z,
+    ideal_table,
+    params_from_alpha,
+    tilted_sigma_x,
+    tilted_sigma_z,
+)
 
 
 class TestTruncationSpec:
@@ -35,28 +41,52 @@ class TestTruncationSpec:
             TruncationSpec(alpha=0.5, m=1)
 
 
-class TestPairIsometry:
-    def test_indices(self):
-        assert PairIsometry("even", 3).indices() == (6, 7)
-        assert PairIsometry("odd", 3).indices() == (7, 8)
-
-    def test_push_embeds_block(self):
-        op = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = PairIsometry("odd", 0).push(op, 4)
-        expected = np.zeros((4, 4))
-        expected[1:3, 1:3] = op
-        np.testing.assert_allclose(out, expected, atol=0)
-
-    def test_push_requires_room(self):
-        with pytest.raises(SeparatingError, match="dim"):
-            PairIsometry("even", 2).push(np.eye(2), 4)
-
-    def test_kind_checked(self):
-        with pytest.raises(SeparatingError):
-            PairIsometry("diagonal", 0)
-
-
 class TestTruncatedStrategy:
+    @pytest.mark.parametrize("m", [2, 3, 5, 16])
+    def test_elements_match_per_pair_reference(self, m):
+        # reference: each 2x2 block added into its own zero matrix, one pair
+        # at a time, aligned pairs at (2k, 2k+1) and shifted ones at (2k+1, 2k+2)
+        alpha, dim = 0.7, 2 * m
+        mu = params_from_alpha(alpha).mu
+
+        def paired(obs, offset, count):
+            eye = np.eye(2)
+            out = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
+            for k in range(count):
+                i, j = 2 * k + offset, 2 * k + offset + 1
+                for elem, block in zip(out, ((eye + obs) / 2.0, (eye - obs) / 2.0)):
+                    pushed = np.zeros((dim, dim), dtype=complex)
+                    pushed[np.ix_([i, j], [i, j])] = block
+                    elem += pushed
+            return out
+
+        def aligned(obs):
+            plus, minus = paired(obs, 0, m)
+            return [plus, minus, np.zeros((dim, dim), dtype=complex)]
+
+        def shifted(obs):
+            plus, minus = paired(obs, 1, m - 1)
+            plus[dim - 1, dim - 1] += 1.0
+            kernel = np.zeros((dim, dim), dtype=complex)
+            kernel[0, 0] = 1.0
+            return [minus, plus, kernel]
+
+        alice = [aligned(SIGMA_Z), aligned(SIGMA_X), shifted(SIGMA_Z), shifted(SIGMA_X)]
+        bob = [
+            aligned(tilted_sigma_z(mu)),
+            aligned(tilted_sigma_x(mu)),
+            shifted(tilted_sigma_z(mu)),
+            shifted(tilted_sigma_x(mu)),
+            aligned(SIGMA_Z),
+        ]
+        s = ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m))
+        for got, want in ((s.alice_meas, alice), (s.bob_meas, bob)):
+            assert len(got) == len(want)
+            for got_q, want_q in zip(got, want):
+                for got_e, want_e in zip(got_q, want_q):
+                    assert np.array_equal(got_e, want_e)
+        assert validate(s).ok
+
     def test_shape_and_validity(self):
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
         assert (s.m, s.n, s.r, s.s) == (4, 5, 3, 3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcorrkit.correlation import distance
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
@@ -89,6 +91,27 @@ class TestInduce:
         for _ in range(5):
             s = random_strategy(rng, dA=3, dB=2, m=2, n=2, r=2, s=2)
             np.testing.assert_allclose(induce(s).table, kron_induce(s), atol=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    )
+    def test_matches_kron_oracle_property(self, seed, dA, dB, m, n, r, s):
+        strat = random_strategy(np.random.default_rng(seed), dA=dA, dB=dB, m=m, n=n, r=r, s=s)
+        np.testing.assert_allclose(induce(strat).table, kron_induce(strat), atol=1e-12)
+
+    def test_imaginary_part_guarded(self):
+        # an element with an anti-Hermitian part gives <00|A (x) B|00> = 1j
+        tilted = np.array([[1j, 0], [0, 1]])
+        eye = np.eye(2)
+        s = Strategy(2, 2, [1, 0, 0, 0], [[tilted]], [[eye]])
+        with pytest.raises(StrategyError, match="imaginary part"):
+            induce(s, check=False)
 
     def test_ideal_untilted_values(self):
         # diagonal (2+sqrt(2))/8, off-diagonal (2-sqrt(2))/8 on questions (0,0)
