@@ -57,7 +57,6 @@ from .analysis import (
     descent_chain,
     schmidt,
     schmidt_partition,
-    schmidt_sum_check,
     strategy_block_decompose,
     verify_schmidt_bijections,
     verify_y4_relations,
@@ -108,7 +107,6 @@ __all__ = [
     "descent_chain",
     "schmidt",
     "schmidt_partition",
-    "schmidt_sum_check",
     "strategy_block_decompose",
     "verify_schmidt_bijections",
     "verify_y4_relations",

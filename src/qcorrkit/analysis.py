@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import BlockSpec, Correlation, block_structure_check, distance
-from .strategy import Strategy, induce, projected_substate
+from .strategy import Strategy, _frozen, induce, projected_substate
 
 __all__ = [
     "SchmidtSpectrum",
@@ -33,7 +33,6 @@ __all__ = [
     "DescentChain",
     "Y4Report",
     "SchmidtPartition",
-    "SchmidtSumCheck",
     "BijectionReport",
     "AnalysisError",
     "BlockDecompositionError",
@@ -42,9 +41,7 @@ __all__ = [
     "verify_y4_relations",
     "schmidt_partition",
     "descent_chain",
-    "schmidt_sum_check",
     "verify_schmidt_bijections",
-    "multiset_match",
     "multiset_equal",
     "multiset_subtract",
     "ZERO_CUTOFF",
@@ -92,14 +89,6 @@ class SchmidtSpectrum:
     def __iter__(self):
         return iter(self.coefficients)
 
-    def scaled(self, factor: float) -> "SchmidtSpectrum":
-        """Spectrum with every coefficient multiplied by ``factor`` in (0, 1]."""
-        if not (0.0 < factor <= 1.0):
-            raise AnalysisError(f"scale factor must lie in (0, 1], got {factor!r}")
-        return SchmidtSpectrum(
-            tuple(factor * c for c in self.coefficients), self.zero_cutoff
-        )
-
     def as_list(self) -> list[float]:
         return list(self.coefficients)
 
@@ -146,32 +135,19 @@ def schmidt(
     )
 
 
-def multiset_match(
-    a: Sequence[float], b: Sequence[float], rel_tol: float = MULTISET_REL_TOL
-) -> list[tuple[int, int]] | None:
-    """Greedy largest-first matching of two positive multisets.
-
-    Returns index pairs (into the given sequences) when every element of one
-    multiset pairs with an element of the other within relative tolerance,
-    else None.  Sorting both descending makes the greedy pairing canonical.
-    """
-    if len(a) != len(b):
-        return None
-    order_a = sorted(range(len(a)), key=lambda i: -a[i])
-    order_b = sorted(range(len(b)), key=lambda i: -b[i])
-    pairs: list[tuple[int, int]] = []
-    for ia, ib in zip(order_a, order_b):
-        va, vb = a[ia], b[ib]
-        if abs(va - vb) > rel_tol * max(abs(va), abs(vb)):
-            return None
-        pairs.append((ia, ib))
-    return pairs
-
-
 def multiset_equal(
     a: Sequence[float], b: Sequence[float], rel_tol: float = MULTISET_REL_TOL
 ) -> bool:
-    return multiset_match(a, b, rel_tol) is not None
+    """Whether two positive multisets pair up within relative tolerance.
+
+    Sorting both descending makes the largest-first pairing canonical.
+    """
+    if len(a) != len(b):
+        return False
+    return all(
+        abs(va - vb) <= rel_tol * max(abs(va), abs(vb))
+        for va, vb in zip(sorted(a, reverse=True), sorted(b, reverse=True))
+    )
 
 
 def multiset_subtract(
@@ -295,7 +271,6 @@ def strategy_block_decompose(
     alice_bases: list[np.ndarray] = []
     bob_bases: list[np.ndarray] = []
     restricted: list[Strategy | None] = []
-    cutoff = tol * tol
     for i in range(num_blocks):
         psi_i = sub_states[i].reshape(s.dA, s.dB)
         if weights[i] <= tol:
@@ -303,53 +278,14 @@ def strategy_block_decompose(
             bob_bases.append(np.zeros((s.dB, 0), dtype=complex))
             restricted.append(None)
             continue
-        rho_a = psi_i @ psi_i.conj().T
-        rho_b = psi_i.T @ psi_i.conj()
-        evals_a, evecs_a = np.linalg.eigh(rho_a)
-        evals_b, evecs_b = np.linalg.eigh(rho_b)
-        basis_a = evecs_a[:, evals_a > cutoff]
-        basis_b = evecs_b[:, evals_b > cutoff]
+        basis_a, restricted_alice = _restrict_side(
+            s.alice_meas, spec.alice_partition[i], psi_i @ psi_i.conj().T, "A", i, residuals, tol
+        )
+        basis_b, restricted_bob = _restrict_side(
+            s.bob_meas, spec.bob_partition[i], psi_i.T @ psi_i.conj(), "B", i, residuals, tol
+        )
         alice_bases.append(basis_a)
         bob_bases.append(basis_b)
-
-        restricted_alice = []
-        for x in range(s.m):
-            row = []
-            for a in spec.alice_partition[i]:
-                proj = s.alice_meas[x][a]
-                r_op = basis_a.conj().T @ proj @ basis_a
-                leak = float(np.linalg.norm(proj @ basis_a - basis_a @ r_op))
-                idem = float(np.linalg.norm(r_op @ r_op - r_op))
-                residuals["subspace_leakage"] = max(residuals["subspace_leakage"], leak)
-                residuals["restricted_idempotence"] = max(
-                    residuals["restricted_idempotence"], idem
-                )
-                if idem > tol:
-                    raise BlockDecompositionError(
-                        f"restricted element (A, x={x}, a={a}) of block {i} is not a "
-                        f"projection: residual {idem:.3e}"
-                    )
-                row.append(r_op)
-            restricted_alice.append(row)
-        restricted_bob = []
-        for y in range(s.n):
-            row = []
-            for b in spec.bob_partition[i]:
-                proj = s.bob_meas[y][b]
-                r_op = basis_b.conj().T @ proj @ basis_b
-                leak = float(np.linalg.norm(proj @ basis_b - basis_b @ r_op))
-                idem = float(np.linalg.norm(r_op @ r_op - r_op))
-                residuals["subspace_leakage"] = max(residuals["subspace_leakage"], leak)
-                residuals["restricted_idempotence"] = max(
-                    residuals["restricted_idempotence"], idem
-                )
-                if idem > tol:
-                    raise BlockDecompositionError(
-                        f"restricted element (B, y={y}, b={b}) of block {i} is not a "
-                        f"projection: residual {idem:.3e}"
-                    )
-                row.append(r_op)
-            restricted_bob.append(row)
 
         block_state = basis_a.conj().T @ psi_i @ basis_b.conj()
         block_state = block_state / np.linalg.norm(block_state)
@@ -382,6 +318,44 @@ def strategy_block_decompose(
         blocks=chk.blocks,
         residuals=residuals,
     )
+
+
+def _restrict_side(
+    meas: np.ndarray,
+    answers: Sequence[int],
+    rho: np.ndarray,
+    side: str,
+    block: int,
+    residuals: dict[str, float],
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block subspace of one side and that side's ``answers`` compressed onto it.
+
+    The subspace is spanned by the eigenvectors of the reduced density ``rho``
+    above tol^2.  Works one question at a time; every compressed element must
+    stay a projection, and its leakage out of the subspace is recorded.
+    """
+    evals, evecs = np.linalg.eigh(rho)
+    basis = evecs[:, evals > tol * tol]
+    answers = list(answers)
+    out = np.empty((len(meas), len(answers), basis.shape[1], basis.shape[1]), dtype=complex)
+    for x, question in enumerate(meas):
+        elements = question[answers]
+        out[x] = basis.conj().T @ elements @ basis
+        leak = np.linalg.norm(elements @ basis - basis @ out[x], axis=(-2, -1))
+        idem = np.linalg.norm(out[x] @ out[x] - out[x], axis=(-2, -1))
+        residuals["subspace_leakage"] = max(residuals["subspace_leakage"], float(leak.max()))
+        residuals["restricted_idempotence"] = max(
+            residuals["restricted_idempotence"], float(idem.max())
+        )
+        if idem.max() > tol:
+            k = int(np.argmax(idem > tol))
+            q, a = ("x", "a") if side == "A" else ("y", "b")
+            raise BlockDecompositionError(
+                f"restricted element ({side}, {q}={x}, {a}={answers[k]}) of block {block} "
+                f"is not a projection: residual {idem[k]:.3e}"
+            )
+    return basis, _frozen(out)
 
 
 _Y4_SHAPE = (4, 5, 3, 3)
@@ -581,99 +555,6 @@ def descent_chain(
         chains=tuple(chains),
         index_chains=tuple(index_chains),
         max_length=max((len(c) for c in chains), default=0),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtSumCheck:
-    """Outcome of the two-part spectrum-additivity test.
-
-    ``ok`` requires the two parts to have orthogonal reduced densities on
-    both sides (operator norms of the products below tolerance) and the
-    spectra to merge into the total spectrum as multisets.
-    """
-
-    ok: bool
-    overlap_a: float
-    overlap_b: float
-    multiset_ok: bool
-    pairing: tuple[tuple[int, int], ...] | None
-    total: SchmidtSpectrum
-    part_phi: SchmidtSpectrum
-    part_eta: SchmidtSpectrum
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "overlap_a": self.overlap_a,
-            "overlap_b": self.overlap_b,
-            "multiset_ok": self.multiset_ok,
-            "total": self.total.as_list(),
-            "part_phi": self.part_phi.as_list(),
-            "part_eta": self.part_eta.as_list(),
-        }
-
-
-def schmidt_sum_check(
-    psi: np.ndarray,
-    phi: np.ndarray,
-    eta: np.ndarray,
-    dA: int,
-    dB: int,
-    tol: float = 1e-9,
-) -> SchmidtSumCheck:
-    """Certify Schmidt(psi) = Schmidt(phi) u Schmidt(eta) for psi = phi + eta.
-
-    The identity requires phi and eta to be orthogonal on both subsystems:
-    the products of their reduced densities must vanish.  Returns ok=False
-    with the violating overlap when they do not; raises if psi != phi + eta.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    eta = np.asarray(eta, dtype=complex).reshape(-1)
-    if psi.size != dA * dB or phi.size != dA * dB or eta.size != dA * dB:
-        raise AnalysisError("all vectors must have length dA*dB")
-    defect = float(np.linalg.norm(psi - phi - eta))
-    if defect > tol:
-        raise AnalysisError(
-            f"decomposition identity fails: ||psi - phi - eta|| = {defect:.3e} > {tol:.1e}"
-        )
-    phi_m = phi.reshape(dA, dB)
-    eta_m = eta.reshape(dA, dB)
-    sigma_a = phi_m @ phi_m.conj().T
-    tau_a = eta_m @ eta_m.conj().T
-    sigma_b = phi_m.T @ phi_m.conj()
-    tau_b = eta_m.T @ eta_m.conj()
-    overlap_a = float(np.linalg.norm(sigma_a @ tau_a, 2))
-    overlap_b = float(np.linalg.norm(sigma_b @ tau_b, 2))
-
-    cutoff = ZERO_CUTOFF
-    total = SchmidtSpectrum(tuple(_svd_spectrum(psi, dA, dB, cutoff)[0]), cutoff)
-    part_phi = SchmidtSpectrum(tuple(_svd_spectrum(phi, dA, dB, cutoff)[0]), cutoff)
-    part_eta = SchmidtSpectrum(tuple(_svd_spectrum(eta, dA, dB, cutoff)[0]), cutoff)
-
-    if overlap_a > tol or overlap_b > tol:
-        return SchmidtSumCheck(
-            ok=False,
-            overlap_a=overlap_a,
-            overlap_b=overlap_b,
-            multiset_ok=False,
-            pairing=None,
-            total=total,
-            part_phi=part_phi,
-            part_eta=part_eta,
-        )
-    merged = sorted(list(part_phi) + list(part_eta), reverse=True)
-    pairing = multiset_match(total.as_list(), merged, max(tol, MULTISET_REL_TOL))
-    return SchmidtSumCheck(
-        ok=pairing is not None,
-        overlap_a=overlap_a,
-        overlap_b=overlap_b,
-        multiset_ok=pairing is not None,
-        pairing=tuple(pairing) if pairing is not None else None,
-        total=total,
-        part_phi=part_phi,
-        part_eta=part_eta,
     )
 
 

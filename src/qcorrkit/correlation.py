@@ -108,12 +108,6 @@ class Correlation:
     def shape(self) -> tuple[int, int, int, int]:
         return self.table.shape  # type: ignore[return-value]
 
-    def table_at(self, x: int, y: int) -> "CorrelationTable":
-        """Return the single probability table for question pair (x, y)."""
-        if not (0 <= x < self.m and 0 <= y < self.n):
-            raise CorrelationError(f"question pair ({x}, {y}) out of range")
-        return CorrelationTable(x=x, y=y, entries=self.table[x, y])
-
     def to_dict(self) -> dict:
         return {
             "m": self.m,
@@ -282,11 +276,6 @@ class BlockCheckResult:
     weights: tuple[float, ...] | None
     blocks: tuple[Correlation | None, ...] | None
     failure: BlockCheckFailure | None
-
-    def to_block_spec(self, spec: BlockSpec) -> BlockSpec:
-        if not self.ok or self.weights is None:
-            raise CorrelationError("cannot build a BlockSpec from a failed check")
-        return BlockSpec(spec.alice_partition, spec.bob_partition, self.weights)
 
 
 def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) -> BlockCheckResult:

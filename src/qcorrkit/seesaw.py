@@ -31,7 +31,7 @@ import numpy as np
 
 from .correlation import Correlation
 from .separating import truncation_distance
-from .strategy import Strategy, _random_measurements
+from .strategy import Strategy, _atom_image, _frozen, _random_measurements
 
 __all__ = [
     "SeesawConfig",
@@ -150,13 +150,6 @@ def _all_probs(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarra
     return np.real(_reduced(alice, _realign(rho, d, e)) @ bob.reshape(-1, e * e).T)
 
 
-def _atom_image(vec: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # with V = vec as d x e, p[(x,a),(y,b)] = Re sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
-    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
-    local = vec.reshape(d, e).conj().T @ alice.reshape(m * r, d, d) @ vec.reshape(d, e)
-    return np.real(local.reshape(m * r, e * e) @ bob.reshape(n * s, e * e).T).reshape(-1)
-
-
 def _state_grad(res: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     # sum res[(x,a),(y,b)] A_x^a (x) B_y^b = sum_xa A_x^a (x) C_xa with C = res @ B
     (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
@@ -234,12 +227,12 @@ def _state_block(
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # eigh reads one triangle, so the gradient needs no Hermitization
         vec = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, 0]
-        return vec, _atom_image(vec, alice, bob)
+        return vec, _atom_image(vec, alice, bob).real
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
     keep = evals > 1e-14
     atoms = list(evecs[:, keep].T)
-    images = [_atom_image(v, alice, bob) for v in atoms]
+    images = [_atom_image(v, alice, bob).real for v in atoms]
     atoms, weights, res = _pairwise_fw(atoms, evals[keep], images, res, lmo, steps)
     vecs = np.array(atoms).T
     return _hermitize((vecs * weights) @ vecs.conj().T), res
@@ -355,8 +348,8 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
         vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
-        alice = np.array(_random_measurements(rng, d, m, r), dtype=complex)
-        bob = np.array(_random_measurements(rng, d, n, s), dtype=complex)
+        alice = _random_measurements(rng, d, m, r)
+        bob = _random_measurements(rng, d, n, s)
 
         trace = RestartTrace(restart=k)
         res = _all_probs(rho, alice, bob) - t_ab
@@ -391,17 +384,19 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.conj().T
 
 
-def _naimark(povms: list[list[np.ndarray]], dim: int) -> tuple[list[list[np.ndarray]], int]:
-    """Projective dilations of every question's POVM on C^dim (x) C^r.
+def _naimark(povms: np.ndarray) -> np.ndarray:
+    """Projective dilations of (questions, r, dim, dim) POVMs onto C^dim (x) C^r.
 
     Each question gets a unitary sending |phi>|0> to sum_a sqrt(E^a)|phi>|a>;
     conjugating the ancilla projectors through it yields projective elements
     that reproduce the POVM statistics on states with the ancilla at |0>.
     """
-    num_out = len(povms[0])
+    num_q, num_out, dim = povms.shape[:3]
     big = dim * num_out
-    dilated = []
-    for elements in povms:
+    ancilla = np.arange(big) % num_out
+    anc_projs = np.array([np.diag((ancilla == a).astype(complex)) for a in range(num_out)])
+    dilated = np.empty((num_q, num_out, big, big), dtype=complex)
+    for x, elements in enumerate(povms):
         # row i*num_out + a of w is row i of sqrt(E^a)
         w = np.stack([_sqrtm_psd(e) for e in elements], axis=1).reshape(big, dim)
         # complete the isometry's columns to a unitary
@@ -410,19 +405,12 @@ def _naimark(povms: list[list[np.ndarray]], dim: int) -> tuple[list[list[np.ndar
         cols = u.reshape(big, dim, num_out)
         cols[:, :, 0] = w
         cols[:, :, 1:] = q[:, dim:big].reshape(big, dim, num_out - 1)
-        ancilla = np.arange(big) % num_out
-        projs = []
-        for a in range(num_out):
-            anc_proj = np.diag((ancilla == a).astype(complex))
-            projs.append(u.conj().T @ anc_proj @ u)
-        dilated.append(projs)
-    return dilated, big
+        dilated[x] = u.conj().T @ anc_projs @ u
+    return _frozen(dilated)
 
 
 def _round_to_projective(
-    rho: np.ndarray,
-    alice: list[list[np.ndarray]],
-    bob: list[list[np.ndarray]],
+    rho: np.ndarray, alice: np.ndarray, bob: np.ndarray
 ) -> tuple[Strategy, tuple[int, int]]:
     """Purify the state (ancilla to Bob) and dilate both parties' POVMs.
 
@@ -438,15 +426,15 @@ def _round_to_projective(
     k = int(lam.size)
     # psi[(i), (j, c)] with Bob keeping the purifying register
     psi = (vecs * np.sqrt(lam)).reshape(d, d, k).reshape(d, d * k)
-    bob_big = [[np.kron(e, np.eye(k, dtype=complex)) for e in q] for q in bob]
+    # B (x) I_k for every element
+    n, s = bob.shape[:2]
+    bob_big = (bob[:, :, :, None, :, None] * np.eye(k)[:, None, :]).reshape(n, s, d * k, d * k)
 
-    alice_proj, da_dilated = _naimark(alice, d)
-    bob_proj, db_dilated = _naimark(bob_big, d * k)
-
-    r = len(alice[0])
-    s = len(bob[0])
+    alice_proj = _naimark(alice)
+    bob_proj = _naimark(bob_big)
+    da_dilated, db_dilated = alice_proj.shape[-1], bob_proj.shape[-1]
     state = np.zeros((da_dilated, db_dilated), dtype=complex)
-    state[::r, ::s] = psi
+    state[:: alice.shape[1], ::s] = psi
     strategy = Strategy(
         dA=da_dilated,
         dB=db_dilated,

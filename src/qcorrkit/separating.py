@@ -25,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import Correlation, CorrelationTable, distance
-from .strategy import Strategy, induce
+from .strategy import Strategy, _frozen, induce
 from .tilted_chsh import (
     SIGMA_X,
     SIGMA_Z,
+    _pm_projectors,
     ideal_table,
     params_from_alpha,
     tilted_sigma_x,
@@ -87,46 +88,43 @@ class TruncationSpec:
         return 2 * int(self.m)
 
 
-def _pm(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (I +/- O)/2; exact projectors because the 2x2 observables square to I
-    eye = np.eye(2)
-    return (eye + obs) / 2.0, (eye - obs) / 2.0
+def _question_layout(alpha: float) -> tuple[list[tuple[int, np.ndarray]], ...]:
+    """(shift, observable) per question on each side: the one layout table.
 
-
-def _pairs(op: np.ndarray, first: np.ndarray, dim: int) -> np.ndarray:
-    """The 2x2 ``op`` placed on every pair (i, i+1) with i in ``first``."""
-    out = np.zeros((dim, dim), dtype=complex)
-    out[first, first] = op[0, 0]
-    out[first, first + 1] = op[0, 1]
-    out[first + 1, first] = op[1, 0]
-    out[first + 1, first + 1] = op[1, 1]
-    return out
-
-
-def _aligned_measurement(obs: np.ndarray, num_blocks: int, dim: int) -> list[np.ndarray]:
-    """Three elements for an aligned-pair question: (+1 -> 0, -1 -> 1, zero)."""
-    plus, minus = _pm(obs)
-    first = 2 * np.arange(num_blocks)
-    zero = np.zeros((dim, dim), dtype=complex)
-    return [_pairs(plus, first, dim), _pairs(minus, first, dim), zero]
-
-
-def _shifted_measurement(obs: np.ndarray, num_blocks: int, dim: int) -> list[np.ndarray]:
-    """Three elements for a shifted-pair question: (-1 -> 0, +1 -> 1, |0><0| -> 2).
-
-    Only the blocks (2k+1, 2k+2) with 2k+2 < dim fit; the dangling vector
-    |dim-1> (the would-be first leg of the cut block, i.e. the +1 slot of its
-    pairing) is assigned to answer 1 so that the measurement stays complete
-    and the answer-1 element equals the full odd-index projector when
-    ``obs`` is diagonal.
+    Shift 0 plays the 2x2 observable on the aligned pairs (2k, 2k+1), answering
+    +1 -> 0 and -1 -> 1 with answer 2 unused.  Shift 1 plays it on the shifted
+    pairs (2k+1, 2k+2), answering -1 -> 0 and +1 -> 1, with |0><0| -> 2.
     """
-    plus, minus = _pm(obs)
-    first = 2 * np.arange(num_blocks - 1) + 1
-    p_plus = _pairs(plus, first, dim)
-    p_plus[dim - 1, dim - 1] += 1.0
-    p_kernel = np.zeros((dim, dim), dtype=complex)
-    p_kernel[0, 0] = 1.0
-    return [_pairs(minus, first, dim), p_plus, p_kernel]
+    mu = params_from_alpha(alpha).mu
+    tz, tx = tilted_sigma_z(mu), tilted_sigma_x(mu)
+    alice = [(0, SIGMA_Z), (0, SIGMA_X), (1, SIGMA_Z), (1, SIGMA_X)]
+    bob = [(0, tz), (0, tx), (1, tz), (1, tx), (0, SIGMA_Z)]
+    return alice, bob
+
+
+def _side_measurements(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.ndarray:
+    """One side's (questions, 3, D, D) elements, each written by strided assignments.
+
+    Only the shifted pairs (2k+1, 2k+2) with 2k+2 < D fit; the dangling vector
+    |D-1> (the would-be first leg of the cut pair, i.e. the +1 slot of its
+    pairing) is assigned to answer 1 so that the measurement stays complete
+    and the answer-1 element equals the full odd-index projector when the
+    observable is diagonal.
+    """
+    dim = 2 * num_blocks
+    out = np.zeros((len(questions), NUM_ANSWERS, dim, dim), dtype=complex)
+    for x, (shift, obs) in enumerate(questions):
+        first = 2 * np.arange(num_blocks - shift) + shift
+        for a, op in zip((shift, 1 - shift), _pm_projectors(obs)):
+            elem = out[x, a]
+            elem[first, first] = op[0, 0]
+            elem[first, first + 1] = op[0, 1]
+            elem[first + 1, first] = op[1, 0]
+            elem[first + 1, first + 1] = op[1, 1]
+        if shift:
+            out[x, 1, dim - 1, dim - 1] += 1.0
+            out[x, 2, 0, 0] = 1.0
+    return _frozen(out)
 
 
 def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
@@ -138,29 +136,19 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
     exactly; all truncation error enters through the shifted-pair questions.
     """
     dim = spec.dim
-    num_blocks = int(spec.m)
     alpha = spec.alpha
-    mu = params_from_alpha(alpha).mu
-
-    alice = [
-        _aligned_measurement(SIGMA_Z, num_blocks, dim),
-        _aligned_measurement(SIGMA_X, num_blocks, dim),
-        _shifted_measurement(SIGMA_Z, num_blocks, dim),
-        _shifted_measurement(SIGMA_X, num_blocks, dim),
-    ]
-    bob = [
-        _aligned_measurement(tilted_sigma_z(mu), num_blocks, dim),
-        _aligned_measurement(tilted_sigma_x(mu), num_blocks, dim),
-        _shifted_measurement(tilted_sigma_z(mu), num_blocks, dim),
-        _shifted_measurement(tilted_sigma_x(mu), num_blocks, dim),
-        _aligned_measurement(SIGMA_Z, num_blocks, dim),
-    ]
-
+    alice, bob = _question_layout(alpha)
     norm = math.sqrt((1.0 - alpha**2) / (1.0 - alpha ** (2 * dim)))
     coeffs = norm * alpha ** np.arange(dim)
     state = np.zeros(dim * dim, dtype=complex)
     state[np.arange(dim) * dim + np.arange(dim)] = coeffs
-    return Strategy(dA=dim, dB=dim, state=state, alice_meas=alice, bob_meas=bob)
+    return Strategy(
+        dA=dim,
+        dB=dim,
+        state=state,
+        alice_meas=_side_measurements(alice, int(spec.m)),
+        bob_meas=_side_measurements(bob, int(spec.m)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,64 +163,20 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Banded:
-    p00: float
-    diag_even: float  # entries (i, i), i even >= 2
-    diag_odd: float  # entries (i, i), i odd >= 1
-    off_offset: int  # couplings live at (i, i+1) with i = off_offset mod 2
-    off_upper: float
-    off_lower: float
+def _descriptors(questions: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Banded descriptors, shape (6, questions, answers).
 
-
-_ZERO_DESC = _Banded(0.0, 0.0, 0.0, 0, 0.0, 0.0)
-_POINT00_DESC = _Banded(1.0, 0.0, 0.0, 0, 0.0, 0.0)
-
-
-def _aligned_desc(block: np.ndarray) -> _Banded:
-    return _Banded(
-        p00=float(block[0, 0]),
-        diag_even=float(block[0, 0]),
-        diag_odd=float(block[1, 1]),
-        off_offset=0,
-        off_upper=float(block[0, 1]),
-        off_lower=float(block[1, 0]),
-    )
-
-
-def _shifted_desc(block: np.ndarray) -> _Banded:
-    return _Banded(
-        p00=0.0,
-        diag_even=float(block[1, 1]),
-        diag_odd=float(block[0, 0]),
-        off_offset=1,
-        off_upper=float(block[0, 1]),
-        off_lower=float(block[1, 0]),
-    )
-
-
-def _aligned_descs(obs: np.ndarray) -> list[_Banded]:
-    plus, minus = _pm(obs)
-    return [_aligned_desc(plus), _aligned_desc(minus), _ZERO_DESC]
-
-
-def _shifted_descs(obs: np.ndarray) -> list[_Banded]:
-    plus, minus = _pm(obs)
-    return [_shifted_desc(minus), _shifted_desc(plus), _POINT00_DESC]
-
-
-def _series_value(da: _Banded, db: _Banded, alpha: float) -> float:
-    geo = 1.0 / (1.0 - alpha**4)
-    val = da.p00 * db.p00
-    val += alpha**2 * geo * da.diag_odd * db.diag_odd
-    val += alpha**4 * geo * da.diag_even * db.diag_even
-    if da.off_offset == db.off_offset:
-        val += (
-            alpha ** (2 * da.off_offset + 1)
-            * geo
-            * (da.off_upper * db.off_upper + da.off_lower * db.off_lower)
-        )
-    return (1.0 - alpha**2) * val
+    The six rows are the (0,0) entry, the diagonal on even indices >= 2 and
+    on odd indices, the parity of the pair starts carrying the couplings, and
+    the upper and lower couplings.
+    """
+    desc = np.zeros((len(questions), NUM_ANSWERS, 6))
+    for x, (shift, obs) in enumerate(questions):
+        for a, blk in zip((shift, 1 - shift), _pm_projectors(obs)):
+            even, odd = (blk[1, 1], blk[0, 0]) if shift else (blk[0, 0], blk[1, 1])
+            desc[x, a] = (0.0 if shift else blk[0, 0], even, odd, shift, blk[0, 1], blk[1, 0])
+        desc[x, 2, 0] = shift  # |0><0| on answer 2 of shifted questions
+    return desc.transpose(2, 0, 1)
 
 
 def exact_pstar(alpha: float, tol: float = 1e-12) -> Correlation:
@@ -248,26 +192,16 @@ def exact_pstar(alpha: float, tol: float = 1e-12) -> Correlation:
         raise SeparatingError(f"alpha must lie in (0, 1), got {alpha!r}")
     if tol <= 0.0:
         raise SeparatingError(f"tol must be positive, got {tol!r}")
-    mu = params_from_alpha(alpha).mu
-    alice = [
-        _aligned_descs(SIGMA_Z),
-        _aligned_descs(SIGMA_X),
-        _shifted_descs(SIGMA_Z),
-        _shifted_descs(SIGMA_X),
-    ]
-    bob = [
-        _aligned_descs(tilted_sigma_z(mu)),
-        _aligned_descs(tilted_sigma_x(mu)),
-        _shifted_descs(tilted_sigma_z(mu)),
-        _shifted_descs(tilted_sigma_x(mu)),
-        _aligned_descs(SIGMA_Z),
-    ]
-    table = np.empty((NUM_ALICE_QUESTIONS, NUM_BOB_QUESTIONS, NUM_ANSWERS, NUM_ANSWERS))
-    for x in range(NUM_ALICE_QUESTIONS):
-        for y in range(NUM_BOB_QUESTIONS):
-            for a in range(NUM_ANSWERS):
-                for b in range(NUM_ANSWERS):
-                    table[x, y, a, b] = _series_value(alice[x][a], bob[y][b], alpha)
+    alice, bob = _question_layout(alpha)
+    p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
+    p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
+    geo = 1.0 / (1.0 - alpha**4)
+    val = p00a * p00b
+    val = val + alpha**2 * geo * odda * oddb
+    val = val + alpha**4 * geo * evena * evenb
+    # couplings pair up only between questions on the same pair parity
+    coupled = val + np.where(shifta == 1, alpha**3, alpha) * geo * (upa * upb + lowa * lowb)
+    table = (1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val)
     return Correlation(table, norm_tol=max(tol, 1e-12))
 
 

@@ -2,13 +2,15 @@
 
 A :class:`Strategy` is a shared pure state together with one projective
 measurement per question on each side.  The joint state lives on
-C^dA (x) C^dB with the Alice-major index layout ``i * dB + j``; every reshape
-in this package relies on that single convention.  Mixed states are excluded:
-purify before constructing a strategy.
+C^dA (x) C^dB with the Alice-major index layout ``i * dB + j``, and each
+side's measurements are one array of layout (questions, answers, d, d);
+every reshape in this package relies on these two conventions.  Mixed
+states are excluded: purify before constructing a strategy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,26 +56,33 @@ class InvalidStrategyError(StrategyError):
         self.report = report
 
 
-def _as_measurements(meas, dim: int, side: str) -> tuple[tuple[np.ndarray, ...], ...]:
-    questions = []
-    counts = set()
-    for x, elements in enumerate(meas):
-        row = []
-        for a, mat in enumerate(elements):
-            arr = np.array(mat, dtype=complex)
-            if arr.shape != (dim, dim):
-                raise StrategyError(
-                    f"{side} measurement ({x},{a}) has shape {arr.shape}, expected ({dim},{dim})"
-                )
-            arr.setflags(write=False)
-            row.append(arr)
-        counts.add(len(row))
-        questions.append(tuple(row))
-    if not questions:
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_measurements(meas, dim: int, side: str) -> np.ndarray:
+    """One side's elements as a read-only (questions, answers, dim, dim) complex array.
+
+    A read-only complex array is kept as it is; anything else is copied.
+    """
+    if len(meas) == 0:
         raise StrategyError(f"{side} needs at least one question")
-    if len(counts) != 1:
-        raise StrategyError(f"{side} questions disagree on answer count: {sorted(counts)}")
-    return tuple(questions)
+    if not (isinstance(meas, np.ndarray) and meas.dtype == complex and not meas.flags.writeable):
+        if not isinstance(meas, np.ndarray):
+            counts = sorted({len(q) for q in meas})
+            if len(counts) != 1:
+                raise StrategyError(f"{side} questions disagree on answer count: {counts}")
+        try:
+            meas = _frozen(np.array(meas, dtype=complex))
+        except ValueError as exc:
+            raise StrategyError(f"{side} measurement elements differ in shape") from exc
+    if meas.ndim != 4 or meas.shape[2:] != (dim, dim):
+        raise StrategyError(
+            f"{side} measurements have shape {meas.shape}, "
+            f"expected (questions, answers, {dim}, {dim})"
+        )
+    return meas
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +92,15 @@ class Strategy:
     The constructor checks shapes only; the numeric invariants (unit norm,
     Hermitian idempotent elements, completeness) are the job of
     :func:`validate`, so that deliberately broken strategies can be built and
-    flagged.
+    flagged.  ``alice_meas`` and ``bob_meas`` are read-only complex arrays of
+    shape (m, r, dA, dA) and (n, s, dB, dB); nested sequences are accepted.
     """
 
     dA: int
     dB: int
     state: np.ndarray
-    alice_meas: tuple[tuple[np.ndarray, ...], ...]
-    bob_meas: tuple[tuple[np.ndarray, ...], ...]
+    alice_meas: np.ndarray
+    bob_meas: np.ndarray
 
     def __post_init__(self) -> None:
         if self.dA < 1 or self.dB < 1:
@@ -107,19 +117,19 @@ class Strategy:
 
     @property
     def m(self) -> int:
-        return len(self.alice_meas)
+        return self.alice_meas.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.bob_meas)
+        return self.bob_meas.shape[0]
 
     @property
     def r(self) -> int:
-        return len(self.alice_meas[0])
+        return self.alice_meas.shape[1]
 
     @property
     def s(self) -> int:
-        return len(self.bob_meas[0])
+        return self.bob_meas.shape[1]
 
     def state_matrix(self) -> np.ndarray:
         """State as a dA x dB coefficient matrix (Alice-major layout)."""
@@ -130,8 +140,8 @@ class Strategy:
             "dA": self.dA,
             "dB": self.dB,
             "state": _complex_to_pairs(self.state),
-            "alice_meas": [[_complex_to_pairs(p) for p in q] for q in self.alice_meas],
-            "bob_meas": [[_complex_to_pairs(p) for p in q] for q in self.bob_meas],
+            "alice_meas": _complex_to_pairs(self.alice_meas),
+            "bob_meas": _complex_to_pairs(self.bob_meas),
         }
 
     @classmethod
@@ -140,8 +150,8 @@ class Strategy:
             dA=int(data["dA"]),
             dB=int(data["dB"]),
             state=_pairs_to_complex(data["state"]),
-            alice_meas=[[_pairs_to_complex(p) for p in q] for q in data["alice_meas"]],
-            bob_meas=[[_pairs_to_complex(p) for p in q] for q in data["bob_meas"]],
+            alice_meas=_pairs_to_complex(data["alice_meas"]),
+            bob_meas=_pairs_to_complex(data["bob_meas"]),
         )
 
     def to_json(self, indent: int | None = None) -> str:
@@ -158,8 +168,12 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
 
 
 def _pairs_to_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+    # read-only, so the constructor keeps the array instead of copying it
+    try:
+        pairs = np.ascontiguousarray(data, dtype=float).view(complex)
+    except ValueError as exc:
+        raise StrategyError("strategy data must be uniform nested [re, im] pairs") from exc
+    return _frozen(pairs[..., 0])
 
 
 @dataclass(frozen=True)
@@ -255,37 +269,41 @@ def validate(
     if norm_residual > state_tol:
         issues.append(ValidationIssue("state_norm", None, None, None, norm_residual))
 
-    for side, dim, meas in (("A", s.dA, s.alice_meas), ("B", s.dB, s.bob_meas)):
-        eye = np.eye(dim)
+    for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
+        eye = np.eye(meas.shape[-1])
+        # products element by element: the stacked forms (a transpose over the
+        # stack, fancy-indexed pairs) copy more and measured slower at D = 256
         for x, elements in enumerate(meas):
-            total = np.zeros((dim, dim), dtype=complex)
             for a, proj in enumerate(elements):
-                total = total + proj
                 herm = float(np.linalg.norm(proj - proj.conj().T))
                 if herm > projector_tol:
                     issues.append(ValidationIssue("hermitian", side, x, (a,), herm))
                 idem = float(np.linalg.norm(proj @ proj - proj))
                 if idem > projector_tol:
                     issues.append(ValidationIssue("idempotent", side, x, (a,), idem))
-            comp = float(np.linalg.norm(total - eye))
+            comp = float(np.linalg.norm(elements.sum(axis=0) - eye))
             if comp > projector_tol:
                 issues.append(ValidationIssue("completeness", side, x, None, comp))
-            for a in range(len(elements)):
-                for a2 in range(a + 1, len(elements)):
-                    ortho = float(np.linalg.norm(elements[a] @ elements[a2]))
-                    if ortho > projector_tol:
-                        issues.append(
-                            ValidationIssue("orthogonality", side, x, (a, a2), ortho)
-                        )
+            for a, a2 in itertools.combinations(range(len(elements)), 2):
+                ortho = float(np.linalg.norm(elements[a] @ elements[a2]))
+                if ortho > projector_tol:
+                    issues.append(ValidationIssue("orthogonality", side, x, (a, a2), ortho))
     return ValidationReport(tuple(issues))
+
+
+def _atom_image(vec: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # <vec| A_x^a (x) B_y^b |vec> in (x, a, y, b) order, complex: with V = vec
+    # as d x e, p[(x,a),(y,b)] = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
+    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
+    local = vec.reshape(d, e).conj().T @ alice.reshape(m * r, d, d) @ vec.reshape(d, e)
+    return (local.reshape(m * r, e * e) @ bob.reshape(n * s, e * e).T).reshape(-1)
 
 
 def induce(s: Strategy, check: bool = True) -> Correlation:
     """Correlation induced by a strategy: p(a,b|x,y) = <psi| A_x^a (x) B_y^b |psi>.
 
-    With the state as a dA x dB matrix psi, this is the Frobenius pairing
-    p(a,b|x,y) = sum_jl (psi^H A_x^a psi)[j,l] * B_y^b[j,l]: two matrix
-    products per Alice element, then one O(dB^2) sum per Bob element.
+    Computed by :func:`_atom_image` one Alice question at a time, so no
+    temporary outgrows one question's stack.
 
     The strategy must pass :func:`validate`.  Imaginary parts of the inner
     products are asserted below 1e-10 and discarded.
@@ -294,23 +312,13 @@ def induce(s: Strategy, check: bool = True) -> Correlation:
         report = validate(s)
         if not report.ok:
             raise InvalidStrategyError(report)
-    psi = s.state_matrix()
-    psi_h = psi.conj().T
-    table = np.empty((s.m, s.n, s.r, s.s))
-    worst_imag = 0.0
-    for x, elements in enumerate(s.alice_meas):
-        for a, proj in enumerate(elements):
-            # np.vdot conjugates its first argument, which undoes this conj
-            local_conj = (psi_h @ proj @ psi).conj()
-            for y, bob_elements in enumerate(s.bob_meas):
-                for b, bob in enumerate(bob_elements):
-                    val = complex(np.vdot(local_conj, bob))
-                    worst_imag = max(worst_imag, abs(val.imag))
-                    table[x, y, a, b] = val.real
+    table = np.stack([_atom_image(s.state, q[None], s.bob_meas) for q in s.alice_meas])
+    worst_imag = float(np.abs(table.imag).max())
     if worst_imag > 1e-10:
         raise StrategyError(
             f"induced probabilities have imaginary part {worst_imag:.3e} > 1e-10"
         )
+    table = table.real.reshape(s.m, s.r, s.n, s.s).transpose(0, 2, 1, 3)
     return Correlation(table, norm_tol=1e-10)
 
 
@@ -374,16 +382,12 @@ def projected_substate(
     if side not in ("A", "B"):
         raise StrategyError(f"side must be 'A' or 'B', got {side!r}")
     meas = s.alice_meas if side == "A" else s.bob_meas
-    dim = s.dA if side == "A" else s.dB
-    count = s.r if side == "A" else s.s
     if not (0 <= question < len(meas)):
         raise StrategyError(f"question {question} out of range({len(meas)})")
     answers = [int(a) for a in answers]
-    if any(not (0 <= a < count) for a in answers):
-        raise StrategyError(f"answers {answers} out of range({count})")
-    proj = np.zeros((dim, dim), dtype=complex)
-    for a in answers:
-        proj = proj + meas[question][a]
+    if any(not (0 <= a < meas.shape[1]) for a in answers):
+        raise StrategyError(f"answers {answers} out of range({meas.shape[1]})")
+    proj = meas[question, answers].sum(axis=0)
     psi = s.state_matrix()
     out = proj @ psi if side == "A" else psi @ proj.T
     return out.reshape(-1)
@@ -401,8 +405,8 @@ def restrict_questions(s: Strategy, xs: Sequence[int], ys: Sequence[int]) -> Str
         dA=s.dA,
         dB=s.dB,
         state=s.state,
-        alice_meas=[s.alice_meas[x] for x in xs],
-        bob_meas=[s.bob_meas[y] for y in ys],
+        alice_meas=_frozen(s.alice_meas[xs]),
+        bob_meas=_frozen(s.bob_meas[ys]),
     )
 
 
@@ -422,39 +426,35 @@ def direct_sum_strategies(blocks: Sequence[tuple[float, Strategy]]) -> Strategy:
         raise StrategyError("weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise StrategyError(f"weights must sum to 1, got {sum(weights)!r}")
-    m, n = parts[0].m, parts[0].n
-    if any((s.m, s.n) != (m, n) for s in parts):
+    if any((s.m, s.n) != (parts[0].m, parts[0].n) for s in parts):
         raise StrategyError("blocks must share question counts")
-    dA = sum(s.dA for s in parts)
-    dB = sum(s.dB for s in parts)
-    psi = np.zeros((dA, dB), dtype=complex)
+    psi = np.zeros((sum(s.dA for s in parts), sum(s.dB for s in parts)), dtype=complex)
     oa = ob = 0
-    offsets = []
     for w, s in zip(weights, parts):
         psi[oa : oa + s.dA, ob : ob + s.dB] = np.sqrt(w) * s.state_matrix()
-        offsets.append((oa, ob))
         oa += s.dA
         ob += s.dB
+    return Strategy(
+        dA=oa,
+        dB=ob,
+        state=psi.reshape(-1),
+        alice_meas=_block_embed([s.alice_meas for s in parts]),
+        bob_meas=_block_embed([s.bob_meas for s in parts]),
+    )
 
-    alice_meas = []
-    for x in range(m):
-        elements = []
-        for (oa_i, _), s in zip(offsets, parts):
-            for a in range(s.r):
-                emb = np.zeros((dA, dA), dtype=complex)
-                emb[oa_i : oa_i + s.dA, oa_i : oa_i + s.dA] = s.alice_meas[x][a]
-                elements.append(emb)
-        alice_meas.append(elements)
-    bob_meas = []
-    for y in range(n):
-        elements = []
-        for (_, ob_i), s in zip(offsets, parts):
-            for b in range(s.s):
-                emb = np.zeros((dB, dB), dtype=complex)
-                emb[ob_i : ob_i + s.dB, ob_i : ob_i + s.dB] = s.bob_meas[y][b]
-                elements.append(emb)
-        bob_meas.append(elements)
-    return Strategy(dA=dA, dB=dB, state=psi.reshape(-1), alice_meas=alice_meas, bob_meas=bob_meas)
+
+def _block_embed(sides: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-diagonal embedding of one side's elements, answer ranges contiguous."""
+    dim = sum(meas.shape[-1] for meas in sides)
+    answers = sum(meas.shape[1] for meas in sides)
+    out = np.zeros((sides[0].shape[0], answers, dim, dim), dtype=complex)
+    a0 = o = 0
+    for meas in sides:
+        r, d = meas.shape[1:3]
+        out[:, a0 : a0 + r, o : o + d, o : o + d] = meas
+        a0 += r
+        o += d
+    return _frozen(out)
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -467,19 +467,20 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _random_measurements(
     rng: np.random.Generator, dim: int, questions: int, answers: int
-) -> list[list[np.ndarray]]:
-    """One Haar-random projective measurement per question, split as in :func:`random_strategy`."""
+) -> np.ndarray:
+    """Haar-random projective measurements, (questions, answers, dim, dim).
+
+    Eigenspace dimensions are split over the answers as in :func:`random_strategy`.
+    """
     sizes = [dim // answers + (1 if i < dim % answers else 0) for i in range(answers)]
-    out = []
-    for _ in range(questions):
+    out = np.empty((questions, answers, dim, dim), dtype=complex)
+    for x in range(questions):
         u = haar_unitary(rng, dim)
-        elements = []
         col = 0
-        for size in sizes:
+        for a, size in enumerate(sizes):
             block = u[:, col : col + size]
-            elements.append(block @ block.conj().T)
+            out[x, a] = block @ block.conj().T
             col += size
-        out.append(elements)
     return out
 
 

@@ -113,10 +113,9 @@ def ideal_strategy(params: TiltedChshParams) -> Strategy:
     """
     cos_t = math.cos(params.theta)
     state = np.array([cos_t, 0.0, 0.0, cos_t * params.alpha], dtype=complex)
-    observables_a = (SIGMA_Z, SIGMA_X)
-    observables_b = (tilted_sigma_z(params.mu), tilted_sigma_x(params.mu))
-    alice = [list(_pm_projectors(o)) for o in observables_a]
-    bob = [list(_pm_projectors(o)) for o in observables_b]
+    mu = params.mu
+    alice = np.array([_pm_projectors(o) for o in (SIGMA_Z, SIGMA_X)])
+    bob = np.array([_pm_projectors(o) for o in (tilted_sigma_z(mu), tilted_sigma_x(mu))])
     return Strategy(dA=2, dB=2, state=state, alice_meas=alice, bob_meas=bob)
 
 
@@ -136,8 +135,8 @@ def bell_value(s: Strategy, beta: float) -> float:
             f"bell_value needs >= 2 questions and 2 answers per side, got "
             f"({s.m},{s.n},{s.r},{s.s})"
         )
-    a_obs = [s.alice_meas[x][0] - s.alice_meas[x][1] for x in (0, 1)]
-    b_obs = [s.bob_meas[y][0] - s.bob_meas[y][1] for y in (0, 1)]
+    a_obs = s.alice_meas[:2, 0] - s.alice_meas[:2, 1]
+    b_obs = s.bob_meas[:2, 0] - s.bob_meas[:2, 1]
     psi = s.state_matrix()
     eye_b = np.eye(s.dB)
     return (

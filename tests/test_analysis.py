@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcorrkit.analysis import (
     AnalysisError,
@@ -14,7 +16,6 @@ from qcorrkit.analysis import (
     multiset_subtract,
     schmidt,
     schmidt_partition,
-    schmidt_sum_check,
     strategy_block_decompose,
     verify_schmidt_bijections,
     verify_y4_relations,
@@ -170,6 +171,44 @@ class TestBlockDecompose:
             induce(rebuilt, check=False).table, induce(sub).table, atol=1e-9
         )
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
+            min_size=2,
+            max_size=3,
+        ),
+        st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+    )
+    def test_recovers_direct_sum_property(self, seed, shapes, raw_weights):
+        # block i: a d x d random strategy with Bob padded by a k-dim ancilla,
+        # so dA = d and dB = d * k differ, and the state has full support on
+        # Bob's padded block subspace
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for d, k, r, s_ in shapes:
+            base = random_strategy(rng, dA=d, dB=d, m=2, n=2, r=r, s=s_)
+            anc = rng.normal(size=k) + 1j * rng.normal(size=k)
+            anc /= np.linalg.norm(anc)
+            psi = np.kron(base.state_matrix(), anc.reshape(1, k))
+            bob = [[np.kron(p, np.eye(k)) for p in q] for q in base.bob_meas]
+            blocks.append(Strategy(d, d * k, psi.reshape(-1), base.alice_meas, bob))
+        weights = np.array(raw_weights[: len(blocks)]) / sum(raw_weights[: len(blocks)])
+        combined = direct_sum_strategies(list(zip(weights, blocks)))
+        bounds_a = np.cumsum([0] + [b.r for b in blocks])
+        bounds_b = np.cumsum([0] + [b.s for b in blocks])
+        deco = strategy_block_decompose(
+            combined,
+            [tuple(range(lo, hi)) for lo, hi in zip(bounds_a, bounds_a[1:])],
+            [tuple(range(lo, hi)) for lo, hi in zip(bounds_b, bounds_b[1:])],
+            tol=1e-8,
+        )
+        np.testing.assert_allclose(deco.weights, weights, atol=1e-12)
+        for block, table, restricted in zip(blocks, deco.blocks, deco.restricted):
+            want = induce(block).table
+            np.testing.assert_allclose(table.table, want, atol=1e-10)
+            np.testing.assert_allclose(induce(restricted, check=False).table, want, atol=1e-9)
+
     def test_rejects_non_block_correlation(self, rng):
         s = random_strategy(rng, dA=2, dB=2, m=2, n=2, r=2, s=2)
         with pytest.raises(BlockDecompositionError, match="direct sum"):
@@ -291,33 +330,3 @@ class TestDescentChain:
         spectrum = SchmidtSpectrum((1.0,))
         with pytest.raises(AnalysisError, match="ratio"):
             descent_chain(spectrum, 1.5)
-
-
-class TestSchmidtSumCheck:
-    def test_epr_split(self):
-        phi = np.array([1, 0, 0, 0]) / math.sqrt(2)
-        eta = np.array([0, 0, 0, 1]) / math.sqrt(2)
-        result = schmidt_sum_check(EPR, phi, eta, 2, 2, tol=1e-10)
-        assert result.ok
-        assert result.pairing is not None
-
-    def test_parity_split_of_geometric_state(self):
-        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
-        psi = s.state
-        mask = np.zeros((8, 8))
-        mask[::2, ::2] = 1.0
-        phi = (psi.reshape(8, 8) * mask).reshape(-1)
-        eta = psi - phi
-        result = schmidt_sum_check(psi, phi, eta, 8, 8, tol=1e-10)
-        assert result.ok
-
-    def test_non_orthogonal_split_rejected(self):
-        result = schmidt_sum_check(EPR, EPR / 2, EPR / 2, 2, 2, tol=1e-10)
-        assert not result.ok
-        # each half has reduced density rho_a/4 = I/8, so the product is I/64
-        assert result.overlap_a == pytest.approx(1.0 / 64.0, abs=1e-12)
-        assert result.overlap_b == pytest.approx(1.0 / 64.0, abs=1e-12)
-
-    def test_identity_enforced(self):
-        with pytest.raises(AnalysisError, match="identity"):
-            schmidt_sum_check(EPR, EPR, EPR, 2, 2, tol=1e-10)

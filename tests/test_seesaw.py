@@ -14,7 +14,6 @@ from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
     _all_probs,
-    _atom_image,
     _povm_block,
     _povm_vertex,
     _realign,
@@ -24,7 +23,7 @@ from qcorrkit.seesaw import (
     optimize,
     upper_bound_from_truncation,
 )
-from qcorrkit.strategy import _random_measurements, induce, random_strategy, validate
+from qcorrkit.strategy import _atom_image, _random_measurements, induce, random_strategy, validate
 
 seeds = st.integers(0, 2**32 - 1)
 small = st.integers(1, 3)

@@ -1,5 +1,7 @@
 """Strategies: validation, induced correlations, projectors, substates, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,12 +27,81 @@ from qcorrkit.tilted_chsh import ideal_strategy, params_from_alpha, params_from_
 
 from conftest import kron_induce
 
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def unequal_dims(draw):
+    """(dA, dB) from 1..4 with dA != dB."""
+    dA = draw(st.integers(1, 4))
+    return dA, (dA - 1 + draw(st.integers(1, 3))) % 4 + 1
+
+
+def reference_json(s: Strategy) -> str:
+    """Serialize element by element, entry by entry, as [re, im] pairs."""
+
+    def pairs(values):
+        return [[float(v.real), float(v.imag)] for v in values]
+
+    def side(meas):
+        return [[[pairs(row) for row in elem] for elem in question] for question in meas]
+
+    data = {
+        "dA": s.dA,
+        "dB": s.dB,
+        "state": pairs(s.state),
+        "alice_meas": side(s.alice_meas),
+        "bob_meas": side(s.bob_meas),
+    }
+    return json.dumps(data, sort_keys=True)
+
 
 def product_deterministic_strategy(m=2, n=2, r=2, s=2):
     eye1 = [np.eye(1, dtype=complex)]
     alice = [[np.eye(1, dtype=complex) if a == 0 else np.zeros((1, 1), complex) for a in range(r)] for _ in range(m)]
     bob = [[np.eye(1, dtype=complex) if b == 0 else np.zeros((1, 1), complex) for b in range(s)] for _ in range(n)]
     return Strategy(dA=1, dB=1, state=np.array([1.0 + 0j]), alice_meas=alice, bob_meas=bob)
+
+
+class TestConstruction:
+    def test_layout(self, rng):
+        s = random_strategy(rng, dA=2, dB=3, m=2, n=4, r=3, s=2)
+        assert s.alice_meas.shape == (2, 3, 2, 2) and s.bob_meas.shape == (4, 2, 3, 3)
+        assert s.alice_meas.dtype == complex and not s.alice_meas.flags.writeable
+        assert (s.m, s.n, s.r, s.s) == (2, 4, 3, 2)
+
+    def test_ragged_answer_counts_rejected(self):
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        with pytest.raises(StrategyError, match="disagree on answer count"):
+            Strategy(2, 2, [1, 0, 0, 0], [[eye, zero], [eye]], [[eye]])
+
+    def test_ragged_json_rejected(self):
+        data = ideal_strategy(params_from_beta(0.5)).to_dict()
+        del data["bob_meas"][1][0]
+        with pytest.raises(StrategyError):
+            Strategy.from_json(json.dumps(data))
+
+    def test_element_shapes_checked(self):
+        with pytest.raises(StrategyError, match="differ in shape"):
+            Strategy(2, 2, [1, 0, 0, 0], [[np.eye(2), np.eye(3)]], [[np.eye(2)]])
+        with pytest.raises(StrategyError, match="expected"):
+            Strategy(2, 2, [1, 0, 0, 0], [[np.eye(3)]], [[np.eye(2)]])
+        with pytest.raises(StrategyError, match="at least one question"):
+            Strategy(2, 2, [1, 0, 0, 0], [], [[np.eye(2)]])
+
+    def test_writeable_input_copied_not_frozen(self, rng):
+        s = random_strategy(rng, dA=2, dB=2)
+        alice = np.array(s.alice_meas)
+        t = Strategy(2, 2, s.state, alice, s.bob_meas)
+        assert alice.flags.writeable
+        assert not np.shares_memory(t.alice_meas, alice)
+        alice[0, 0] = 0.0
+        assert np.array_equal(t.alice_meas, s.alice_meas)
+
+    def test_read_only_complex_input_kept(self, rng):
+        s = random_strategy(rng, dA=2, dB=2)
+        t = Strategy(2, 2, s.state, s.alice_meas, s.bob_meas)
+        assert t.alice_meas is s.alice_meas and t.bob_meas is s.bob_meas
 
 
 class TestValidate:
@@ -143,6 +214,21 @@ class TestInduce:
         bob = [[ub @ p @ ub.conj().T for p in q] for q in s.bob_meas]
         rotated = induce(Strategy(3, 3, psi.reshape(-1), alice, bob))
         np.testing.assert_allclose(rotated.table, base.table, atol=1e-10)
+
+    @given(seeds, unequal_dims(), st.integers(1, 3), st.integers(1, 3))
+    def test_local_unitary_invariance_property(self, seed, dims, questions, answers):
+        rng = np.random.default_rng(seed)
+        dA, dB = dims
+        s = random_strategy(rng, dA=dA, dB=dB, m=questions, n=answers, r=answers, s=questions)
+        ua, ub = haar_unitary(rng, dA), haar_unitary(rng, dB)
+        rotated = Strategy(
+            dA,
+            dB,
+            (ua @ s.state_matrix() @ ub.T).reshape(-1),
+            ua @ s.alice_meas @ ua.conj().T,
+            ub @ s.bob_meas @ ub.conj().T,
+        )
+        np.testing.assert_allclose(induce(rotated).table, induce(s).table, atol=1e-12)
 
     def test_ancilla_padding_invariance(self, rng):
         s = random_strategy(rng, dA=2, dB=2, m=2, n=2, r=2, s=2)
@@ -286,6 +372,26 @@ class TestSerialization:
             for p1, p2 in zip(q1, q2):
                 np.testing.assert_allclose(p1, p2, atol=0)
         assert (t.dA, t.dB) == (s.dA, s.dB)
+
+    @given(seeds, unequal_dims(), st.integers(1, 3), st.integers(1, 3))
+    def test_json_matches_reference_and_roundtrips_bitwise(self, seed, dims, questions, answers):
+        dA, dB = dims
+        s = random_strategy(
+            np.random.default_rng(seed), dA=dA, dB=dB, m=questions, n=2, r=answers, s=2
+        )
+        text = s.to_json()
+        assert text == reference_json(s)
+        t = Strategy.from_json(text)
+        for got, want in ((t.state, s.state), (t.alice_meas, s.alice_meas), (t.bob_meas, s.bob_meas)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert t.to_json() == text
+
+    def test_signed_zeros_roundtrip(self):
+        proj = np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)], [0.0, complex(0.0, -0.0)]])
+        s = Strategy(2, 2, [1, 0, 0, complex(0.0, -0.0)], [[proj, np.eye(2) - proj]], [[np.eye(2)]])
+        t = Strategy.from_json(s.to_json())
+        assert t.alice_meas.tobytes() == s.alice_meas.tobytes()
+        assert t.state.tobytes() == s.state.tobytes()
 
     def test_complex_parts_preserved(self):
         proj_plus = 0.5 * np.array([[1.0, -1j], [1j, 1.0]])
