@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -144,22 +145,33 @@ class Strategy:
             "bob_meas": _complex_to_pairs(self.bob_meas),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Strategy":
-        return cls(
-            dA=int(data["dA"]),
-            dB=int(data["dB"]),
-            state=_pairs_to_complex(data["state"]),
-            alice_meas=_pairs_to_complex(data["alice_meas"]),
-            bob_meas=_pairs_to_complex(data["bob_meas"]),
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Strategy":
-        return cls.from_dict(json.loads(text))
+        """Read what :meth:`to_json` writes, or any JSON object with the same fields.
+
+        The object around the arrays is parsed by ``json``; each array is
+        parsed in one numpy pass (:func:`_parse_array`), so every array in the
+        text must be a regular array of numbers.  Malformed input raises
+        :class:`StrategyError`, a ``ValueError``.
+        """
+        head, spans = _split_arrays(text)
+        try:
+            data = json.loads(head)
+        except json.JSONDecodeError as exc:
+            raise StrategyError(f"strategy file is not JSON: {exc.msg}") from None
+        if spans is None:
+            raise StrategyError("strategy arrays must hold numbers only")
+        arrays = [_parse_array(text[start:end].encode("ascii", "replace")) for start, end in spans]
+        try:
+            dA, dB = int(data["dA"]), int(data["dB"])
+            fields = [arrays[data[key][0]] for key in ("state", "alice_meas", "bob_meas")]
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise StrategyError(f"not a strategy file: missing or malformed field ({exc!r})") from None
+        state, alice, bob = map(_pairs_to_complex, fields)
+        return cls(dA=dA, dB=dB, state=state, alice_meas=alice, bob_meas=bob)
 
 
 def _complex_to_pairs(arr: np.ndarray) -> list:
@@ -167,13 +179,144 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _pairs_to_complex(data) -> np.ndarray:
-    # read-only, so the constructor keeps the array instead of copying it
+# A strategy array holds numbers, brackets, commas and JSON whitespace; its
+# skeleton is what remains once number characters and whitespace are dropped.
+_SKELETON_DROP = b"0123456789.eE+-NaInfity \t\n\r"
+_NOT_LETTERS = bytes(c for c in range(256) if c not in b"NaInfity")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_NEXT_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[', re.DOTALL)
+_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity")
+_SEPARATOR_CHARS = b"[], \t\n\r"
+_IRREGULAR = "strategy data must be uniform nested [re, im] pairs"
+_NOT_ONE_NUMBER = "strategy arrays must hold one JSON number per entry"
+
+# One bit per class of character in an array's text, and for each character
+# the classes it may follow: np.fromstring reads what strtod reads, and these
+# refuse the spellings JSON does not allow (1., .5, +1).
+_OTHER, _DIGIT, _ZERO, _DOT, _EXP, _PLUS, _MINUS, _LETTER = (1 << k for k in range(8))
+
+
+def _byte_table(default: int, entries: Sequence[tuple[bytes, int]]) -> bytes:
+    table = bytearray([default]) * 256
+    for chars, value in entries:
+        for c in chars:
+            table[c] = value
+    return bytes(table)
+
+
+_CLASS_OF = _byte_table(_OTHER, [(b"123456789", _DIGIT), (b"0", _ZERO), (b".", _DOT), (b"eE", _EXP),
+                                  (b"+", _PLUS), (b"-", _MINUS), (b"NaInfity", _LETTER)])
+_MAY_FOLLOW = _byte_table(0xFF ^ _DOT, [(b"0123456789", 0xFF), (b".", _DIGIT | _ZERO),
+                                        (b"+", _EXP), (b"-", _OTHER | _EXP)])
+
+
+def _split_arrays(text: str) -> tuple[str, list[tuple[int, int]] | None]:
+    """``text`` with its k-th array replaced by ``[k]``, and the arrays' spans.
+
+    Strings are skipped whole.  An array of numbers holds no string or
+    object, so it runs from its ``[`` to the last ``]`` before the next
+    ``"``, ``{`` or ``}``.  Spans are None when an array holds anything else;
+    the text is then left for ``json`` to judge from that array on.
+    """
+    pieces, spans, pos, done = [], [], 0, 0
+    while (match := _NEXT_TOKEN.search(text, pos)) is not None:
+        pos = match.end()
+        if match.group() != "[":
+            continue
+        start = pos - 1
+        stop = min((i for i in (text.find(c, start) for c in '"{}') if i >= 0), default=len(text))
+        end = text.rfind("]", start, stop) + 1
+        if end == 0:
+            return "".join(pieces) + text[done:], None
+        pieces += [text[done:start], f"[{len(spans)}]"]
+        spans.append((start, end))
+        pos = done = end
+    return "".join(pieces) + text[done:], spans
+
+
+def _first_path_shape(skeleton: bytes) -> tuple[int, ...]:
+    """Shape of a regular array with this skeleton, read along its first path."""
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if depth > 64:
+        raise StrategyError("strategy arrays nest deeper than 64 levels")
+    shape = []
+    for closed in range(1, depth + 1):
+        end = skeleton.find(b"]" * closed)
+        shape.append(skeleton.count(b"]" * (closed - 1) + b",", depth - closed, max(end, 0)) + 1)
+    return tuple(shape[::-1])
+
+
+def _is_regular(skeleton: bytes, shape: tuple[int, ...]) -> bool:
+    """Whether ``skeleton`` is that of a regular array of this shape, built by repetition."""
+    regular = b""
+    for dim in shape[::-1]:
+        if dim * (len(regular) + 1) + 1 > len(skeleton):
+            return False
+        regular = b"[" + b",".join([regular] * dim) + b"]"
+    return regular == skeleton
+
+
+def _check_numbers(raw: bytes, count: int) -> np.ndarray:
+    """Raise unless the text holds ``count`` numbers, each in JSON's grammar.
+
+    ``np.fromstring`` with a count refuses a malformed number except the
+    last, so the rules here plus a strict match of the last number cover
+    every entry.  Returns the positions of the signs of integer ``-0``
+    entries, which json reads as 0 and the caller blanks.
+    """
+    cls = np.frombuffer(raw.translate(_CLASS_OF), dtype=np.uint8)
+    may_follow = np.frombuffer(raw.translate(_MAY_FOLLOW), dtype=np.uint8)
+    other = cls == _OTHER
+    # a zero followed by a digit, or "-0" ending a number, is a leading zero or
+    # the integer -0, unless the sign before it is an exponent's
+    lead = np.flatnonzero((cls[:-1] == _ZERO) & ((cls[1:] & (_DIGIT | _ZERO)) != 0))
+    minus_zero = np.flatnonzero((cls[:-2] == _MINUS) & (cls[1:-1] == _ZERO) & other[2:])
+    letters = raw.translate(None, _NOT_LETTERS)
+    if (
+        np.count_nonzero(other[:-1] > other[1:]) != count  # one run of number characters per entry
+        or ((cls[:-1] & may_follow[1:]) == 0).any()
+        or (other[lead - 1] | ((cls[lead - 1] == _MINUS) & (cls[lead - 2] != _EXP))).any()
+        or (letters and (len(letters) != 3 * raw.count(b"NaN") + 8 * raw.count(b"Infinity")
+                         or b"-NaN" in raw))
+        or not _JSON_NUMBER.fullmatch(raw[raw.rfind(b",") + 1 :].strip(_SEPARATOR_CHARS))
+    ):
+        raise StrategyError(_NOT_ONE_NUMBER)
+    return minus_zero[cls[minus_zero - 1] != _EXP]
+
+
+def _parse_array(raw: bytes) -> np.ndarray:
+    """A JSON array of numbers, regular at every depth, as a float array.
+
+    The shape comes from the first path through the array and is proved by
+    comparing skeletons; the numbers are read by one ``np.fromstring`` over
+    the text with its brackets blanked out.  Values are bitwise those of
+    ``np.asarray(json.loads(raw), dtype=float)``.
+    """
+    skeleton = raw.translate(None, _SKELETON_DROP)
+    shape = _first_path_shape(skeleton)
+    if not _is_regular(skeleton, shape):
+        raise StrategyError(_IRREGULAR)
+    count = int(np.prod(shape))
+    minus_zero = _check_numbers(raw, count)
+    blanked = raw.translate(_BLANK_BRACKETS)
+    if minus_zero.size:
+        blanked = bytearray(blanked)
+        np.frombuffer(blanked, dtype=np.uint8)[minus_zero] = ord(" ")
+        blanked = bytes(blanked)
+    # the count sizes the output once: read to an unknown end, fromstring
+    # grows it by reallocation, and the freed blocks stay resident
     try:
-        pairs = np.ascontiguousarray(data, dtype=float).view(complex)
-    except ValueError as exc:
-        raise StrategyError("strategy data must be uniform nested [re, im] pairs") from exc
-    return _frozen(pairs[..., 0])
+        values = np.fromstring(blanked, dtype=float, count=count, sep=",")
+    except ValueError:
+        raise StrategyError(_NOT_ONE_NUMBER) from None
+    return values.reshape(shape)
+
+
+def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
+    # read-only, so the constructor keeps the array instead of copying it
+    if arr.ndim < 2 or arr.shape[-1] != 2:
+        raise StrategyError(_IRREGULAR)
+    return _frozen(arr.view(complex)[..., 0])
 
 
 @dataclass(frozen=True)

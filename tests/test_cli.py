@@ -198,3 +198,30 @@ class TestCliContract:
         assert code == 0
         capsys.readouterr()
         assert json.loads(path.read_text())["x"] == 0
+
+
+class TestStrategyFiles:
+    def test_truncate_writes_json_dumps_bytes(self, capsys):
+        code, out, _ = run_capture(capsys, ["truncate", "--alpha", "0.95", "--m", "8"])
+        assert code == 0
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.95, m=8))
+        assert out == json.dumps(s.to_dict(), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("damage", ["truncated", "ragged", "not JSON"])
+    @pytest.mark.parametrize("command", ["induce", "schmidt", "verify"])
+    def test_malformed_file_exits_1(self, capsys, tmp_path, command, damage):
+        text = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2)).to_json()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage == "ragged":
+            data = json.loads(text)
+            del data["alice_meas"][0][1][0]
+            text = json.dumps(data)
+        else:
+            text = "alpha = 0.5\n"
+        path = tmp_path / "strategy.json"
+        path.write_text(text)
+        code, out, err = run_capture(capsys, [command, "--strategy", str(path)])
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""

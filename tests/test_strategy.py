@@ -1,11 +1,13 @@
 """Strategies: validation, induced correlations, projectors, substates, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcorrkit.correlation import distance
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
@@ -54,6 +56,120 @@ def reference_json(s: Strategy) -> str:
         "bob_meas": side(s.bob_meas),
     }
     return json.dumps(data, sort_keys=True)
+
+
+# floats whose JSON spelling or bits are easy to get wrong
+EDGE_FLOATS = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.5e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e22, 1e-5, 0.1, 0.5,
+]
+FIELDS = ("state", "alice_meas", "bob_meas")
+
+
+@st.composite
+def extreme_strategies(draw):
+    """Strategies whose entries are arbitrary float64 bits, edge values favoured."""
+    dA, dB = draw(unequal_dims())
+    m, n, r, s = (draw(st.integers(1, 2)) for _ in range(4))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+
+    def entries(shape):
+        out = np.empty(shape, dtype=complex)
+        out.real = draw(arrays(np.float64, shape, elements=floats))
+        out.imag = draw(arrays(np.float64, shape, elements=floats))
+        return out
+
+    return Strategy(dA, dB, entries(dA * dB), entries((m, r, dA, dA)), entries((n, s, dB, dB)))
+
+
+# valid JSON numbers that Strategy.to_json never writes, next to ones it does
+NUMBER_SPELLINGS = st.one_of(
+    st.sampled_from([
+        "1", "-0", "0", "-12", "1e-5", "-1E+2", "2.5e0", "1e05", "-3.0e-05", "-0.0", "-0e0", "0.0",
+        "123456789012345678901", "NaN", "Infinity", "-Infinity", "1e400", "-1e-400", "4.9e-324",
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17e}".format),
+)
+
+
+@st.composite
+def strategy_texts(draw):
+    """Strategy JSON in layouts, key orders and number spellings to_json never writes."""
+    dA, dB = draw(unequal_dims())
+    m, n, r, s = (draw(st.integers(1, 2)) for _ in range(4))
+    spellings: list[str] = []
+
+    def entries(shape):
+        size = int(np.prod(shape)) * 2
+        spellings.extend(draw(st.lists(NUMBER_SPELLINGS, min_size=size, max_size=size)))
+        marks = [f"@{k}@" for k in range(len(spellings) - size, len(spellings))]
+        return np.array(marks, dtype=object).reshape(shape + (2,)).tolist()
+
+    fields = {"dA": dA, "dB": dB, "state": entries((dA * dB,)),
+              "alice_meas": entries((m, r, dA, dA)), "bob_meas": entries((n, s, dB, dB))}
+    order = draw(st.permutations(list(fields)))
+    layout = draw(st.sampled_from([
+        {}, {"indent": 2}, {"separators": (",", ":")}, {"indent": "\t", "separators": (" ,", " : ")},
+    ]))
+    text = json.dumps({key: fields[key] for key in order}, **layout)
+    return re.sub(r'"@(\d+)@"', lambda mark: spellings[int(mark[1])], text)
+
+
+def json_oracle(text: str) -> list[np.ndarray]:
+    """The arrays of a strategy file as json + numpy read them: [re, im] as a last axis."""
+    data = json.loads(text)
+    return [np.asarray(data[key], dtype=float) for key in FIELDS]
+
+
+def as_pairs(arr: np.ndarray) -> np.ndarray:
+    return np.stack([arr.real, arr.imag], axis=-1)
+
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray, nan_bits: bool = True) -> None:
+    """Equal shapes and bits; with ``nan_bits=False`` any NaN matches any NaN."""
+    assert got.shape == want.shape
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    if not nan_bits:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = got[~np.isnan(got)], want[~np.isnan(want)]
+    assert got.tobytes() == want.tobytes()
+
+
+def base_text() -> str:
+    return random_strategy(np.random.default_rng(3), dA=2, dB=3, m=2, n=2, r=2, s=2).to_json()
+
+
+_NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+
+
+def _edit(pattern: str, replacement: str):
+    def mutate(text: str, k: int) -> str:
+        spots = list(re.finditer(pattern, text))
+        spot = spots[k % len(spots)]
+        return text[: spot.start()] + replacement + text[spot.end() :]
+
+    return mutate
+
+
+MUTATIONS = {
+    "drop [": _edit(r"\[", ""),
+    "drop ]": _edit(r"\]", ""),
+    "extra [": _edit(r"\[", "[["),
+    "extra ]": _edit(r"\]", "]]"),
+    "doubled comma": _edit(",", ",,"),
+    "trailing comma": _edit(r"\]", ", ]"),
+    "missing comma": _edit(", ", " "),
+    "empty list": _edit(r"\[[^\[\]]*\]", "[]"),
+    "missing number": _edit(_NUMBER, ""),
+    "two numbers": _edit(_NUMBER, "0.5 0.5"),
+    "string entry": _edit(_NUMBER, '"0.5"'),
+    "true entry": _edit(_NUMBER, "true"),
+    **{f"number {bad}": _edit(_NUMBER, bad) for bad in (
+        "1.", ".5", "+1", "01", "-01", "1.e5", "nan", "inf", "-inf", "infinity", "Inf", "NAN",
+        "-NaN", "+Infinity", "--1", "1e", "1e+", "0x10", "1-2",
+    )},
+}
 
 
 def product_deterministic_strategy(m=2, n=2, r=2, s=2):
@@ -399,3 +515,93 @@ class TestSerialization:
         s = Strategy(2, 2, [1, 0, 0, 0], [[proj_plus, proj_minus]], [[proj_plus, proj_minus]])
         t = Strategy.from_json(s.to_json())
         np.testing.assert_allclose(t.alice_meas[0][0], proj_plus, atol=0)
+
+    @given(extreme_strategies())
+    def test_json_matches_json_dumps_on_edge_values(self, s):
+        text = s.to_json()
+        assert text == json.dumps(s.to_dict(), sort_keys=True)
+        assert text == reference_json(s)
+        t = Strategy.from_json(text)
+        assert t.to_json() == text
+        for field in FIELDS:
+            # NaN payloads are not in the text; every other value comes back bitwise
+            assert_bitwise(getattr(t, field), getattr(s, field), nan_bits=False)
+
+    @given(strategy_texts())
+    def test_reader_matches_json_oracle(self, text):
+        t = Strategy.from_json(text)
+        for field, want in zip(FIELDS, json_oracle(text)):
+            assert_bitwise(as_pairs(getattr(t, field)), want)
+
+    def test_integer_minus_zero_reads_as_zero(self):
+        # json reads the integer -0 as 0; -0.0 and an exponent's -0 are not integers
+        text = base_text()
+        data = json.loads(text)
+        data["state"][0] = ["@a@", "@b@"]
+        data["state"][1] = ["@c@", "@d@"]
+        spelled = {"a": "-0", "b": "-0.0", "c": "-0e0", "d": "1e-0"}
+        text = re.sub(r'"@(\w)@"', lambda mark: spelled[mark[1]], json.dumps(data))
+        got = as_pairs(Strategy.from_json(text).state[:2]).reshape(-1)
+        assert_bitwise(got, np.array([0.0, -0.0, -0.0, 1.0]))
+        assert_bitwise(got, json_oracle(text)[0][:2].reshape(-1))
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @given(k=st.integers(0, 10**6))
+    def test_reader_rejects_mutations(self, name, k):
+        text = MUTATIONS[name](base_text(), k)
+        try:
+            json.loads(text)
+        except ValueError:
+            expected = ValueError
+        else:
+            expected = StrategyError
+        with pytest.raises(expected):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("bad", ["1.5.3", "1e", "1e+", "1e5e5", "1e5.5", "1NaN", "NaN1", "Infinity5", "1.", "01"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_reader_rejects_bad_last_number(self, field, bad):
+        # a number reader told how many numbers to read stops after the last
+        # one, so what follows its valid prefix is checked separately
+        data = json.loads(base_text())
+        leaf = data[field]
+        while isinstance(leaf[-1], list):
+            leaf = leaf[-1]
+        leaf[-1] = "@bad@"
+        with pytest.raises(StrategyError):
+            Strategy.from_json(json.dumps(data).replace('"@bad@"', bad))
+
+    @given(st.data())
+    def test_reader_rejects_truncation(self, data):
+        text = base_text()
+        cut = data.draw(st.integers(0, len(text) - 1))
+        with pytest.raises(ValueError):
+            Strategy.from_json(text[:cut])
+
+    @pytest.mark.parametrize("edit", ["drop", "extra", "scalar"])
+    @pytest.mark.parametrize(
+        "field, depth",
+        [("state", 1)] + [(field, depth) for field in ("alice_meas", "bob_meas") for depth in (1, 2, 3, 4)],
+    )
+    def test_ragged_json_rejected_at_every_depth(self, field, depth, edit):
+        data = json.loads(base_text())
+        node = data[field]
+        for _ in range(depth):
+            node = node[0]
+        if edit == "drop":
+            node.pop()
+        elif edit == "extra":
+            node.append(node[-1])
+        else:
+            node[0] = 0.5 if isinstance(node[0], list) else [0.5, 0.5]
+        with pytest.raises(StrategyError):
+            Strategy.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "[]", "{}", "null", '{"dA": 2, "dB": 2}', '"strategy"', '{"dA": [1], "dB": 1, "state": [[1, 0]], '
+         '"alice_meas": [[[[[1, 0]]]]], "bob_meas": [[[[[1, 0]]]]]}', "[" * 100 + "]" * 100],
+    )
+    def test_reader_rejects_non_strategies(self, text):
+        with pytest.raises(ValueError):
+            Strategy.from_json(text)
