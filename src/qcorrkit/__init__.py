@@ -15,17 +15,14 @@ from .correlation import (
     block_structure_check,
     direct_sum,
     distance,
-    permute_answers,
     restrict,
 )
 from .strategy import (
     InvalidStrategyError,
-    Observable,
     Strategy,
     StrategyError,
     direct_sum_strategies,
     induce,
-    observable_to_projectors,
     projected_substate,
     random_strategy,
     restrict_questions,
@@ -73,15 +70,12 @@ __all__ = [
     "block_structure_check",
     "direct_sum",
     "distance",
-    "permute_answers",
     "restrict",
     "InvalidStrategyError",
-    "Observable",
     "Strategy",
     "StrategyError",
     "direct_sum_strategies",
     "induce",
-    "observable_to_projectors",
     "projected_substate",
     "random_strategy",
     "restrict_questions",

@@ -1,9 +1,11 @@
 """Command-line surface: generators, verifiers, and the see-saw optimizer.
 
-Subcommands emit JSON on stdout by default (canonical key order, shortest
-round-trip float formatting) or CSV with ``--format csv``; ``--out`` writes
-to a file instead.  Exit codes: 0 success, 1 usage error, 2 verification
-failure (the failing residual is named on stderr).
+Subcommands emit JSON on stdout (canonical key order, shortest round-trip
+float formatting); ``tables``, ``induce``, ``schmidt`` and ``chain`` also
+write CSV with ``--format csv``, the default for ``chain``.  ``--out``
+writes to a file instead.  Exit codes: 0 success, 1 usage error, 2
+verification failure (the failing residual, and its reason where one is
+known, is named on stderr).
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qcorrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, m_default=8):
+    def common(p, formats=False):
         p.add_argument("--alpha", type=float, default=0.5, help="state ratio in (0,1)")
-        p.add_argument("--m", type=int, default=m_default, help="number of pairing blocks (dimension 2m)")
+        p.add_argument("--m", type=int, default=8, help="number of pairing blocks (dimension 2m)")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
-        p.add_argument("--format", choices=["json", "csv"], default=None, help="output format")
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
 
     p = sub.add_parser("tables", help="closed-form or exact correlation tables")
-    common(p)
+    common(p, formats=True)
     p.add_argument("--pair", type=int, nargs=2, metavar=("X", "Y"), default=None)
     p.add_argument("--source", choices=["printed", "exact"], default="printed")
 
@@ -54,7 +57,7 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("induce", help="correlation induced by a strategy")
-    common(p)
+    common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None, help="strategy JSON file")
 
     p = sub.add_parser("distance", help="distance between correlations")
@@ -64,7 +67,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", dest="q_file", type=str, default=None, help="correlation JSON file")
 
     p = sub.add_parser("schmidt", help="Schmidt spectrum of a strategy's state")
-    common(p)
+    common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None)
     p.add_argument("--cutoff", type=float, default=analysis.ZERO_CUTOFF)
 
@@ -100,7 +103,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--rounding", choices=["none", "projective"], default="none")
     p.add_argument("--trace-out", type=str, default=None, help="write the iteration trace CSV here")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
 
     p = sub.add_parser("verify", help="full invariant suite on the reference construction")
     common(p)
@@ -142,10 +144,9 @@ def _strategy_from_args(args) -> strategy.Strategy:
 
 
 def _cmd_tables(args) -> int:
-    fmt = args.format or "json"
     if args.pair is None:
         corr = separating.exact_pstar(args.alpha)
-        if fmt == "csv":
+        if args.format == "csv":
             _emit(corr.to_csv(), args.out)
         else:
             payload = {"alpha": args.alpha, "correlation": corr.to_dict()}
@@ -158,7 +159,7 @@ def _cmd_tables(args) -> int:
     else:
         corr = separating.exact_pstar(args.alpha)
         entries = corr.table[x, y]
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [
             [a, b, repr(float(entries[a, b]))]
             for a in range(entries.shape[0])
@@ -178,8 +179,6 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    if args.format == "csv":
-        raise UsageError("strategies serialize to JSON only")
     s = separating.ideal_truncated_strategy(
         separating.TruncationSpec(alpha=args.alpha, m=args.m)
     )
@@ -188,9 +187,8 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    fmt = args.format or "json"
     corr = strategy.induce(_strategy_from_args(args))
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(corr.to_csv(), args.out)
     else:
         _emit(corr.to_json(), args.out)
@@ -218,11 +216,10 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_schmidt(args) -> int:
-    fmt = args.format or "json"
     s = _strategy_from_args(args)
     result = analysis.schmidt(s.state, s.dA, s.dB, zero_cutoff=args.cutoff)
     coeffs = result.spectrum.as_list()
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [[i, repr(float(c))] for i, c in enumerate(coeffs)]
         _emit(_csv_rows(["index", "coefficient"], rows), args.out)
     else:
@@ -337,10 +334,11 @@ def _cmd_verify(args) -> int:
     tail = alpha ** (2 * dim)
     checks: list[dict] = []
 
-    def record(name: str, residual: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "residual": residual, "tolerance": tol, "pass": residual <= tol}
-        )
+    def record(name: str, residual: float, tol: float, detail: str | None = None) -> None:
+        row = {"name": name, "residual": residual, "tolerance": tol, "pass": residual <= tol}
+        if detail is not None:
+            row["detail"] = detail
+        checks.append(row)
 
     spec = separating.TruncationSpec(alpha=alpha, m=m)
     s = separating.ideal_truncated_strategy(spec)
@@ -357,7 +355,7 @@ def _cmd_verify(args) -> int:
     # ~alpha^(2(D-1)), which dominates the tail for small alpha
     record(
         "truncation_bound",
-        separating.truncation_distance(alpha, m, "max_tv"),
+        correlation.distance(exact, strategy.induce(s, check=False), "max_tv"),
         max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
     )
 
@@ -382,10 +380,7 @@ def _cmd_verify(args) -> int:
                 )
         record("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * (dim - 1))))
     except analysis.BlockDecompositionError as exc:
-        checks.append(
-            {"name": "block_decomposition", "residual": float("inf"), "tolerance": block_tol,
-             "pass": False, "detail": str(exc)}
-        )
+        record("block_decomposition", float("inf"), block_tol, str(exc))
 
     y4 = analysis.verify_y4_relations(s, tol=args.tol)
     record("y4_relations", y4.max_residual, args.tol)
@@ -394,13 +389,11 @@ def _cmd_verify(args) -> int:
         bij = analysis.verify_schmidt_bijections(s, alpha, tol=1e-9)
         record("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9)
         record("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0)
+        spectrum = bij.spectrum
     except analysis.AnalysisError as exc:
-        checks.append(
-            {"name": "schmidt_partition", "residual": float("inf"), "tolerance": 1e-9,
-             "pass": False, "detail": str(exc)}
-        )
+        record("schmidt_partition", float("inf"), 1e-9, str(exc))
+        spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
 
-    spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
     chains = analysis.descent_chain(spectrum, alpha)
     record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0)
 
@@ -409,9 +402,10 @@ def _cmd_verify(args) -> int:
     _emit(_dump_json(payload), args.out)
     if not passed:
         first = next(c for c in checks if not c["pass"])
+        detail = f": {first['detail']}" if "detail" in first else ""
         sys.stderr.write(
             f"verification failed: {first['name']} residual {first['residual']!r} "
-            f"> {first['tolerance']!r}\n"
+            f"> {first['tolerance']!r}{detail}\n"
         )
         return EXIT_VERIFY
     return EXIT_OK

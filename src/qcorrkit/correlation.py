@@ -30,7 +30,6 @@ __all__ = [
     "block_structure_check",
     "restrict",
     "distance",
-    "permute_answers",
     "NEGATIVE_CLAMP",
     "DEFAULT_NORM_TOL",
 ]
@@ -400,22 +399,3 @@ def distance(p: Correlation, q: Correlation, metric: Metric = "max_tv") -> float
         return float(np.sqrt((diff**2).sum()))
     raise CorrelationError(f"unknown metric {metric!r}")
 
-
-def _check_permutation(perm: Sequence[int], size: int, side: str) -> np.ndarray:
-    arr = np.asarray([int(v) for v in perm])
-    if sorted(arr.tolist()) != list(range(size)):
-        raise CorrelationError(f"{side} answer permutation {perm} is not a permutation of range({size})")
-    return arr
-
-
-def permute_answers(
-    p: Correlation,
-    alice_perm: Sequence[int] | None = None,
-    bob_perm: Sequence[int] | None = None,
-) -> Correlation:
-    """Relabel answers: old answer ``a`` becomes ``alice_perm[a]`` (same for Bob)."""
-    pa = _check_permutation(alice_perm, p.r, "alice") if alice_perm is not None else np.arange(p.r)
-    pb = _check_permutation(bob_perm, p.s, "bob") if bob_perm is not None else np.arange(p.s)
-    inv_a = np.argsort(pa)
-    inv_b = np.argsort(pb)
-    return Correlation(p.table[:, :, inv_a][:, :, :, inv_b], norm_tol=p.norm_tol)

@@ -22,14 +22,12 @@ from .correlation import Correlation
 
 __all__ = [
     "Strategy",
-    "Observable",
     "ValidationIssue",
     "ValidationReport",
     "StrategyError",
     "InvalidStrategyError",
     "induce",
     "validate",
-    "observable_to_projectors",
     "projected_substate",
     "restrict_questions",
     "direct_sum_strategies",
@@ -37,12 +35,10 @@ __all__ = [
     "haar_unitary",
     "STATE_NORM_TOL",
     "PROJECTOR_TOL",
-    "EIGENVALUE_CLUSTER_TOL",
 ]
 
 STATE_NORM_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
-EIGENVALUE_CLUSTER_TOL = 1e-8
 
 
 class StrategyError(ValueError):
@@ -320,32 +316,6 @@ def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Observable:
-    """Hermitian operator with spectrum contained in {-1, 0, +1}."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise StrategyError(f"observable must be square, got {arr.shape}")
-        herm = float(np.linalg.norm(arr - arr.conj().T))
-        if herm > PROJECTOR_TOL:
-            raise StrategyError(f"observable is not Hermitian: residual {herm:.3e}")
-        cube = float(np.linalg.norm(arr @ arr @ arr - arr))
-        if cube > 1e-9:
-            raise StrategyError(
-                f"observable spectrum leaves {{-1,0,1}}: ||M^3 - M|| = {cube:.3e}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class ValidationIssue:
     kind: str  # state_norm | hermitian | idempotent | completeness | orthogonality
     side: str | None
@@ -463,55 +433,6 @@ def induce(s: Strategy, check: bool = True) -> Correlation:
         )
     table = table.real.reshape(s.m, s.r, s.n, s.s).transpose(0, 2, 1, 3)
     return Correlation(table, norm_tol=1e-10)
-
-
-def observable_to_projectors(
-    obs: Observable | np.ndarray,
-    plus_answer: int = 0,
-    minus_answer: int = 1,
-    kernel_answer: int | None = None,
-    num_answers: int | None = None,
-    cluster_tol: float = EIGENVALUE_CLUSTER_TOL,
-) -> list[np.ndarray]:
-    """Split an observable into eigenspace projectors routed to answer indices.
-
-    Eigenvalues are clustered onto {-1, 0, +1} at ``cluster_tol``; anything
-    outside that band is an error.  Answers backing a nonzero eigenspace must
-    be distinct; answer slots that receive no eigenspace hold zero matrices.
-    """
-    if not isinstance(obs, Observable):
-        obs = Observable(np.asarray(obs, dtype=complex))
-    evals, evecs = np.linalg.eigh(obs.matrix)
-    targets = np.rint(evals)
-    off = np.abs(evals - targets)
-    if float(off.max(initial=0.0)) > cluster_tol or not set(np.unique(targets)) <= {-1.0, 0.0, 1.0}:
-        bad = int(np.argmax(off))
-        raise StrategyError(
-            f"eigenvalue {evals[bad]!r} outside the {{-1,0,1}} band at tol {cluster_tol:.1e}"
-        )
-    routing = {1.0: plus_answer, -1.0: minus_answer, 0.0: kernel_answer}
-    active: dict[float, int] = {}
-    for label in (1.0, -1.0, 0.0):
-        dim = int(np.sum(targets == label))
-        if dim == 0:
-            continue
-        answer = routing[label]
-        if answer is None:
-            raise StrategyError("kernel eigenspace is nonzero but no kernel answer given")
-        active[label] = answer
-    if len(set(active.values())) != len(active):
-        raise StrategyError(f"answers {active} collide on nonzero eigenspaces")
-    if num_answers is None:
-        num_answers = max(active.values(), default=0) + 1
-    if any(a >= num_answers or a < 0 for a in active.values()):
-        raise StrategyError(f"answer indices {active} out of range({num_answers})")
-
-    d = obs.dim
-    projectors = [np.zeros((d, d), dtype=complex) for _ in range(num_answers)]
-    for label, answer in active.items():
-        basis = evecs[:, targets == label]
-        projectors[answer] = basis @ basis.conj().T
-    return projectors
 
 
 def projected_substate(

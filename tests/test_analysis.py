@@ -290,6 +290,13 @@ class TestBijections:
             full = geometric_spectrum(0.5, 2 * m)
             assert report.boundary_coefficient == pytest.approx(full[-1], abs=1e-12)
             assert report.max_pair_deviation <= 1e-10
+            assert report.spectrum == schmidt(s.state, s.dA, s.dB).spectrum
+
+    def test_wrong_ratio_fails_both(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
+        report = verify_schmidt_bijections(s, 0.5 * (1 + 1e-6), tol=1e-9)
+        assert not report.ok_first and not report.ok_second and not report.ok
+        assert report.max_pair_deviation == pytest.approx(1e-6, rel=1e-3)
 
 
 class TestDescentChain:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qcorrkit import analysis, separating, strategy
 from qcorrkit.cli import run
 from qcorrkit.correlation import Correlation
 from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
@@ -140,6 +141,47 @@ class TestVerifiers:
         code, _, _ = run_capture(capsys, ["verify", "--strategy", str(path)])
         assert code == 0
 
+    def test_verify_names_the_reason_on_stderr(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise analysis.BlockDecompositionError("marker")
+
+        monkeypatch.setattr(analysis, "strategy_block_decompose", fail)
+        code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
+        assert code == 2
+        assert "block_decomposition" in err and "marker" in err
+        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == [
+            {"name": "block_decomposition", "residual": float("inf"), "tolerance": 1e-9,
+             "pass": False, "detail": "marker"}
+        ]
+
+    def test_verify_builds_validates_and_decomposes_once(self, capsys, monkeypatch):
+        calls = {"build": 0, "validate": [], "svd": 0}
+        build, validate, svd = separating.ideal_truncated_strategy, strategy.validate, np.linalg.svd
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_validate(s, *args, **kwargs):
+            calls["validate"].append((s.m, s.n))
+            return validate(s, *args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(separating, "ideal_truncated_strategy", counted_build)
+        monkeypatch.setattr(strategy, "validate", counted_validate)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        code, _, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
+        assert code == 0
+        assert calls["build"] == 1
+        # the 2x2-question call guards strategy_block_decompose's own input
+        assert sorted(calls["validate"]) == [(2, 2), (4, 5)]
+        # the state spectrum S plus the split spectra S0, S1 and S2
+        assert calls["svd"] == 4
+
     def test_y4_fails_on_corrupted_file(self, capsys, tmp_path):
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
         bob = [list(q) for q in s.bob_meas]
@@ -198,6 +240,26 @@ class TestCliContract:
         assert code == 0
         capsys.readouterr()
         assert json.loads(path.read_text())["x"] == 0
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["blocks"],
+            ["y4"],
+            ["verify"],
+            ["distance"],
+            ["truncate"],
+            ["seesaw", "--target", "chsh", "--dim", "1", "--restarts", "1", "--iters", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_refused_where_output_is_json_only(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv + ["--format", "csv"])
+        assert code == 1
+        assert err.startswith("usage error: ") and "--format" in err
+        assert out == ""
 
 
 class TestStrategyFiles:

@@ -12,7 +12,6 @@ from qcorrkit.correlation import (
     block_structure_check,
     direct_sum,
     distance,
-    permute_answers,
     restrict,
 )
 from qcorrkit.separating import exact_pstar, printed_table, truncation_distance
@@ -229,24 +228,6 @@ class TestDistance:
         q = random_correlation(rng, 2, 2, 3, 2)
         with pytest.raises(CorrelationError, match="shape"):
             distance(p, q, "max_tv")
-
-
-class TestPermuteAnswers:
-    def test_flip_is_involution(self, rng):
-        p = random_correlation(rng, 2, 2, 3, 3)
-        flip = [1, 0, 2]
-        q = permute_answers(p, flip, flip)
-        np.testing.assert_allclose(permute_answers(q, flip, flip).table, p.table, atol=0)
-
-    def test_moves_mass(self):
-        p = deterministic(1, 1, 2, 2, a=0, b=0)
-        q = permute_answers(p, [1, 0], None)
-        assert q.table[0, 0, 1, 0] == 1.0
-
-    def test_rejects_non_permutation(self, rng):
-        p = random_correlation(rng, 1, 1, 2, 2)
-        with pytest.raises(CorrelationError, match="permutation"):
-            permute_answers(p, [0, 0], None)
 
 
 class TestSerialization:

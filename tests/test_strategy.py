@@ -13,13 +13,11 @@ from qcorrkit.correlation import distance
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
     InvalidStrategyError,
-    Observable,
     Strategy,
     StrategyError,
     direct_sum_strategies,
     haar_unitary,
     induce,
-    observable_to_projectors,
     projected_substate,
     random_strategy,
     restrict_questions,
@@ -357,46 +355,6 @@ class TestInduce:
         np.testing.assert_allclose(induce(padded).table, induce(s).table, atol=1e-12)
 
 
-class TestObservableToProjectors:
-    def test_sigma_z(self):
-        sz = np.diag([1.0, -1.0])
-        projs = observable_to_projectors(sz, plus_answer=0, minus_answer=1)
-        assert len(projs) == 2
-        np.testing.assert_allclose(projs[0], np.diag([1.0, 0.0]), atol=1e-12)
-        np.testing.assert_allclose(projs[1], np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_shifted_pairs_on_odd_dimension(self):
-        # shifted sigma_z pairs tile dimension 5 fully; |0> is the kernel
-        obs = np.zeros((5, 5))
-        for k in (1, 3):
-            obs[k, k] = 1.0
-            obs[k + 1, k + 1] = -1.0
-        projs = observable_to_projectors(obs, plus_answer=1, minus_answer=0, kernel_answer=2)
-        assert len(projs) == 3
-        kernel = np.zeros((5, 5))
-        kernel[0, 0] = 1.0
-        np.testing.assert_allclose(projs[2], kernel, atol=1e-12)
-        np.testing.assert_allclose(sum(projs), np.eye(5), atol=1e-12)
-
-    def test_zero_observable(self):
-        projs = observable_to_projectors(np.zeros((3, 3)), kernel_answer=2)
-        assert len(projs) == 3
-        np.testing.assert_allclose(projs[2], np.eye(3), atol=0)
-        np.testing.assert_allclose(projs[0], 0.0, atol=0)
-
-    def test_eigenvalue_band_enforced(self):
-        with pytest.raises(StrategyError, match="band|spectrum"):
-            observable_to_projectors(np.diag([0.5, -0.5]))
-
-    def test_kernel_requires_answer(self):
-        with pytest.raises(StrategyError, match="kernel"):
-            observable_to_projectors(np.diag([1.0, 0.0]))
-
-    def test_colliding_answers_rejected(self):
-        with pytest.raises(StrategyError, match="collide"):
-            observable_to_projectors(np.diag([1.0, -1.0]), plus_answer=0, minus_answer=0)
-
-
 class TestProjectedSubstate:
     def test_full_answer_set_is_identity(self, rng):
         s = random_strategy(rng, dA=2, dB=3, m=2, n=2, r=2, s=3)
@@ -464,19 +422,6 @@ class TestCombinators:
         s1 = ideal_strategy(params_from_alpha(0.5))
         with pytest.raises(StrategyError, match="sum to 1"):
             direct_sum_strategies([(0.5, s1), (0.6, s1)])
-
-
-class TestObservableType:
-    def test_accepts_pm_one_spectrum(self):
-        Observable(np.diag([1.0, -1.0, 0.0]))
-
-    def test_rejects_other_spectrum(self):
-        with pytest.raises(StrategyError, match="spectrum"):
-            Observable(np.diag([1.0, 0.5]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(StrategyError, match="Hermitian"):
-            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSerialization:
