@@ -31,7 +31,7 @@ import numpy as np
 
 from .correlation import Correlation
 from .separating import truncation_distance
-from .strategy import Strategy, _atom_image, _frozen, _random_measurements
+from .strategy import Strategy, _frozen, _random_measurements
 
 __all__ = [
     "SeesawConfig",
@@ -135,246 +135,258 @@ def _hermitize(mat: np.ndarray) -> np.ndarray:
 
 
 def _realign(rho: np.ndarray, d: int, e: int) -> np.ndarray:
-    # R[(k,i),(l,j)] = rho[(i,j),(k,l)], so tr[rho (A (x) B)] = vec(A) . R . vec(B)
-    return rho.reshape(d, e, d, e).transpose(2, 0, 3, 1).reshape(d * d, e * e)
+    # per restart R[(k,i),(l,j)] = rho[(i,j),(k,l)], so tr[rho (A (x) B)] = vec(A) . R . vec(B)
+    return rho.reshape(-1, d, e, d, e).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, e * e)
 
 
 def _reduced(ops: np.ndarray, realigned: np.ndarray) -> np.ndarray:
-    # row k is vec tr_A[rho (O_k (x) I)]^T for a stack of O_k; realigned.T traces out B
-    return ops.reshape(-1, realigned.shape[0]) @ realigned
+    # row k is vec tr_A[rho (O_k (x) I)]^T for each restart's O_k; realigned^T traces out B
+    return ops.reshape(len(realigned), -1, realigned.shape[1]) @ realigned
 
 
 def _all_probs(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # p[(x,a),(y,b)] = Re tr[rho (A_x^a (x) B_y^b)] as two GEMMs on the realigned rho
+    # p[(x,a),(y,b)] = Re tr[rho (A_x^a (x) B_y^b)] as two GEMMs on each realigned rho
     d, e = alice.shape[-1], bob.shape[-1]
-    return np.real(_reduced(alice, _realign(rho, d, e)) @ bob.reshape(-1, e * e).T)
+    left = _reduced(alice, _realign(rho, d, e))
+    return np.real(left @ bob.reshape(len(rho), -1, e * e).swapaxes(1, 2))
 
 
 def _state_grad(res: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     # sum res[(x,a),(y,b)] A_x^a (x) B_y^b = sum_xa A_x^a (x) C_xa with C = res @ B
-    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
-    grad = alice.reshape(m * r, d * d).T @ (res.reshape(m * r, n * s) @ bob.reshape(n * s, e * e))
-    return grad.reshape(d, d, e, e).transpose(0, 2, 1, 3).reshape(d * e, d * e)
+    num, d, e = len(res), alice.shape[-1], bob.shape[-1]
+    a_ops, b_ops = alice.reshape(num, -1, d * d), bob.reshape(num, -1, e * e)
+    grad = a_ops.swapaxes(1, 2) @ (res.reshape(num, a_ops.shape[1], -1) @ b_ops)
+    return grad.reshape(num, d, d, e, e).transpose(0, 1, 3, 2, 4).reshape(num, d * e, d * e)
+
+
+def _images(vecs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # <v| A_x^a (x) B_y^b |v> for a (restarts, k, d*e) stack, each against its restart's
+    # measurements: with V = v as d x e, p = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
+    (num, k), d, e = vecs.shape[:2], alice.shape[-1], bob.shape[-1]
+    mat = vecs.reshape(num, k, 1, d, e)
+    local = mat.conj().swapaxes(-1, -2) @ alice.reshape(num, 1, -1, d, d) @ mat
+    probs = local.reshape(num, -1, e * e) @ bob.reshape(num, -1, e * e).swapaxes(1, 2)
+    return np.real(probs).reshape(num, k, -1)
 
 
 def _pairwise_fw(
-    atoms: list,
-    weights,
-    images,
-    res: np.ndarray,
-    lmo: Callable[[np.ndarray], tuple[object, np.ndarray]],
-    steps: int,
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Pairwise conditional gradient over the convex hull of a block's atoms.
+    atoms: np.ndarray, weights: np.ndarray, images: np.ndarray, res: np.ndarray,
+    lmo: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise conditional gradient, one independent block per row.
 
-    The iterate is sum_j weights[j] * atoms[j] and images[j] is atom j's image
-    in residual space, so the block objective is ||res||^2 with res the
-    iterate's image minus the targets and its gradient pairs with any point
-    as 2 res . image.  ``lmo(res)`` returns the vertex minimizing that
-    pairing and its image.  Each step takes the better, by exact line search,
-    of a pairwise swap from the worst active atom onto the vertex and a plain
-    step toward it; away steps avoid the zigzag stalls of the plain method
-    near low-rank optima.  Atoms are opaque here: the caller assembles the
-    final iterate from the returned atoms and weights.
+    Row i's iterate is sum_j weights[i, j] * atoms[i, j] and images[i, j] is
+    atom j's image in residual space, so its objective is ||res[i]||^2 (res
+    the iterate's image minus the targets) and its gradient pairs with any
+    point as 2 res . image.  ``lmo(res)`` returns each row's minimizing vertex
+    and its image.  Each step takes the better, by exact line search, of a
+    pairwise swap from the worst active atom onto the vertex and a plain step
+    toward it; away steps avoid zigzag stalls near low-rank optima.  Each step
+    fills one slot per row: spent atoms keep weight 0 and are never the away
+    atom, and a stopped row takes zero steps.  Atoms are opaque here.
     """
-    weights = np.array(weights, dtype=float)
-    images = np.array(images)
-    cur_img = weights @ images
-    for _ in range(steps):
+    (num, start), rows = weights.shape, np.arange(len(weights))
+    atoms, weights, images = (
+        np.concatenate([arr, np.zeros((num, steps) + arr.shape[2:], arr.dtype)], axis=1)
+        for arr in (atoms, weights, images)
+    )
+    cur_img = (weights[:, None] @ images)[:, 0]
+    live = np.ones(num, dtype=bool)
+    for slot in range(start, start + steps):
         vertex, v_img = lmo(res)
         step_fw = v_img - cur_img
-        # stop once the Frank-Wolfe gap is under 1e-6 of the objective
-        if 2.0 * float(res @ step_fw) > -1e-6 * max(float(res @ res), 1e-120):
+        # a row stops once its Frank-Wolfe gap is under 1e-6 of its objective
+        live &= 2.0 * (res * step_fw).sum(1) <= -1e-6 * np.maximum((res * res).sum(1), 1e-120)
+        scores = np.where(weights > 0.0, (images @ res[:, :, None])[:, :, 0], -np.inf)
+        top = scores.max(1, keepdims=True)
+        # the atom that gave weight ties the new one, so near-ties go to the oldest
+        away = np.argmax(scores >= top - 1e-12 * np.abs(top), axis=1)
+        # minimize ||res + gamma*step||^2 over gamma in [0, cap], pairwise then plain
+        cand = np.stack([v_img - images[rows, away], step_fw])
+        caps = np.stack([weights[rows, away], np.ones(num)])
+        denom, slope = (cand * cand).sum(2), (cand * res).sum(2)
+        gamma = np.where(denom > 0.0, np.clip(-slope / np.maximum(denom, 1e-300), 0.0, caps), 0.0)
+        gain = -gamma * slope - 0.5 * gamma**2 * denom
+        pairwise = gain[0] >= gain[1]
+        gamma = np.where(pairwise, gamma[0], gamma[1])
+        live &= gamma > 0.0
+        if not live.any():
             break
-        away = int(np.argmax(images @ res))
-        # minimize ||res + gamma*step||^2 over gamma in [0, cap]
-        candidates = []
-        for step, cap in ((v_img - images[away], weights[away]), (step_fw, 1.0)):
-            denom, slope = float(step @ step), float(res @ step)
-            gamma = 0.0 if denom <= 0.0 else min(cap, max(0.0, -slope / denom))
-            candidates.append((-gamma * slope - 0.5 * gamma**2 * denom, gamma, step))
-        pairwise = candidates[0][0] >= candidates[1][0]
-        _, gamma, step = candidates[0] if pairwise else candidates[1]
-        if gamma <= 0.0:
-            break
-        if pairwise:
-            weights[away] -= gamma
-        else:
-            weights *= 1.0 - gamma
-        atoms.append(vertex)
-        weights = np.append(weights, gamma)
-        images = np.vstack([images, v_img])
-        res = res + gamma * step
-        cur_img = cur_img + gamma * step
-        keep = weights > 1e-15
-        atoms = [atom for atom, k in zip(atoms, keep) if k]
-        weights, images = weights[keep], images[keep]
+        gamma = np.where(live, gamma, 0.0)
+        weights[rows, away] -= np.where(pairwise, gamma, 0.0)
+        weights *= np.where(pairwise, 1.0, 1.0 - gamma)[:, None]
+        weights[:, slot], atoms[:, slot], images[:, slot] = gamma, vertex, v_img
+        step = gamma[:, None] * np.where(pairwise[:, None], cand[0], cand[1])
+        res, cur_img = res + step, cur_img + step
+        weights[weights <= 1e-15] = 0.0
     return atoms, weights, res
 
 
 def _state_block(
     rho: np.ndarray, res: np.ndarray, alice: np.ndarray, bob: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional gradient over density operators; atoms are pure-state vectors.
+    """Conditional gradient over density operators, one restart per row.
 
-    ``res`` is the residual in (x, a, y, b) order.  No A_x^a (x) B_y^b is
-    formed: an atom's image is a batched V^+ A V against Bob's stack, and the
-    gradient is sum_xa A_x^a (x) C_xa with C = res @ B.  The linear subproblem
-    min <grad, sigma> over densities is solved by the smallest eigenvector of
-    the gradient.
+    Atoms are pure-state vectors; ``res`` is each restart's residual in (x, a,
+    y, b) order.  No A_x^a (x) B_y^b is formed: an atom's image is a batched
+    V^+ A V against Bob's stack, and the gradient is sum_xa A_x^a (x) C_xa with
+    C = res @ B, whose smallest eigenvector solves the linear subproblem.
     """
 
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # eigh reads one triangle, so the gradient needs no Hermitization
-        vec = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, 0]
-        return vec, _atom_image(vec, alice, bob).real
+        vecs = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, :, 0]
+        return vecs, _images(vecs[:, None], alice, bob)[:, 0]
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
-    keep = evals > 1e-14
-    atoms = list(evecs[:, keep].T)
-    images = [_atom_image(v, alice, bob).real for v in atoms]
-    atoms, weights, res = _pairwise_fw(atoms, evals[keep], images, res, lmo, steps)
-    vecs = np.array(atoms).T
-    return _hermitize((vecs * weights) @ vecs.conj().T), res
+    # eigh sorts ascending: the top columns hold every restart's kept eigenvectors
+    rank = int(np.count_nonzero(evals > 1e-14, axis=1).max())
+    atoms, evals = evecs[:, :, -rank:].swapaxes(1, 2), evals[:, -rank:]
+    weights = np.where(evals > 1e-14, evals, 0.0)
+    atoms, weights, res = _pairwise_fw(atoms, weights, _images(atoms, alice, bob), res, lmo, steps)
+    return _hermitize((atoms.swapaxes(1, 2) * weights[:, None]) @ atoms.conj()), res
 
 
 def _povm_vertex(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    """Linear subproblem over one question's POVM set, for (r, d, d) gradients.
+    """Linear subproblem over POVMs, for a (batch, r, d, d) stack of gradients.
 
     Builds an orthonormal basis greedily (eigen-direction by eigen-direction
     of the gradient blocks, each given full weight on its minimizing
     outcome), then polishes the assignment with exact two-outcome exchanges:
-    restricted to the span owned by any outcome pair, the optimal split is
-    the negative/nonnegative eigenspace split of the restricted gradient
-    difference.
+    on the span owned by an outcome pair, the optimal split is the negative /
+    nonnegative eigenspace split of the gradient difference.  A row stops
+    after the first sweep that moves no rank.
     """
-    num_out, dim = grads.shape[:2]
-    basis = np.eye(dim, dtype=complex)
-    cols: list[list[np.ndarray]] = [[] for _ in range(num_out)]
-    while basis.shape[1] > 0:
-        evals, evecs = np.linalg.eigh(_hermitize(basis.conj().T @ grads @ basis))
-        a = int(np.argmin(evals[:, 0]))
-        cols[a].append(basis @ evecs[a, :, 0])
-        basis = basis @ evecs[a, :, 1:]
-    owners = [np.array(c, dtype=complex).reshape(-1, dim).T for c in cols]
+    num, r, dim = grads.shape[:3]
+    rows, eye = np.arange(num), np.eye(dim)
+    basis, restricted = np.broadcast_to(eye.astype(complex), (num, dim, dim)), grads
+    cols, owner = np.empty((num, dim, dim), dtype=complex), np.empty((num, dim), dtype=int)
+    for i in range(dim):
+        evals, evecs = np.linalg.eigh(_hermitize(restricted))
+        owner[:, i] = np.argmin(evals[:, :, 0], axis=1)
+        chosen = basis @ evecs[rows, owner[:, i]]
+        cols[:, :, i], basis = chosen[:, :, 0], chosen[:, :, 1:]
+        restricted = basis.conj().swapaxes(1, 2)[:, None] @ grads @ basis[:, None]
+    owned = owner[:, None, :] == np.arange(r)[:, None]
+    elems = (cols[:, None] * owned[:, :, None]) @ cols.conj().swapaxes(1, 2)[:, None]
 
+    diffs = {(a, b): grads[:, a] - grads[:, b] for a in range(r) for b in range(a + 1, r)}
+    # H = P diff P + c (I - P) with c > ||diff||: its negative eigenspace lies in span P
+    shifts = {k: 1.0 + np.linalg.norm(v, axis=(1, 2))[:, None, None] for k, v in diffs.items()}
+    todo = np.ones(num, dtype=bool)
     for _ in range(sweeps):
-        improved = False
-        for a in range(num_out):
-            for b in range(a + 1, num_out):
-                span = np.hstack([owners[a], owners[b]])
-                if span.shape[1] == 0:
-                    continue
-                evals, evecs = np.linalg.eigh(
-                    _hermitize(span.conj().T @ (grads[a] - grads[b]) @ span)
-                )
-                neg = evals < 0.0
-                if np.count_nonzero(neg) != owners[a].shape[1]:
-                    improved = True
-                owners[a], owners[b] = span @ evecs[:, neg], span @ evecs[:, ~neg]
-        if not improved:
+        improved = np.zeros(num, dtype=bool)
+        for (a, b), diff in diffs.items():
+            span = elems[:, a] + elems[:, b]
+            evals, evecs = np.linalg.eigh(span @ diff @ span + shifts[a, b] * (eye - span))
+            neg = evals < 0.0
+            low = (evecs * neg[:, None]) @ evecs.conj().swapaxes(1, 2)
+            rank = np.rint(np.trace(elems[:, a], axis1=1, axis2=2).real)
+            improved |= todo & (neg.sum(1) != rank)
+            keep = todo[:, None, None]
+            elems[:, a] = np.where(keep, low, elems[:, a])
+            elems[:, b] = np.where(keep, span - low, elems[:, b])
+        todo &= improved
+        if not todo.any():
             break
-    return np.array([o @ o.conj().T for o in owners])
+    return elems
 
 
 def _povm_block(
-    povm: np.ndarray, reduced: np.ndarray, targets: np.ndarray, steps: int
+    povms: np.ndarray, reduced: np.ndarray, targets: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Conditional gradient over one question's POVM; atoms are whole POVMs.
+    """Conditional gradient over POVMs, one question of one restart per row.
 
-    ``reduced`` stacks the Hermitian partial-trace operators for the opposite
-    side's (question, answer) pairs; the block objective is
-    sum_(a,k) (tr(E^a reduced_k) - targets[a,k])^2.  The entering POVM is the
-    first atom, and every later atom is a projective vertex.
+    ``povms`` is (restarts, questions, r, d, d), and ``reduced`` stacks each
+    restart's Hermitian partial traces for the opposite side's (question,
+    answer) pairs.  Question x's objective is sum_(a,k) (tr(E_x^a reduced_k)
+    - targets[x,a,k])^2.  Atoms are whole POVMs: the entering one, then
+    projective vertices.
     """
+    num, q, r, d = povms.shape[:4]
+    # Re tr(E R) = Re vec(E) . conj(vec(R)) for Hermitian R: a real GEMM on float views
+    red = reduced.reshape(num, 1, -1, d * d).view(float)
 
     def image(elements: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("aij,kji->ak", elements, reduced)).reshape(-1)
+        flat = elements.reshape(num, q, r, -1).view(float)
+        return (flat @ red.swapaxes(2, 3)).reshape(num * q, -1)
 
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grads = np.einsum("ak,kij->aij", 2.0 * res.reshape(len(povm), -1), reduced)
-        vertex = _povm_vertex(_hermitize(grads))
+        grads = (2.0 * res.reshape(num, q, r, -1) @ red).view(complex)
+        vertex = _povm_vertex(_hermitize(grads.reshape(num * q, r, d, d)))
         return vertex, image(vertex)
 
-    img = image(povm)
-    atoms, weights, _ = _pairwise_fw(
-        [povm], [1.0], [img], img - targets.reshape(-1), lmo, steps
-    )
-    return _hermitize(np.tensordot(weights, np.array(atoms), axes=1))
+    img = image(povms)
+    res = (img.reshape(num, q, -1) - targets.reshape(q, -1)).reshape(img.shape)
+    atoms = povms.reshape(num * q, 1, r, d, d)
+    atoms, weights, _ = _pairwise_fw(atoms, np.ones((num * q, 1)), img[:, None], res, lmo, steps)
+    mixed = weights[:, None] @ atoms.reshape(num * q, weights.shape[1], -1)
+    return _hermitize(mixed.reshape(povms.shape))
 
 
 def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
     """Search for the dimension-d model closest to the target in l2.
 
-    Runs ``cfg.restarts`` independent searches from Haar-random pure states
-    and random projective measurements, alternating state and per-question
-    measurement blocks until the improvement drops below
-    ``cfg.convergence_tol`` or the iteration budget runs out; with
-    ``polish_iters`` set, the best restart then continues for that many
-    extra outer iterations.  Restarts that hit the budget are flagged as
-    non-converged but still contribute their best iterate.
+    Runs ``cfg.restarts`` searches in lockstep, each from its own Haar-random
+    pure state and random projective measurements drawn from its own seed,
+    alternating state and per-question measurement blocks until the
+    improvement drops below ``cfg.convergence_tol`` or the iteration budget
+    runs out; a converged restart leaves the lockstep and is not touched
+    again.  With ``polish_iters`` set, the best restart then continues for
+    that many extra outer iterations.  Restarts that hit the budget are
+    flagged as non-converged but still contribute their best iterate.
     """
     d = cfg.local_dim
     m, n, r, s = target.shape
     # targets laid out as (x, a) rows and (y, b) columns, like every residual
     t_ab = target.table.transpose(0, 2, 1, 3).reshape(m * r, n * s)
 
-    def descend(rho, alice, bob, res, trace, iters):
-        # outer iterations, each ending on the residual that seeds the next
-        for _ in range(iters):
-            rho, res = _state_block(rho, res.reshape(-1), alice, bob, cfg.state_steps)
-            realigned = _realign(rho, d, d)
-            # tr_B[rho (I (x) B_y^b)] for every (y, b); Alice's blocks leave them fixed
-            reduced = _hermitize(_reduced(bob, realigned.T).reshape(n * s, d, d)).conj()
-            for x, block_targets in enumerate(t_ab.reshape(m, r, n * s)):
-                alice[x] = _povm_block(alice[x], reduced, block_targets, cfg.meas_steps)
-            # tr_A[rho (A_x^a (x) I)] for every (x, a); conj() undoes _reduced's transpose
-            reduced = _hermitize(_reduced(alice, realigned).reshape(m * r, d, d)).conj()
-            for y, block_targets in enumerate(t_ab.reshape(m * r, n, s).transpose(1, 2, 0)):
-                bob[y] = _povm_block(bob[y], reduced, block_targets, cfg.meas_steps)
-            res = _all_probs(rho, alice, bob) - t_ab
-            trace.objectives.append(float(np.sqrt((res**2).sum())))
-            trace.iterations += 1
-            if trace.objectives[-2] - trace.objectives[-1] < cfg.convergence_tol:
-                trace.converged = True
-                break
-        return rho, res
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    traces: list[RestartTrace] = []
-    best = None  # (rho, alice, bob, res, trace)
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(seeds[k])
+    starts = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        rng = np.random.default_rng(seed)
         vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         vec /= np.linalg.norm(vec)
-        rho = np.outer(vec, vec.conj())
         alice = _random_measurements(rng, d, m, r)
-        bob = _random_measurements(rng, d, n, s)
+        starts.append((np.outer(vec, vec.conj()), alice, _random_measurements(rng, d, n, s)))
+    rho, alice, bob = (np.array(arrays) for arrays in zip(*starts))
+    res = (_all_probs(rho, alice, bob) - t_ab).reshape(cfg.restarts, -1)
+    traces = [RestartTrace(k, [float(np.sqrt((res[k] ** 2).sum()))]) for k in range(cfg.restarts)]
+    # Alice's blocks pair with tr_B[rho (I (x) B_y^b)], Bob's with tr_A[rho (A_x^a (x) I)]
+    # taken after Alice's blocks moved; conj() undoes _reduced's transpose
+    sides = ((alice, bob, (0, 2, 1), t_ab.reshape(m, r, n * s)),
+             (bob, alice, (0, 1, 2), t_ab.reshape(m * r, n, s).transpose(1, 2, 0)))
 
-        trace = RestartTrace(restart=k)
-        res = _all_probs(rho, alice, bob) - t_ab
-        trace.objectives.append(float(np.sqrt((res**2).sum())))
-        rho, res = descend(rho, alice, bob, res, trace, cfg.max_outer_iters)
-        traces.append(trace)
-        if best is None or trace.objectives[-1] < best[-1].objectives[-1]:
-            best = (rho, alice, bob, res, trace)
+    def descend(live: list[int], iters: int) -> None:
+        # outer iterations, each ending on the residual that seeds the next
+        for _ in range(iters):
+            idx = np.array(live)
+            rho[idx] = _state_block(rho[idx], res[idx], alice[idx], bob[idx], cfg.state_steps)[0]
+            realigned = _realign(rho[idx], d, d)
+            for meas, other, axes, targets in sides:
+                traced = _reduced(other[idx], realigned.transpose(axes))
+                reduced = _hermitize(traced.reshape(len(idx), -1, d, d)).conj()
+                meas[idx] = _povm_block(meas[idx], reduced, targets, cfg.meas_steps)
+            res[idx] = (_all_probs(rho[idx], alice[idx], bob[idx]) - t_ab).reshape(len(idx), -1)
+            for k in idx:
+                trace = traces[k]
+                trace.objectives.append(float(np.sqrt((res[k] ** 2).sum())))
+                trace.iterations += 1
+                if trace.objectives[-2] - trace.objectives[-1] < cfg.convergence_tol:
+                    trace.converged = True
+                    live.remove(k)
+            if not live:
+                break
 
-    assert best is not None
-    rho, alice, bob, res, best_trace = best
-    rho, _ = descend(rho, alice, bob, res, best_trace, cfg.polish_iters)
+    descend(list(range(cfg.restarts)), cfg.max_outer_iters)
+    best = min(range(cfg.restarts), key=lambda k: traces[k].objectives[-1])
+    descend([best], cfg.polish_iters)
+    rho, alice, bob = rho[best], alice[best], bob[best]
     result = SeesawResult(
-        distance=best_trace.objectives[-1],
-        rho=rho,
-        alice_povms=alice,
-        bob_povms=bob,
-        traces=traces,
-        config=cfg,
-        converged=best_trace.converged,
+        distance=traces[best].objectives[-1], rho=rho, alice_povms=alice, bob_povms=bob,
+        traces=traces, config=cfg, converged=traces[best].converged,
     )
     if cfg.rounding == "projective":
-        strategy, dims = _round_to_projective(rho, alice, bob)
-        result.strategy = strategy
-        result.dilated_dims = dims
+        result.strategy, result.dilated_dims = _round_to_projective(rho, alice, bob)
     return result
 
 

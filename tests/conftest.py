@@ -33,6 +33,42 @@ def kron_induce(s: Strategy) -> np.ndarray:
     return table
 
 
+def povm_vertex_reference(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
+    """Per-question POVM oracle for (r, d, d) Hermitian gradients, column by column.
+
+    The see-saw's first vertex oracle, kept as the reference for the batched
+    one: a greedy orthonormal basis (each eigen-direction given full weight on
+    its minimizing outcome), then exact two-outcome exchanges on the span each
+    outcome pair owns, until a sweep moves no column.
+    """
+    num_out, dim = grads.shape[:2]
+    basis = np.eye(dim, dtype=complex)
+    cols: list[list[np.ndarray]] = [[] for _ in range(num_out)]
+    while basis.shape[1] > 0:
+        restricted = basis.conj().T @ grads @ basis
+        evals, evecs = np.linalg.eigh(0.5 * (restricted + restricted.conj().swapaxes(-1, -2)))
+        a = int(np.argmin(evals[:, 0]))
+        cols[a].append(basis @ evecs[a, :, 0])
+        basis = basis @ evecs[a, :, 1:]
+    owners = [np.array(c, dtype=complex).reshape(-1, dim).T for c in cols]
+    for _ in range(sweeps):
+        improved = False
+        for a in range(num_out):
+            for b in range(a + 1, num_out):
+                span = np.hstack([owners[a], owners[b]])
+                if span.shape[1] == 0:
+                    continue
+                diff = span.conj().T @ (grads[a] - grads[b]) @ span
+                evals, evecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
+                neg = evals < 0.0
+                if np.count_nonzero(neg) != owners[a].shape[1]:
+                    improved = True
+                owners[a], owners[b] = span @ evecs[:, neg], span @ evecs[:, ~neg]
+        if not improved:
+            break
+    return np.array([o @ o.conj().T for o in owners])
+
+
 def random_correlation(rng: np.random.Generator, m: int, n: int, r: int, s: int) -> Correlation:
     table = rng.random((m, n, r, s))
     table /= table.sum(axis=(2, 3), keepdims=True)

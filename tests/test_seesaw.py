@@ -1,5 +1,6 @@
 """See-saw search: convergence, determinism, monotonicity, rounding, bounds."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import kron_induce, random_correlation
+from conftest import kron_induce, povm_vertex_reference, random_correlation
+from qcorrkit import seesaw
 from qcorrkit.correlation import distance, restrict
 from qcorrkit.separating import exact_pstar, truncation_distance
 from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
     _all_probs,
+    _images,
+    _pairwise_fw,
     _povm_block,
     _povm_vertex,
     _realign,
@@ -83,6 +87,50 @@ class TestOptimize:
         assert max(len(t.objectives) for t in b.traces) > max(
             len(t.objectives) for t in a.traces
         )
+
+    def test_lockstep_restarts_stop_on_their_own(self, monkeypatch):
+        # at this tolerance the restarts converge after 6, 9 and 7 outer
+        # iterations, and the best one (7) stops while another runs on
+        cfg = SeesawConfig(
+            local_dim=2, restarts=3, max_outer_iters=20, seed=7,
+            convergence_tol=1e-3, state_steps=10, meas_steps=5,
+        )
+        batches = []
+        state_block = seesaw._state_block
+
+        def spy(rho, *args):
+            batches.append(len(rho))
+            return state_block(rho, *args)
+
+        monkeypatch.setattr(seesaw, "_state_block", spy)
+        result = optimize(chsh_target(), cfg)
+        iters = [t.iterations for t in result.traces]
+        best = int(np.argmin([t.objectives[-1] for t in result.traces]))
+        assert len(set(iters)) > 1 and iters[best] < max(iters)
+        for trace in result.traces:
+            assert trace.converged and len(trace.objectives) == trace.iterations + 1
+            drops = -np.diff(trace.objectives)
+            assert drops[-1] < cfg.convergence_tol <= drops[:-1].min(initial=np.inf)
+        # outer iteration i runs exactly the restarts that have not converged
+        assert batches == [sum(n >= i for n in iters) for i in range(1, max(iters) + 1)]
+        assert result.distance == result.traces[best].objectives[-1]
+        # so the returned iterate is the one whose objective was recorded last
+        probs = _all_probs(result.rho[None], result.alice_povms[None], result.bob_povms[None])
+        table = chsh_target().table.transpose(0, 2, 1, 3).reshape(probs.shape)
+        assert np.sqrt(((probs - table) ** 2).sum()) == pytest.approx(result.distance, abs=1e-12)
+
+        plain_batches = list(batches)
+        batches.clear()
+        polished = optimize(chsh_target(), dataclasses.replace(cfg, polish_iters=3))
+        extra = polished.traces[best].iterations - iters[best]
+        assert batches == plain_batches + [1] * extra
+        for k, (plain, longer) in enumerate(zip(result.traces, polished.traces)):
+            if k == best:
+                assert longer.objectives[: len(plain.objectives)] == plain.objectives
+                assert len(longer.objectives) > len(plain.objectives)
+            else:
+                assert longer.objectives == plain.objectives
+        assert polished.distance == polished.traces[best].objectives[-1]
 
     def test_dimension_one_is_product_search(self):
         # pure dimension-1 strategies are deterministic; enumerate them all
@@ -174,6 +222,19 @@ def _assert_povm(elements, tol=1e-10):
     assert np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1])).max() < tol
 
 
+def _assert_projective_povm(elements, tol=1e-10):
+    _assert_povm(elements, tol)
+    for a, b in itertools.product(range(len(elements)), repeat=2):
+        want = elements[a] if a == b else 0.0
+        assert np.abs(elements[a] @ elements[b] - want).max() < tol
+
+
+def _random_gradients(rng, batch, answers, dim):
+    shape = (batch, answers, dim, dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return g + g.conj().swapaxes(-1, -2)
+
+
 def _kron_products(alice, bob):
     # explicit A_x^a (x) B_y^b, indexed [(x, a), (y, b)]
     a_ops = alice.reshape(-1, *alice.shape[2:])
@@ -194,17 +255,21 @@ class TestBlockProperties:
         _, strat, alice, bob, rho = _random_model(seed, dA, dB, m, n, r, s)
         psi = np.asarray(strat.state)
         oracle = kron_induce(strat).transpose(0, 2, 1, 3).reshape(m * r, n * s)
-        pure = _all_probs(np.outer(psi, psi.conj()), alice, bob)
-        np.testing.assert_allclose(pure, oracle, atol=1e-12)
+        # a batch of two restarts: the pure state and the mixed rho
+        pair = np.array([np.outer(psi, psi.conj()), rho])
+        probs = _all_probs(pair, np.array([alice, alice]), np.array([bob, bob]))
+        np.testing.assert_allclose(probs[0], oracle, atol=1e-12)
         np.testing.assert_allclose(_atom_image(psi, alice, bob), oracle.reshape(-1), atol=1e-12)
+        images = _images(np.array([[psi, psi]]), alice[None], bob[None])
+        np.testing.assert_allclose(images[0], [oracle.reshape(-1)] * 2, atol=1e-12)
         kron = np.real(np.einsum("uvij,ji->uv", _kron_products(alice, bob), rho))
-        np.testing.assert_allclose(_all_probs(rho, alice, bob), kron, atol=1e-12)
+        np.testing.assert_allclose(probs[1], kron, atol=1e-12)
 
     @given(seeds, small, small, small, small, small, small)
     def test_state_gradient_matches_kron_sum(self, seed, dA, dB, m, n, r, s):
         rng, strat, alice, bob, _ = _random_model(seed, dA, dB, m, n, r, s)
         res = rng.normal(size=m * r * n * s)
-        grad = _state_grad(res, alice, bob)
+        grad = _state_grad(res[None], alice[None], bob[None])[0]
         kron = np.einsum("uv,uvij->ij", res.reshape(m * r, n * s), _kron_products(alice, bob))
         np.testing.assert_allclose(grad, kron, atol=1e-12)
         # <psi|grad|psi> pairs the residual with the table psi induces
@@ -215,10 +280,11 @@ class TestBlockProperties:
     @given(seeds, small, small, small, small, small, small)
     def test_partial_traces_match_kron(self, seed, dA, dB, m, n, r, s):
         _, _, alice, bob, rho = _random_model(seed, dA, dB, m, n, r, s)
-        realigned = _realign(rho, dA, dB)
+        realigned = _realign(rho[None], dA, dB)
         # rows of _reduced are the transposed partial traces
-        traced_a = _reduced(alice, realigned).reshape(m * r, dB, dB).swapaxes(1, 2)
-        traced_b = _reduced(bob, realigned.T).reshape(n * s, dA, dA).swapaxes(1, 2)
+        traced_a = _reduced(alice[None], realigned)[0].reshape(m * r, dB, dB).swapaxes(1, 2)
+        traced_b = _reduced(bob[None], realigned.swapaxes(1, 2))[0].reshape(n * s, dA, dA)
+        traced_b = traced_b.swapaxes(1, 2)
         for k, op in enumerate(alice.reshape(m * r, dA, dA)):
             prod = (rho @ np.kron(op, np.eye(dB))).reshape(dA, dB, dA, dB)
             np.testing.assert_allclose(traced_a[k], np.einsum("ijil->jl", prod), atol=1e-12)
@@ -226,49 +292,75 @@ class TestBlockProperties:
             prod = (rho @ np.kron(np.eye(dA), op)).reshape(dA, dB, dA, dB)
             np.testing.assert_allclose(traced_b[k], np.einsum("ijkj->ik", prod), atol=1e-12)
 
-    @given(seeds, st.integers(1, 4), st.integers(1, 4))
-    def test_povm_vertex_is_projective_and_beats_random(self, seed, dim, answers):
+    @given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+    def test_povm_vertex_is_projective_and_beats_random(self, seed, dim, answers, batch):
         rng = np.random.default_rng(seed)
-        g = rng.normal(size=(answers, dim, dim)) + 1j * rng.normal(size=(answers, dim, dim))
-        grads = g + g.conj().swapaxes(-1, -2)
-        vertex = _povm_vertex(grads)
-        assert vertex.shape == (answers, dim, dim)
-        _assert_povm(vertex)
-        for a in range(answers):
-            for b in range(answers):
-                want = vertex[a] if a == b else 0.0
-                assert np.abs(vertex[a] @ vertex[b] - want).max() < 1e-10
-        value = np.real(np.einsum("aij,aji->", grads, vertex))
-        for povm in _random_measurements(rng, dim, 20, answers):
-            assert value <= np.real(np.einsum("aij,aji->", grads, np.array(povm))) + 1e-10
+        grads = _random_gradients(rng, batch, answers, dim)
+        vertices = _povm_vertex(grads)
+        assert vertices.shape == (batch, answers, dim, dim)
+        for grad, vertex in zip(grads, vertices):
+            _assert_projective_povm(vertex)
+            value = np.real(np.einsum("aij,aji->", grad, vertex))
+            for povm in _random_measurements(rng, dim, 20, answers):
+                assert value <= np.real(np.einsum("aij,aji->", grad, np.array(povm))) + 1e-10
+
+    @given(seeds, st.integers(1, 8), st.integers(2, 4), st.integers(1, 5))
+    def test_povm_vertex_matches_per_question_reference(self, seed, dim, answers, batch):
+        rng = np.random.default_rng(seed)
+        grads = _random_gradients(rng, batch, answers, dim)
+        for grad, vertex in zip(grads, _povm_vertex(grads)):
+            want = povm_vertex_reference(grad)
+            assert np.abs(vertex - want).max() < 1e-12
+            _assert_projective_povm(vertex)
+            value = np.real(np.einsum("aij,aji->", grad, vertex))
+            assert value <= np.real(np.einsum("aij,aji->", grad, want)) + 1e-12
+
+    def test_away_tie_goes_to_oldest_atom(self):
+        # with target 0 the residual is the iterate's image, about (1, 0), so
+        # atoms 0 and 1 tie up to rounding and the newer one scores 2 ulp higher
+        images = np.array([[[1.0, 1.0], [1.0 + 4.5e-16, -1.0]]])
+        weights = np.array([[0.5, 0.5]])
+        res = (weights[:, None] @ images)[:, 0]
+        assert images[0, 1] @ res[0] > images[0, 0] @ res[0]
+        vertex = (np.array([2]), np.array([[-1.0, 1.0]]))
+        atoms, weights, _ = _pairwise_fw(
+            np.array([[0, 1]]), weights, images, res, lambda _: vertex, 1
+        )
+        # the pairwise step drains the oldest atom onto the vertex; atom 1 keeps its weight
+        np.testing.assert_array_equal(atoms, [[0, 1, 2]])
+        np.testing.assert_allclose(weights, [[0.0, 0.5, 0.5]], atol=1e-15)
 
     @given(seeds, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
     def test_state_block_feasible_and_non_increasing(self, seed, dA, dB, questions, answers):
+        # two restarts, each with its own measurements and density, in one batch
         rng = np.random.default_rng(seed)
-        alice = np.array(_random_measurements(rng, dA, questions, answers))
-        bob = np.array(_random_measurements(rng, dB, questions, answers))
+        alice = np.array([_random_measurements(rng, dA, questions, answers) for _ in range(2)])
+        bob = np.array([_random_measurements(rng, dB, questions, answers) for _ in range(2)])
         table = random_correlation(rng, questions, questions, answers, answers).table
         target = table.transpose(0, 2, 1, 3).reshape(-1)
-        rho = _random_density(rng, dA * dB)
-        res = _all_probs(rho, alice, bob).reshape(-1) - target
+        rho = np.array([_random_density(rng, dA * dB) for _ in range(2)])
+        res = _all_probs(rho, alice, bob).reshape(2, -1) - target
         rho_out, res_out = _state_block(rho, res, alice, bob, 10)
-        _assert_hermitian_psd(rho_out)
-        assert np.trace(rho_out).real == pytest.approx(1.0, abs=1e-10)
-        recomputed = _all_probs(rho_out, alice, bob).reshape(-1) - target
-        np.testing.assert_allclose(res_out, recomputed, atol=1e-10)
-        assert recomputed @ recomputed <= res @ res + 1e-12
+        recomputed = _all_probs(rho_out, alice, bob).reshape(2, -1) - target
+        for k in range(2):
+            _assert_hermitian_psd(rho_out[k])
+            assert np.trace(rho_out[k]).real == pytest.approx(1.0, abs=1e-10)
+            np.testing.assert_allclose(res_out[k], recomputed[k], atol=1e-10)
+            assert recomputed[k] @ recomputed[k] <= res[k] @ res[k] + 1e-12
 
     @given(seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
     def test_povm_block_feasible_and_non_increasing(self, seed, dim, answers, num_red):
+        # two restarts of two questions each; a restart's questions share its reduced operators
         rng = np.random.default_rng(seed)
-        povm = np.array(_random_measurements(rng, dim, 1, answers)[0])
-        reduced = np.array([_random_density(rng, dim) for _ in range(num_red)])
-        targets = rng.random((answers, num_red))
+        povms = np.array([_random_measurements(rng, dim, 2, answers) for _ in range(2)])
+        reduced = np.array([[_random_density(rng, dim) for _ in range(num_red)] for _ in range(2)])
+        targets = rng.random((2, answers, num_red))
 
-        def objective(elements):
-            res = np.real(np.einsum("aij,kji->ak", elements, reduced)) - targets
+        def objective(elements, k, x):
+            res = np.real(np.einsum("aij,kji->ak", elements[k, x], reduced[k])) - targets[x]
             return float((res**2).sum())
 
-        out = _povm_block(povm, reduced, targets, 10)
-        _assert_povm(out)
-        assert objective(out) <= objective(povm) + 1e-12
+        out = _povm_block(povms, reduced, targets, 10)
+        for k, x in itertools.product(range(2), range(2)):
+            _assert_povm(out[k, x])
+            assert objective(out, k, x) <= objective(povms, k, x) + 1e-12
