@@ -14,6 +14,9 @@ Four mechanisms live here:
   alpha below the previous.  For the truncated ideal strategy the longest
   chain has length exactly 2m, so its unbounded growth with m is the
   finite-dimension witness at desk scale.
+
+:func:`certify_truncation` runs all of these on a truncated pairing
+strategy in one pass.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import separating, strategy
 from .correlation import BlockSpec, Correlation, block_structure_check, distance
 from .strategy import Strategy, _frozen, induce, projected_substate
 
@@ -42,6 +46,7 @@ __all__ = [
     "schmidt_partition",
     "descent_chain",
     "verify_schmidt_bijections",
+    "certify_truncation",
     "multiset_equal",
     "multiset_subtract",
     "ZERO_CUTOFF",
@@ -405,8 +410,9 @@ def _y4_relations(s: Strategy, tol: float) -> tuple[Y4Report, np.ndarray, np.nda
     a2_1 = projected_substate(s, "A", 2, (1,))
 
     psi = s.state_matrix()
-    vec0 = s.alice_meas[0][0] @ psi @ s.bob_meas[4][0].T
-    vec1 = s.alice_meas[0][1] @ psi @ s.bob_meas[4][1].T
+    # the double projections (A_0^a psi) B_4^a^T reuse the substates A_0^a psi
+    vec0 = a0_0.reshape(s.dA, s.dB) @ s.bob_meas[4][0].T
+    vec1 = a0_1.reshape(s.dA, s.dB) @ s.bob_meas[4][1].T
     residuals = {
         "a0_answer0_vs_b4": float(np.linalg.norm(a0_0 - b4_0)),
         "a0_answer0_vs_a2_kernel_plus": float(np.linalg.norm(a0_0 - a2_02)),
@@ -435,14 +441,6 @@ class SchmidtPartition:
     s1: SchmidtSpectrum
     s2: SchmidtSpectrum
 
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s.as_list(),
-            "s0": self.s0.as_list(),
-            "s1": self.s1.as_list(),
-            "s2": self.s2.as_list(),
-        }
-
 
 def schmidt_partition(s: Strategy, tol: float = 1e-9) -> SchmidtPartition:
     """Split the state spectrum along the question-0 answers and certify it.
@@ -453,13 +451,20 @@ def schmidt_partition(s: Strategy, tol: float = 1e-9) -> SchmidtPartition:
     S = S0 u S1 and the containment S2 <= S0 at relative tolerance ``tol``.
     """
     y4, vec0, vec1 = _y4_relations(s, tol)
-    if not y4.passed:
+    return _partition(s, y4, vec0, vec1, schmidt(s.state, s.dA, s.dB).spectrum, tol)
+
+
+def _partition(
+    s: Strategy, y4: Y4Report, vec0: np.ndarray, vec1: np.ndarray,
+    spec_s: SchmidtSpectrum, tol: float,
+) -> SchmidtPartition:
+    """:func:`schmidt_partition` from a question-4 pass and the state spectrum."""
+    if not all(v <= tol for v in y4.residuals.values()):
         name, value = y4.worst()
         raise AnalysisError(
             f"question-4 relations fail ({name} residual {value:.3e} > {tol:.1e}); "
             f"the Schmidt split is not licensed"
         )
-    spec_s = schmidt(s.state, s.dA, s.dB).spectrum
     vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
     cutoff = spec_s.zero_cutoff
     s0 = SchmidtSpectrum(tuple(_svd_spectrum(vec0, cutoff)[0]), cutoff)
@@ -495,14 +500,6 @@ class DescentChain:
     chains: tuple[tuple[float, ...], ...]
     index_chains: tuple[tuple[int, ...], ...]
     max_length: int
-
-    def as_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "rel_tol": self.rel_tol,
-            "max_length": self.max_length,
-            "chains": [list(c) for c in self.index_chains],
-        }
 
 
 def descent_chain(
@@ -564,8 +561,7 @@ class BijectionReport:
     S0 \\ S2 = alpha * S1 after excluding the single truncation-boundary
     coefficient, which is the smallest member of S1 (the infinite-dimensional
     identity cannot survive a finite cut unmodified, so the excluded value is
-    surfaced rather than hidden).  ``spectrum`` is the state spectrum S the
-    check split, so a caller needs no second SVD for its descent chain.
+    surfaced rather than hidden).
     """
 
     ok_first: bool
@@ -574,22 +570,10 @@ class BijectionReport:
     boundary_coefficient: float
     max_pair_deviation: float
     tol: float
-    spectrum: SchmidtSpectrum
 
     @property
     def ok(self) -> bool:
         return self.ok_first and self.ok_second and self.s2_size == 1
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "ok_first": self.ok_first,
-            "ok_second": self.ok_second,
-            "s2_size": self.s2_size,
-            "boundary_coefficient": self.boundary_coefficient,
-            "max_pair_deviation": self.max_pair_deviation,
-            "tol": self.tol,
-        }
 
 
 def _max_pair_deviation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -604,7 +588,10 @@ def verify_schmidt_bijections(
     s: Strategy, alpha: float, tol: float = 1e-9
 ) -> BijectionReport:
     """Check the alpha-scaling correspondences on the partitioned spectrum."""
-    part = schmidt_partition(s, tol)
+    return _bijections(schmidt_partition(s, tol), alpha, tol)
+
+
+def _bijections(part: SchmidtPartition, alpha: float, tol: float) -> BijectionReport:
     dev_first = _max_pair_deviation(part.s1.as_list(), [alpha * c for c in part.s0])
 
     boundary = min(part.s1) if len(part.s1) else float("nan")
@@ -619,5 +606,77 @@ def verify_schmidt_bijections(
         boundary_coefficient=float(boundary),
         max_pair_deviation=float(max(dev_first, dev_second)),
         tol=tol,
-        spectrum=part.s,
     )
+
+
+def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
+    """Every certificate on a truncated pairing strategy, as ordered check rows.
+
+    Each row is ``{"name", "residual", "tolerance", "pass"}``, plus a
+    ``detail`` when a certificate raised.  The dimension D = 2m is read from
+    ``s``.  Every ingredient is computed once: one validation, one induced
+    table, one block decomposition of the shifted-pair questions, one
+    question-4 pass (its residuals give the relation row at ``tol``, its
+    double projections the Schmidt split at 1e-9), and one state spectrum,
+    shared by the split and the descent chain.
+    """
+    dim = s.dA
+    tail = alpha ** (2 * dim)
+    rows: list[dict] = []
+
+    def record(name: str, residual: float, limit: float, detail: str | None = None) -> None:
+        row = {"name": name, "residual": residual, "tolerance": limit, "pass": residual <= limit}
+        if detail is not None:
+            row["detail"] = detail
+        rows.append(row)
+
+    record("strategy_valid", strategy.validate(s).max_residual, 1e-10)
+
+    exact = separating.exact_pstar(alpha)
+    worst_printed = 0.0
+    for x, y in separating.PRINTED_PAIRS:
+        printed = separating.printed_table(alpha, x, y).entries
+        worst_printed = max(worst_printed, float(np.abs(exact.table[x, y] - printed).max()))
+    record("tables_printed_match", worst_printed, 1e-12)
+
+    # the cut block reassigned by the dangling-vector policy carries mass
+    # ~alpha^(2(D-1)), which dominates the tail for small alpha
+    record(
+        "truncation_bound",
+        distance(exact, induce(s, check=False), "max_tv"),
+        max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
+    )
+
+    block_tol = max(tol, 1e-9)
+    sub = strategy.restrict_questions(s, [2, 3], [2, 3])
+    try:
+        deco = strategy_block_decompose(sub, ((0, 1), (2,)), ((0, 1), (2,)), tol=block_tol)
+        c = 1.0 / (1.0 - alpha**2)
+        weight_gap = max(abs(deco.weights[0] - (c - 1.0) / c), abs(deco.weights[1] - 1.0 / c))
+        record("block_weights", weight_gap, max(1e-8, 8.0 * tail))
+        record("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9)
+        assert deco.restricted[0] is not None
+        block_corr = induce(deco.restricted[0], check=False)
+        worst_block = 0.0
+        for x in range(2):
+            for y in range(2):
+                ref = separating.printed_table(alpha, x + 2, y + 2).entries[:2, :2] * c / (c - 1.0)
+                worst_block = max(worst_block, float(np.abs(block_corr.table[x, y] - ref).max()))
+        record("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * (dim - 1))))
+    except BlockDecompositionError as exc:
+        record("block_decomposition", float("inf"), block_tol, str(exc))
+
+    y4, vec0, vec1 = _y4_relations(s, tol)
+    record("y4_relations", y4.max_residual, tol)
+
+    spectrum = schmidt(s.state, s.dA, s.dB).spectrum
+    try:
+        bij = _bijections(_partition(s, y4, vec0, vec1, spectrum, 1e-9), alpha, 1e-9)
+        record("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9)
+        record("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0)
+    except AnalysisError as exc:
+        record("schmidt_partition", float("inf"), 1e-9, str(exc))
+
+    chains = descent_chain(spectrum, alpha)
+    record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0)
+    return rows

@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, correlation, seesaw, separating, strategy
 
 __all__ = ["run", "main"]
@@ -328,77 +326,9 @@ def _verify_strategy_file(args) -> int:
 def _cmd_verify(args) -> int:
     if args.strategy:
         return _verify_strategy_file(args)
-
-    alpha, m = args.alpha, args.m
-    dim = 2 * m
-    tail = alpha ** (2 * dim)
-    checks: list[dict] = []
-
-    def record(name: str, residual: float, tol: float, detail: str | None = None) -> None:
-        row = {"name": name, "residual": residual, "tolerance": tol, "pass": residual <= tol}
-        if detail is not None:
-            row["detail"] = detail
-        checks.append(row)
-
-    spec = separating.TruncationSpec(alpha=alpha, m=m)
-    s = separating.ideal_truncated_strategy(spec)
-    record("strategy_valid", strategy.validate(s).max_residual, 1e-10)
-
-    exact = separating.exact_pstar(alpha)
-    worst_printed = 0.0
-    for x, y in separating.PRINTED_PAIRS:
-        printed = separating.printed_table(alpha, x, y).entries
-        worst_printed = max(worst_printed, float(np.abs(exact.table[x, y] - printed).max()))
-    record("tables_printed_match", worst_printed, 1e-12)
-
-    # the cut block reassigned by the dangling-vector policy carries mass
-    # ~alpha^(2(D-1)), which dominates the tail for small alpha
-    record(
-        "truncation_bound",
-        correlation.distance(exact, strategy.induce(s, check=False), "max_tv"),
-        max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
-    )
-
-    block_tol = max(args.tol, 1e-9)
-    sub = strategy.restrict_questions(s, [2, 3], [2, 3])
-    try:
-        deco = analysis.strategy_block_decompose(sub, ((0, 1), (2,)), ((0, 1), (2,)), tol=block_tol)
-        c = 1.0 / (1.0 - alpha**2)
-        weight_gap = max(
-            abs(deco.weights[0] - (c - 1.0) / c), abs(deco.weights[1] - 1.0 / c)
-        )
-        record("block_weights", weight_gap, max(1e-8, 8.0 * tail))
-        record("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9)
-        assert deco.restricted[0] is not None
-        block_corr = strategy.induce(deco.restricted[0], check=False)
-        worst_block = 0.0
-        for x in range(2):
-            for y in range(2):
-                ref = separating.printed_table(alpha, x + 2, y + 2).entries[:2, :2] * c / (c - 1.0)
-                worst_block = max(
-                    worst_block, float(np.abs(block_corr.table[x, y] - ref).max())
-                )
-        record("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * (dim - 1))))
-    except analysis.BlockDecompositionError as exc:
-        record("block_decomposition", float("inf"), block_tol, str(exc))
-
-    y4 = analysis.verify_y4_relations(s, tol=args.tol)
-    record("y4_relations", y4.max_residual, args.tol)
-
-    try:
-        bij = analysis.verify_schmidt_bijections(s, alpha, tol=1e-9)
-        record("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9)
-        record("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0)
-        spectrum = bij.spectrum
-    except analysis.AnalysisError as exc:
-        record("schmidt_partition", float("inf"), 1e-9, str(exc))
-        spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
-
-    chains = analysis.descent_chain(spectrum, alpha)
-    record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0)
-
+    checks = analysis.certify_truncation(_strategy_from_args(args), args.alpha, args.tol)
     passed = all(c["pass"] for c in checks)
-    payload = {"alpha": alpha, "m": m, "checks": checks, "passed": passed}
+    payload = {"alpha": args.alpha, "m": args.m, "checks": checks, "passed": passed}
     _emit(_dump_json(payload), args.out)
     if not passed:
         first = next(c for c in checks if not c["pass"])

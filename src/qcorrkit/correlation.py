@@ -126,8 +126,8 @@ class Correlation:
             )
         return cls(arr, norm_tol=norm_tol)
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, norm_tol: float = DEFAULT_NORM_TOL) -> "Correlation":
@@ -178,7 +178,7 @@ def _normalize_partition(partition: Sequence[Sequence[int]]) -> tuple[tuple[int,
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Answer-set partitions (and optional block weights) for a direct sum.
+    """Answer-set partitions for a direct sum.
 
     The partitions must have the same number of classes on both sides; whether
     they cover the answer sets of a particular correlation is checked at the
@@ -187,7 +187,6 @@ class BlockSpec:
 
     alice_partition: tuple[tuple[int, ...], ...]
     bob_partition: tuple[tuple[int, ...], ...]
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         ap = _normalize_partition(self.alice_partition)
@@ -198,17 +197,6 @@ class BlockSpec:
             )
         object.__setattr__(self, "alice_partition", ap)
         object.__setattr__(self, "bob_partition", bp)
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if len(w) != len(ap):
-                raise CorrelationError("one weight per block required")
-            if any(v < 0.0 for v in w):
-                raise CorrelationError("block weights must be nonnegative")
-            if abs(sum(w) - 1.0) > DEFAULT_NORM_TOL:
-                raise CorrelationError(
-                    f"block weights must sum to 1, got {sum(w)!r}"
-                )
-            object.__setattr__(self, "weights", w)
 
     @property
     def num_blocks(self) -> int:
@@ -260,7 +248,7 @@ def direct_sum(blocks: Sequence[tuple[float, Correlation]]) -> Correlation:
 class BlockCheckFailure:
     """Identifies the first entry or weight that breaks the block structure."""
 
-    kind: str  # "cross_block_mass" | "weight_variation" | "weight_mismatch"
+    kind: str  # "cross_block_mass" | "weight_variation"
     x: int
     y: int
     a: int | None
@@ -333,24 +321,6 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
             ),
         )
         return BlockCheckResult(False, None, None, fail)
-
-    if spec.weights is not None:
-        gap = np.abs(np.asarray(spec.weights) - weights)
-        if float(gap.max()) > tol:
-            i = int(np.argmax(gap))
-            fail = BlockCheckFailure(
-                kind="weight_mismatch",
-                x=-1,
-                y=-1,
-                a=None,
-                b=None,
-                value=float(weights[i]),
-                detail=(
-                    f"recovered weight {weights[i]!r} for block {i} disagrees "
-                    f"with declared {spec.weights[i]!r}"
-                ),
-            )
-            return BlockCheckResult(False, None, None, fail)
 
     blocks: list[Correlation | None] = []
     for i in range(l):

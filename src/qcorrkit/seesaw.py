@@ -31,7 +31,7 @@ import numpy as np
 
 from .correlation import Correlation
 from .separating import truncation_distance
-from .strategy import Strategy, _frozen, _random_measurements
+from .strategy import Strategy, _atom_image, _frozen, _random_measurements
 
 __all__ = [
     "SeesawConfig",
@@ -159,16 +159,6 @@ def _state_grad(res: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarr
     return grad.reshape(num, d, d, e, e).transpose(0, 1, 3, 2, 4).reshape(num, d * e, d * e)
 
 
-def _images(vecs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # <v| A_x^a (x) B_y^b |v> for a (restarts, k, d*e) stack, each against its restart's
-    # measurements: with V = v as d x e, p = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
-    (num, k), d, e = vecs.shape[:2], alice.shape[-1], bob.shape[-1]
-    mat = vecs.reshape(num, k, 1, d, e)
-    local = mat.conj().swapaxes(-1, -2) @ alice.reshape(num, 1, -1, d, d) @ mat
-    probs = local.reshape(num, -1, e * e) @ bob.reshape(num, -1, e * e).swapaxes(1, 2)
-    return np.real(probs).reshape(num, k, -1)
-
-
 def _pairwise_fw(
     atoms: np.ndarray, weights: np.ndarray, images: np.ndarray, res: np.ndarray,
     lmo: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], steps: int,
@@ -236,18 +226,19 @@ def _state_block(
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # eigh reads one triangle, so the gradient needs no Hermitization
         vecs = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, :, 0]
-        return vecs, _images(vecs[:, None], alice, bob)[:, 0]
+        return vecs, _atom_image(vecs[:, None], alice, bob).real[:, 0]
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
     # eigh sorts ascending: the top columns hold every restart's kept eigenvectors
     rank = int(np.count_nonzero(evals > 1e-14, axis=1).max())
     atoms, evals = evecs[:, :, -rank:].swapaxes(1, 2), evals[:, -rank:]
     weights = np.where(evals > 1e-14, evals, 0.0)
-    atoms, weights, res = _pairwise_fw(atoms, weights, _images(atoms, alice, bob), res, lmo, steps)
+    images = _atom_image(atoms, alice, bob).real
+    atoms, weights, res = _pairwise_fw(atoms, weights, images, res, lmo, steps)
     return _hermitize((atoms.swapaxes(1, 2) * weights[:, None]) @ atoms.conj()), res
 
 
-def _povm_vertex(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
+def _povm_vertex(grads: np.ndarray) -> np.ndarray:
     """Linear subproblem over POVMs, for a (batch, r, d, d) stack of gradients.
 
     Builds an orthonormal basis greedily (eigen-direction by eigen-direction
@@ -255,7 +246,7 @@ def _povm_vertex(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
     outcome), then polishes the assignment with exact two-outcome exchanges:
     on the span owned by an outcome pair, the optimal split is the negative /
     nonnegative eigenspace split of the gradient difference.  A row stops
-    after the first sweep that moves no rank.
+    after the first sweep that moves no rank, and every row after two.
     """
     num, r, dim = grads.shape[:3]
     rows, eye = np.arange(num), np.eye(dim)
@@ -274,7 +265,7 @@ def _povm_vertex(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
     # H = P diff P + c (I - P) with c > ||diff||: its negative eigenspace lies in span P
     shifts = {k: 1.0 + np.linalg.norm(v, axis=(1, 2))[:, None, None] for k, v in diffs.items()}
     todo = np.ones(num, dtype=bool)
-    for _ in range(sweeps):
+    for _ in range(2):
         improved = np.zeros(num, dtype=bool)
         for (a, b), diff in diffs.items():
             span = elems[:, a] + elems[:, b]

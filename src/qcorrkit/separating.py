@@ -179,19 +179,16 @@ def _descriptors(questions: list[tuple[int, np.ndarray]]) -> np.ndarray:
     return desc.transpose(2, 0, 1)
 
 
-def exact_pstar(alpha: float, tol: float = 1e-12) -> Correlation:
+def exact_pstar(alpha: float) -> Correlation:
     """The separating correlation itself, exact up to float rounding.
 
     The geometric series over the infinite-dimensional state is summed in
     closed form per question pair (one period of the banded measurement
     elements times 1/(1 - alpha^4), boundary terms added separately), so no
-    truncation is involved; ``tol`` only bounds the accepted normalization
-    defect of the assembled tables.
+    truncation is involved.
     """
     if not (0.0 < alpha < 1.0):
         raise SeparatingError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if tol <= 0.0:
-        raise SeparatingError(f"tol must be positive, got {tol!r}")
     alice, bob = _question_layout(alpha)
     p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
     p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
@@ -202,7 +199,7 @@ def exact_pstar(alpha: float, tol: float = 1e-12) -> Correlation:
     # couplings pair up only between questions on the same pair parity
     coupled = val + np.where(shifta == 1, alpha**3, alpha) * geo * (upa * upb + lowa * lowb)
     table = (1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val)
-    return Correlation(table, norm_tol=max(tol, 1e-12))
+    return Correlation(table)
 
 
 def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:

@@ -366,20 +366,17 @@ class ValidationReport:
         }
 
 
-def validate(
-    s: Strategy,
-    state_tol: float = STATE_NORM_TOL,
-    projector_tol: float = PROJECTOR_TOL,
-) -> ValidationReport:
+def validate(s: Strategy) -> ValidationReport:
     """Report every broken strategy invariant with its Frobenius residual.
 
     An empty report means the strategy is valid: unit-norm state, Hermitian
     idempotent measurement elements, per-question completeness, and mutual
-    orthogonality of elements belonging to the same question.
+    orthogonality of elements belonging to the same question, at
+    ``STATE_NORM_TOL`` and ``PROJECTOR_TOL``.
     """
     issues: list[ValidationIssue] = []
     norm_residual = abs(float(np.linalg.norm(s.state)) - 1.0)
-    if norm_residual > state_tol:
+    if norm_residual > STATE_NORM_TOL:
         issues.append(ValidationIssue("state_norm", None, None, None, norm_residual))
 
     for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
@@ -389,27 +386,30 @@ def validate(
         for x, elements in enumerate(meas):
             for a, proj in enumerate(elements):
                 herm = float(np.linalg.norm(proj - proj.conj().T))
-                if herm > projector_tol:
+                if herm > PROJECTOR_TOL:
                     issues.append(ValidationIssue("hermitian", side, x, (a,), herm))
                 idem = float(np.linalg.norm(proj @ proj - proj))
-                if idem > projector_tol:
+                if idem > PROJECTOR_TOL:
                     issues.append(ValidationIssue("idempotent", side, x, (a,), idem))
             comp = float(np.linalg.norm(elements.sum(axis=0) - eye))
-            if comp > projector_tol:
+            if comp > PROJECTOR_TOL:
                 issues.append(ValidationIssue("completeness", side, x, None, comp))
             for a, a2 in itertools.combinations(range(len(elements)), 2):
                 ortho = float(np.linalg.norm(elements[a] @ elements[a2]))
-                if ortho > projector_tol:
+                if ortho > PROJECTOR_TOL:
                     issues.append(ValidationIssue("orthogonality", side, x, (a, a2), ortho))
     return ValidationReport(tuple(issues))
 
 
-def _atom_image(vec: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # <vec| A_x^a (x) B_y^b |vec> in (x, a, y, b) order, complex: with V = vec
-    # as d x e, p[(x,a),(y,b)] = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
-    (m, r, d, _), (n, s, e, _) = alice.shape, bob.shape
-    local = vec.reshape(d, e).conj().T @ alice.reshape(m * r, d, d) @ vec.reshape(d, e)
-    return (local.reshape(m * r, e * e) @ bob.reshape(n * s, e * e).T).reshape(-1)
+def _atom_image(vecs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    # <v| A_x^a (x) B_y^b |v> in (x, a, y, b) order, complex, for a (batch, k, d*e)
+    # stack of vectors, each against its batch row's (questions, answers, d, d)
+    # measurements: with V = v as d x e, p = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
+    (num, k), d, e = vecs.shape[:2], alice.shape[-1], bob.shape[-1]
+    mat = vecs.reshape(num, k, 1, d, e)
+    local = mat.conj().swapaxes(-1, -2) @ alice.reshape(num, 1, -1, d, d) @ mat
+    probs = local.reshape(num, -1, e * e) @ bob.reshape(num, -1, e * e).swapaxes(1, 2)
+    return probs.reshape(num, k, -1)
 
 
 def induce(s: Strategy, check: bool = True) -> Correlation:
@@ -425,7 +425,8 @@ def induce(s: Strategy, check: bool = True) -> Correlation:
         report = validate(s)
         if not report.ok:
             raise InvalidStrategyError(report)
-    table = np.stack([_atom_image(s.state, q[None], s.bob_meas) for q in s.alice_meas])
+    table = np.stack([_atom_image(s.state[None, None], q[None, None], s.bob_meas[None])[0, 0]
+                      for q in s.alice_meas])
     worst_imag = float(np.abs(table.imag).max())
     if worst_imag > 1e-10:
         raise StrategyError(

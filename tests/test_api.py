@@ -1,5 +1,6 @@
 """Every exported or benchmark-traced name resolves, so deletions cannot leave stale ones."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -36,3 +37,24 @@ def test_traced_names_resolve(name):
     for attr in attrs:
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "selftest.py"])
+def test_benchmark_names_resolve(script):
+    # every attribute the benchmark reaches on a module it imports from qcorrkit
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / script).read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"qcorrkit.{alias.name}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "qcorrkit"
+        for alias in node.names
+    }
+    reached = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert reached
+    missing = sorted(f"{name}.{attr}" for name, attr in reached if not hasattr(modules[name], attr))
+    assert not missing, f"perfbench/{script} reaches missing names: {missing}"

@@ -182,6 +182,21 @@ class TestVerifiers:
         # the state spectrum S plus the split spectra S0, S1 and S2
         assert calls["svd"] == 4
 
+    def test_verify_runs_one_question4_pass(self, capsys, monkeypatch):
+        calls = 0
+        substate = analysis.projected_substate
+
+        def counted_substate(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return substate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "projected_substate", counted_substate)
+        code, _, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
+        assert code == 0
+        # 8 for the two blocks on 2x2 questions, 6 for the single question-4 pass
+        assert calls == 14
+
     def test_y4_fails_on_corrupted_file(self, capsys, tmp_path):
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
         bob = [list(q) for q in s.bob_meas]

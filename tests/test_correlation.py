@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcorrkit.correlation import (
     BlockSpec,
@@ -127,26 +129,34 @@ class TestBlockStructureCheck:
         assert result.failure.kind == "cross_block_mass"
         assert result.failure.value == pytest.approx(0.25)
 
-    def test_roundtrip_recovers_weights_and_blocks(self, rng):
-        blocks = [random_correlation(rng, 2, 3, 2, 2) for _ in range(3)]
-        weights = rng.random(3)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3)),
+                 min_size=1, max_size=4).filter(lambda blocks: any(w for *_, w in blocks)),
+    )
+    def test_roundtrip_recovers_weights_and_blocks(self, seed, m, n, shapes):
+        # integer weights 0..3, normalized: a zero draws a block with no mass
+        rng = np.random.default_rng(seed)
+        blocks = [random_correlation(rng, m, n, r, s) for r, s, _ in shapes]
+        weights = np.array([w for *_, w in shapes], dtype=float)
         weights /= weights.sum()
         p = direct_sum(list(zip(weights, blocks)))
-        spec = BlockSpec(((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 3), (4, 5)))
+        bounds_a = np.cumsum([0] + [r for r, _, _ in shapes])
+        bounds_b = np.cumsum([0] + [s for _, s, _ in shapes])
+        spec = BlockSpec(
+            tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds_a, bounds_a[1:])),
+            tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds_b, bounds_b[1:])),
+        )
         result = block_structure_check(p, spec, tol=1e-12)
         assert result.ok
         np.testing.assert_allclose(result.weights, weights, atol=1e-12)
-        for got, want in zip(result.blocks, blocks):
-            np.testing.assert_allclose(got.table, want.table, atol=1e-10)
-
-    def test_declared_weights_verified(self, rng):
-        q = random_correlation(rng, 1, 1, 2, 2)
-        p = direct_sum([(0.7, q), (0.3, q)])
-        good = BlockSpec(((0, 1), (2, 3)), ((0, 1), (2, 3)), weights=(0.7, 0.3))
-        assert block_structure_check(p, good, tol=1e-9).ok
-        bad = BlockSpec(((0, 1), (2, 3)), ((0, 1), (2, 3)), weights=(0.5, 0.5))
-        result = block_structure_check(p, bad, tol=1e-9)
-        assert not result.ok and result.failure.kind == "weight_mismatch"
+        for w, got, want in zip(weights, result.blocks, blocks):
+            if w == 0.0:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got.table, want.table, atol=1e-10)
 
     def test_partition_must_cover(self):
         p = deterministic(1, 1, 3, 3)

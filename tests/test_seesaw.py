@@ -16,7 +16,6 @@ from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
     _all_probs,
-    _images,
     _pairwise_fw,
     _povm_block,
     _povm_vertex,
@@ -259,8 +258,7 @@ class TestBlockProperties:
         pair = np.array([np.outer(psi, psi.conj()), rho])
         probs = _all_probs(pair, np.array([alice, alice]), np.array([bob, bob]))
         np.testing.assert_allclose(probs[0], oracle, atol=1e-12)
-        np.testing.assert_allclose(_atom_image(psi, alice, bob), oracle.reshape(-1), atol=1e-12)
-        images = _images(np.array([[psi, psi]]), alice[None], bob[None])
+        images = _atom_image(np.array([[psi, psi]]), alice[None], bob[None])
         np.testing.assert_allclose(images[0], [oracle.reshape(-1)] * 2, atol=1e-12)
         kron = np.real(np.einsum("uvij,ji->uv", _kron_products(alice, bob), rho))
         np.testing.assert_allclose(probs[1], kron, atol=1e-12)

@@ -166,8 +166,6 @@ class TestExactTables:
             exact_pstar(0.0)
         with pytest.raises(SeparatingError):
             exact_pstar(1.0)
-        with pytest.raises(SeparatingError):
-            exact_pstar(0.5, tol=0.0)
 
 
 class TestPrintedTables:
