@@ -100,19 +100,15 @@ class SchmidtSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtResult:
-    """Spectrum plus the matching orthonormal bases on each side."""
+    """The Schmidt spectrum of a bipartite vector."""
 
     spectrum: SchmidtSpectrum
-    left_basis: np.ndarray  # dA x k, columns are the A-side Schmidt vectors
-    right_basis: np.ndarray  # dB x k
 
 
-def _svd_spectrum(
-    mat: np.ndarray, zero_cutoff: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, sing, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = sing > zero_cutoff
-    return sing[keep], u[:, keep], vh[keep].T
+def _svd_spectrum(mat: np.ndarray, zero_cutoff: float) -> np.ndarray:
+    # values only: no certificate reads the Schmidt vectors
+    sing = np.linalg.svd(mat, compute_uv=False)
+    return sing[sing > zero_cutoff]
 
 
 def schmidt(
@@ -123,17 +119,13 @@ def schmidt(
     Singular values below ``zero_cutoff`` are dropped; the discarded square
     mass is at most min(dA, dB) * zero_cutoff^2.
     """
-    vec = np.asarray(state, dtype=complex).reshape(-1)
+    vec = np.asarray(state).reshape(-1)
     if vec.size != dA * dB:
         raise AnalysisError(f"vector length {vec.size} != dA*dB = {dA * dB}")
     if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
         raise AnalysisError("schmidt expects a unit-norm state")
-    sing, left, right = _svd_spectrum(vec.reshape(dA, dB), zero_cutoff)
-    return SchmidtResult(
-        spectrum=SchmidtSpectrum(tuple(sing.tolist()), zero_cutoff),
-        left_basis=left,
-        right_basis=right,
-    )
+    sing = _svd_spectrum(vec.reshape(dA, dB), zero_cutoff)
+    return SchmidtResult(spectrum=SchmidtSpectrum(tuple(sing.tolist()), zero_cutoff))
 
 
 def multiset_equal(
@@ -275,8 +267,8 @@ def strategy_block_decompose(
     for i in range(num_blocks):
         psi_i = sub_states[i].reshape(s.dA, s.dB)
         if weights[i] <= tol:
-            alice_bases.append(np.zeros((s.dA, 0), dtype=complex))
-            bob_bases.append(np.zeros((s.dB, 0), dtype=complex))
+            alice_bases.append(np.zeros((s.dA, 0), dtype=psi_i.dtype))
+            bob_bases.append(np.zeros((s.dB, 0), dtype=psi_i.dtype))
             restricted.append(None)
             continue
         basis_a, restricted_alice = _restrict_side(
@@ -339,7 +331,8 @@ def _restrict_side(
     evals, evecs = np.linalg.eigh(rho)
     basis = evecs[:, evals > tol * tol]
     answers = list(answers)
-    out = np.empty((len(meas), len(answers), basis.shape[1], basis.shape[1]), dtype=complex)
+    out = np.empty((len(meas), len(answers), basis.shape[1], basis.shape[1]),
+                   dtype=np.result_type(basis, meas))
     for x, question in enumerate(meas):
         elements = question[answers]
         out[x] = basis.conj().T @ elements @ basis
@@ -467,9 +460,9 @@ def _partition(
         )
     vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
     cutoff = spec_s.zero_cutoff
-    s0 = SchmidtSpectrum(tuple(_svd_spectrum(vec0, cutoff)[0]), cutoff)
-    s1 = SchmidtSpectrum(tuple(_svd_spectrum(vec1, cutoff)[0]), cutoff)
-    s2 = SchmidtSpectrum(tuple(_svd_spectrum(vec2, cutoff)[0]), cutoff)
+    s0 = SchmidtSpectrum(tuple(_svd_spectrum(vec0, cutoff)), cutoff)
+    s1 = SchmidtSpectrum(tuple(_svd_spectrum(vec1, cutoff)), cutoff)
+    s2 = SchmidtSpectrum(tuple(_svd_spectrum(vec2, cutoff)), cutoff)
 
     merged = sorted(list(s0) + list(s1), reverse=True)
     if not multiset_equal(spec_s.as_list(), merged, tol):

@@ -11,6 +11,7 @@ known, is named on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -115,10 +116,11 @@ def _dump_json(obj) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    # text + "\n" would copy a 5.5 MB strategy file once more
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.write(text)
+        if not text.endswith("\n"):
+            stream.write("\n")
 
 
 def _csv_rows(header: list[str], rows: list[list]) -> str:

@@ -112,7 +112,7 @@ def _side_measurements(questions: list[tuple[int, np.ndarray]], num_blocks: int)
     observable is diagonal.
     """
     dim = 2 * num_blocks
-    out = np.zeros((len(questions), NUM_ANSWERS, dim, dim), dtype=complex)
+    out = np.zeros((len(questions), NUM_ANSWERS, dim, dim))
     for x, (shift, obs) in enumerate(questions):
         first = 2 * np.arange(num_blocks - shift) + shift
         for a, op in zip((shift, 1 - shift), _pm_projectors(obs)):
@@ -134,18 +134,20 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
     sqrt((1 - alpha^2) / (1 - alpha^(2D))).  Aligned-pair questions tile the
     truncated space completely, so their tables match the untruncated ones
     exactly; all truncation error enters through the shifted-pair questions.
+    Every array is real and written as float64, which the strategy keeps
+    without a copy.
     """
     dim = spec.dim
     alpha = spec.alpha
     alice, bob = _question_layout(alpha)
     norm = math.sqrt((1.0 - alpha**2) / (1.0 - alpha ** (2 * dim)))
     coeffs = norm * alpha ** np.arange(dim)
-    state = np.zeros(dim * dim, dtype=complex)
+    state = np.zeros(dim * dim)
     state[np.arange(dim) * dim + np.arange(dim)] = coeffs
     return Strategy(
         dA=dim,
         dB=dim,
-        state=state,
+        state=_frozen(state),
         alice_meas=_side_measurements(alice, int(spec.m)),
         bob_meas=_side_measurements(bob, int(spec.m)),
     )

@@ -58,22 +58,39 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_measurements(meas, dim: int, side: str) -> np.ndarray:
-    """One side's elements as a read-only (questions, answers, dim, dim) complex array.
+def _stored(values) -> np.ndarray:
+    """``values`` as the read-only array a :class:`Strategy` holds.
 
-    A read-only complex array is kept as it is; anything else is copied.
+    An array whose imaginary parts are all zero is stored as float64, any
+    other as complex128.  A read-only array already in that form is kept as
+    it is; anything else is copied.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c" and not arr.imag.any():
+        # a copy: the real part of a complex array is a strided view of it
+        return _frozen(np.array(arr.real, dtype=float))
+    dtype = complex if arr.dtype.kind == "c" else float
+    if arr.dtype != dtype or arr.flags.writeable:
+        arr = _frozen(np.array(arr, dtype=dtype))
+    return arr
+
+
+def _as_measurements(meas, dim: int, side: str) -> np.ndarray:
+    """One side's elements as a read-only (questions, answers, dim, dim) array.
+
+    Stored as :func:`_stored` says: float64 when every imaginary part is
+    zero, complex128 otherwise.
     """
     if len(meas) == 0:
         raise StrategyError(f"{side} needs at least one question")
-    if not (isinstance(meas, np.ndarray) and meas.dtype == complex and not meas.flags.writeable):
-        if not isinstance(meas, np.ndarray):
-            counts = sorted({len(q) for q in meas})
-            if len(counts) != 1:
-                raise StrategyError(f"{side} questions disagree on answer count: {counts}")
-        try:
-            meas = _frozen(np.array(meas, dtype=complex))
-        except ValueError as exc:
-            raise StrategyError(f"{side} measurement elements differ in shape") from exc
+    if not isinstance(meas, np.ndarray):
+        counts = sorted({len(q) for q in meas})
+        if len(counts) != 1:
+            raise StrategyError(f"{side} questions disagree on answer count: {counts}")
+    try:
+        meas = _stored(meas)
+    except ValueError as exc:
+        raise StrategyError(f"{side} measurement elements differ in shape") from exc
     if meas.ndim != 4 or meas.shape[2:] != (dim, dim):
         raise StrategyError(
             f"{side} measurements have shape {meas.shape}, "
@@ -89,8 +106,11 @@ class Strategy:
     The constructor checks shapes only; the numeric invariants (unit norm,
     Hermitian idempotent elements, completeness) are the job of
     :func:`validate`, so that deliberately broken strategies can be built and
-    flagged.  ``alice_meas`` and ``bob_meas`` are read-only complex arrays of
-    shape (m, r, dA, dA) and (n, s, dB, dB); nested sequences are accepted.
+    flagged.  ``state`` is read-only of length dA*dB; ``alice_meas`` and
+    ``bob_meas`` are read-only arrays of shape (m, r, dA, dA) and
+    (n, s, dB, dB); nested sequences are accepted.  Each array is float64
+    when its imaginary parts are all zero and complex128 otherwise, so a
+    real strategy runs on real BLAS and LAPACK through the same code.
     """
 
     dA: int
@@ -102,12 +122,11 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.dA < 1 or self.dB < 1:
             raise StrategyError(f"dimensions must be positive: ({self.dA},{self.dB})")
-        state = np.array(self.state, dtype=complex).reshape(-1)
+        state = _frozen(_stored(self.state).reshape(-1))
         if state.size != self.dA * self.dB:
             raise StrategyError(
                 f"state length {state.size} != dA*dB = {self.dA * self.dB}"
             )
-        state.setflags(write=False)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "alice_meas", _as_measurements(self.alice_meas, self.dA, "alice"))
         object.__setattr__(self, "bob_meas", _as_measurements(self.bob_meas, self.dB, "bob"))
@@ -309,7 +328,8 @@ def _parse_array(raw: bytes) -> np.ndarray:
 
 
 def _pairs_to_complex(arr: np.ndarray) -> np.ndarray:
-    # read-only, so the constructor keeps the array instead of copying it
+    # read-only, so the constructor keeps the array, or stores a real copy
+    # of it when every imaginary part is zero
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise StrategyError(_IRREGULAR)
     return _frozen(arr.view(complex)[..., 0])
@@ -402,7 +422,7 @@ def validate(s: Strategy) -> ValidationReport:
 
 
 def _atom_image(vecs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    # <v| A_x^a (x) B_y^b |v> in (x, a, y, b) order, complex, for a (batch, k, d*e)
+    # <v| A_x^a (x) B_y^b |v> in (x, a, y, b) order, for a (batch, k, d*e)
     # stack of vectors, each against its batch row's (questions, answers, d, d)
     # measurements: with V = v as d x e, p = sum_lj (V^+ A_x^a V)[l,j] (B_y^b)[l,j]
     (num, k), d, e = vecs.shape[:2], alice.shape[-1], bob.shape[-1]
@@ -493,7 +513,8 @@ def direct_sum_strategies(blocks: Sequence[tuple[float, Strategy]]) -> Strategy:
         raise StrategyError(f"weights must sum to 1, got {sum(weights)!r}")
     if any((s.m, s.n) != (parts[0].m, parts[0].n) for s in parts):
         raise StrategyError("blocks must share question counts")
-    psi = np.zeros((sum(s.dA for s in parts), sum(s.dB for s in parts)), dtype=complex)
+    psi = np.zeros((sum(s.dA for s in parts), sum(s.dB for s in parts)),
+                   dtype=np.result_type(*(s.state for s in parts)))
     oa = ob = 0
     for w, s in zip(weights, parts):
         psi[oa : oa + s.dA, ob : ob + s.dB] = np.sqrt(w) * s.state_matrix()
@@ -512,7 +533,7 @@ def _block_embed(sides: Sequence[np.ndarray]) -> np.ndarray:
     """Block-diagonal embedding of one side's elements, answer ranges contiguous."""
     dim = sum(meas.shape[-1] for meas in sides)
     answers = sum(meas.shape[1] for meas in sides)
-    out = np.zeros((sides[0].shape[0], answers, dim, dim), dtype=complex)
+    out = np.zeros((sides[0].shape[0], answers, dim, dim), dtype=np.result_type(*sides))
     a0 = o = 0
     for meas in sides:
         r, d = meas.shape[1:3]

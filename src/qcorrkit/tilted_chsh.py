@@ -112,7 +112,7 @@ def ideal_strategy(params: TiltedChshParams) -> Strategy:
     eigenspace answers 1.
     """
     cos_t = math.cos(params.theta)
-    state = np.array([cos_t, 0.0, 0.0, cos_t * params.alpha], dtype=complex)
+    state = np.array([cos_t, 0.0, 0.0, cos_t * params.alpha])
     mu = params.mu
     alice = np.array([_pm_projectors(o) for o in (SIGMA_Z, SIGMA_X)])
     bob = np.array([_pm_projectors(o) for o in (tilted_sigma_z(mu), tilted_sigma_x(mu))])

@@ -11,6 +11,7 @@ from qcorrkit.analysis import (
     AnalysisError,
     BlockDecompositionError,
     SchmidtSpectrum,
+    certify_truncation,
     descent_chain,
     multiset_equal,
     multiset_subtract,
@@ -28,6 +29,7 @@ from qcorrkit.strategy import (
     induce,
     random_strategy,
     restrict_questions,
+    validate,
 )
 from qcorrkit.tilted_chsh import ideal_strategy, ideal_table, params_from_alpha
 
@@ -68,15 +70,12 @@ class TestSchmidt:
         )
         assert result.spectrum.coefficients[0] == pytest.approx(0.8677218, abs=1e-7)
 
-    def test_bases_reconstruct_state(self, rng):
+    def test_coefficients_are_singular_values(self, rng):
         vec = rng.normal(size=6) + 1j * rng.normal(size=6)
         vec /= np.linalg.norm(vec)
         result = schmidt(vec, 2, 3)
-        rebuilt = sum(
-            c * np.outer(result.left_basis[:, k], result.right_basis[:, k]).reshape(-1)
-            for k, c in enumerate(result.spectrum.coefficients)
-        )
-        np.testing.assert_allclose(rebuilt, vec, atol=1e-12)
+        sing = np.linalg.svd(vec.reshape(2, 3), compute_uv=False)
+        np.testing.assert_allclose(result.spectrum.coefficients, sing, atol=1e-12)
 
     def test_local_unitary_invariance(self, rng):
         vec = rng.normal(size=9) + 1j * rng.normal(size=9)
@@ -336,3 +335,40 @@ class TestDescentChain:
         spectrum = SchmidtSpectrum((1.0,))
         with pytest.raises(AnalysisError, match="ratio"):
             descent_chain(spectrum, 1.5)
+
+
+def phase_twin(s: Strategy, rng: np.random.Generator) -> Strategy:
+    """``s`` conjugated by random diagonal phase unitaries U_A (x) U_B.
+
+    The twin's state and off-diagonal measurement entries are complex, and
+    it induces the same correlation with the same Schmidt spectrum.
+    """
+    ua = np.exp(2j * np.pi * rng.random(s.dA))
+    ub = np.exp(2j * np.pi * rng.random(s.dB))
+    state = ua[:, None] * s.state_matrix() * ub
+    alice = ua[:, None] * s.alice_meas * ua.conj()
+    bob = ub[:, None] * s.bob_meas * ub.conj()
+    return Strategy(s.dA, s.dB, state.reshape(-1), alice, bob)
+
+
+class TestRealAndComplexAgree:
+    @given(st.floats(0.05, 0.95), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    def test_phase_twin_gives_the_same_answers(self, alpha, m, seed):
+        real = ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m))
+        twin = phase_twin(real, np.random.default_rng(seed))
+        assert real.state.dtype == real.alice_meas.dtype == real.bob_meas.dtype == np.float64
+        assert twin.state.dtype == twin.alice_meas.dtype == twin.bob_meas.dtype == np.complex128
+        back = Strategy.from_json(real.to_json())
+        assert back.state.dtype == back.alice_meas.dtype == back.bob_meas.dtype == np.float64
+
+        np.testing.assert_allclose(induce(twin).table, induce(real).table, rtol=0, atol=1e-14)
+        spectra = [schmidt(t.state, t.dA, t.dB).spectrum.coefficients for t in (real, twin)]
+        np.testing.assert_allclose(spectra[1], spectra[0], rtol=0, atol=1e-14)
+        assert validate(twin).ok == validate(real).ok
+
+        rows = [certify_truncation(t, alpha, 1e-12) for t in (real, twin)]
+        assert [r["name"] for r in rows[1]] == [r["name"] for r in rows[0]]
+        assert [r["pass"] for r in rows[1]] == [r["pass"] for r in rows[0]]
+        np.testing.assert_allclose(
+            [r["residual"] for r in rows[1]], [r["residual"] for r in rows[0]], rtol=0, atol=1e-12
+        )

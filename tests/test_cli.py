@@ -283,6 +283,12 @@ class TestStrategyFiles:
         assert code == 0
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.95, m=8))
         assert out == json.dumps(s.to_dict(), sort_keys=True) + "\n"
+        # a real strategy writes the pairs its complex128 copy would, imaginary parts 0.0
+        pairs = {}
+        for name in ("state", "alice_meas", "bob_meas"):
+            arr = np.array(getattr(s, name), dtype=np.complex128)
+            pairs[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
+        assert out == json.dumps({"dA": 16, "dB": 16, **pairs}, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("damage", ["truncated", "ragged", "not JSON"])
     @pytest.mark.parametrize("command", ["induce", "schmidt", "verify"])

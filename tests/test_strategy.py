@@ -182,6 +182,7 @@ class TestConstruction:
         s = random_strategy(rng, dA=2, dB=3, m=2, n=4, r=3, s=2)
         assert s.alice_meas.shape == (2, 3, 2, 2) and s.bob_meas.shape == (4, 2, 3, 3)
         assert s.alice_meas.dtype == complex and not s.alice_meas.flags.writeable
+        assert s.state.dtype == s.bob_meas.dtype == np.complex128
         assert (s.m, s.n, s.r, s.s) == (2, 4, 3, 2)
 
     def test_ragged_answer_counts_rejected(self):
@@ -216,6 +217,24 @@ class TestConstruction:
         s = random_strategy(rng, dA=2, dB=2)
         t = Strategy(2, 2, s.state, s.alice_meas, s.bob_meas)
         assert t.alice_meas is s.alice_meas and t.bob_meas is s.bob_meas
+
+    def test_exactly_real_arrays_stored_as_float(self):
+        s = ideal_strategy(params_from_beta(0.5))
+        assert s.state.dtype == s.alice_meas.dtype == s.bob_meas.dtype == np.float64
+        t = Strategy(2, 2, s.state, s.alice_meas, s.bob_meas)
+        assert np.shares_memory(t.state, s.state)
+        assert t.alice_meas is s.alice_meas and t.bob_meas is s.bob_meas
+        # a complex array whose imaginary parts are all +-0 is stored real, by copy
+        alice = np.array(s.alice_meas, dtype=complex)
+        alice.imag = -0.0
+        alice.setflags(write=False)
+        u = Strategy(2, 2, s.state.astype(complex), alice, s.bob_meas)
+        assert u.state.dtype == u.alice_meas.dtype == np.float64
+        assert u.alice_meas.flags.c_contiguous and not u.alice_meas.flags.writeable
+        assert u.alice_meas.tobytes() == s.alice_meas.tobytes()
+        alice = np.array(alice)
+        alice[0, 0, 0, 1] = 1e-300j
+        assert Strategy(2, 2, s.state, alice, s.bob_meas).alice_meas.dtype == np.complex128
 
 
 class TestValidate:
