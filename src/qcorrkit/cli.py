@@ -153,6 +153,11 @@ def _cmd_tables(args) -> int:
             _emit(_dump_json(payload), args.out)
         return EXIT_OK
     x, y = args.pair
+    if not (0 <= x < separating.NUM_ALICE_QUESTIONS and 0 <= y < separating.NUM_BOB_QUESTIONS):
+        raise UsageError(
+            f"--pair ({x},{y}) outside the {separating.NUM_ALICE_QUESTIONS}x"
+            f"{separating.NUM_BOB_QUESTIONS} questions"
+        )
     if args.source == "printed":
         table = separating.printed_table(args.alpha, x, y)
         entries = table.entries

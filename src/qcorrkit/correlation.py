@@ -118,8 +118,12 @@ class Correlation:
 
     @classmethod
     def from_dict(cls, data: dict, norm_tol: float = DEFAULT_NORM_TOL) -> "Correlation":
-        arr = np.asarray(data["table"], dtype=float)
-        expected = (data["m"], data["n"], data["r"], data["s"])
+        """Read what :meth:`to_dict` writes; malformed data raises :class:`CorrelationError`."""
+        try:
+            arr = np.asarray(data["table"], dtype=float)
+            expected = (data["m"], data["n"], data["r"], data["s"])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise CorrelationError(f"not a correlation: missing or malformed field ({exc!r})") from None
         if arr.shape != expected:
             raise CorrelationError(
                 f"table shape {arr.shape} disagrees with header {expected}"

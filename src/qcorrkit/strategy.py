@@ -167,10 +167,11 @@ class Strategy:
     def from_json(cls, text: str) -> "Strategy":
         """Read what :meth:`to_json` writes, or any JSON object with the same fields.
 
-        The object around the arrays is parsed by ``json``; each array is
-        parsed in one numpy pass (:func:`_parse_array`), so every array in the
-        text must be a regular array of numbers.  Malformed input raises
-        :class:`StrategyError`, a ``ValueError``.
+        The object around the arrays is parsed by ``json``; each array's
+        shape is read from its skeleton and its numbers by ``json`` into one
+        float array (:func:`_parse_array`), so every array in the text must be
+        a regular array of numbers.  Malformed input, an integer beyond float
+        range included, raises :class:`StrategyError`, a ``ValueError``.
         """
         head, spans = _split_arrays(text)
         try:
@@ -196,33 +197,13 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
 
 # A strategy array holds numbers, brackets, commas and JSON whitespace; its
 # skeleton is what remains once number characters and whitespace are dropped.
+# Once the skeleton is regular, json reads the rest as flat lists of numbers.
 _SKELETON_DROP = b"0123456789.eE+-NaInfity \t\n\r"
-_NOT_LETTERS = bytes(c for c in range(256) if c not in b"NaInfity")
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _NEXT_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[', re.DOTALL)
-_JSON_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity")
-_SEPARATOR_CHARS = b"[], \t\n\r"
 _IRREGULAR = "strategy data must be uniform nested [re, im] pairs"
 _NOT_ONE_NUMBER = "strategy arrays must hold one JSON number per entry"
-
-# One bit per class of character in an array's text, and for each character
-# the classes it may follow: np.fromstring reads what strtod reads, and these
-# refuse the spellings JSON does not allow (1., .5, +1).
-_OTHER, _DIGIT, _ZERO, _DOT, _EXP, _PLUS, _MINUS, _LETTER = (1 << k for k in range(8))
-
-
-def _byte_table(default: int, entries: Sequence[tuple[bytes, int]]) -> bytes:
-    table = bytearray([default]) * 256
-    for chars, value in entries:
-        for c in chars:
-            table[c] = value
-    return bytes(table)
-
-
-_CLASS_OF = _byte_table(_OTHER, [(b"123456789", _DIGIT), (b"0", _ZERO), (b".", _DOT), (b"eE", _EXP),
-                                  (b"+", _PLUS), (b"-", _MINUS), (b"NaInfity", _LETTER)])
-_MAY_FOLLOW = _byte_table(0xFF ^ _DOT, [(b"0123456789", 0xFF), (b".", _DIGIT | _ZERO),
-                                        (b"+", _EXP), (b"-", _OTHER | _EXP)])
+_PIECE = 1 << 15  # bytes per json.loads: each list stays under glibc's mmap threshold
 
 
 def _split_arrays(text: str) -> tuple[str, list[tuple[int, int]] | None]:
@@ -271,59 +252,36 @@ def _is_regular(skeleton: bytes, shape: tuple[int, ...]) -> bool:
     return regular == skeleton
 
 
-def _check_numbers(raw: bytes, count: int) -> np.ndarray:
-    """Raise unless the text holds ``count`` numbers, each in JSON's grammar.
-
-    ``np.fromstring`` with a count refuses a malformed number except the
-    last, so the rules here plus a strict match of the last number cover
-    every entry.  Returns the positions of the signs of integer ``-0``
-    entries, which json reads as 0 and the caller blanks.
-    """
-    cls = np.frombuffer(raw.translate(_CLASS_OF), dtype=np.uint8)
-    may_follow = np.frombuffer(raw.translate(_MAY_FOLLOW), dtype=np.uint8)
-    other = cls == _OTHER
-    # a zero followed by a digit, or "-0" ending a number, is a leading zero or
-    # the integer -0, unless the sign before it is an exponent's
-    lead = np.flatnonzero((cls[:-1] == _ZERO) & ((cls[1:] & (_DIGIT | _ZERO)) != 0))
-    minus_zero = np.flatnonzero((cls[:-2] == _MINUS) & (cls[1:-1] == _ZERO) & other[2:])
-    letters = raw.translate(None, _NOT_LETTERS)
-    if (
-        np.count_nonzero(other[:-1] > other[1:]) != count  # one run of number characters per entry
-        or ((cls[:-1] & may_follow[1:]) == 0).any()
-        or (other[lead - 1] | ((cls[lead - 1] == _MINUS) & (cls[lead - 2] != _EXP))).any()
-        or (letters and (len(letters) != 3 * raw.count(b"NaN") + 8 * raw.count(b"Infinity")
-                         or b"-NaN" in raw))
-        or not _JSON_NUMBER.fullmatch(raw[raw.rfind(b",") + 1 :].strip(_SEPARATOR_CHARS))
-    ):
-        raise StrategyError(_NOT_ONE_NUMBER)
-    return minus_zero[cls[minus_zero - 1] != _EXP]
-
-
 def _parse_array(raw: bytes) -> np.ndarray:
     """A JSON array of numbers, regular at every depth, as a float array.
 
     The shape comes from the first path through the array and is proved by
-    comparing skeletons; the numbers are read by one ``np.fromstring`` over
-    the text with its brackets blanked out.  Values are bitwise those of
-    ``np.asarray(json.loads(raw), dtype=float)``.
+    comparing skeletons.  ``json`` reads the text with its brackets blanked,
+    in pieces cut at commas, into one preallocated array; the entries filled
+    are counted, since a trailing comma on a cut leaves an empty piece.
+    Values are bitwise those of ``np.asarray(json.loads(raw), dtype=float)``.
     """
     skeleton = raw.translate(None, _SKELETON_DROP)
     shape = _first_path_shape(skeleton)
     if not _is_regular(skeleton, shape):
         raise StrategyError(_IRREGULAR)
-    count = int(np.prod(shape))
-    minus_zero = _check_numbers(raw, count)
-    blanked = raw.translate(_BLANK_BRACKETS)
-    if minus_zero.size:
-        blanked = bytearray(blanked)
-        np.frombuffer(blanked, dtype=np.uint8)[minus_zero] = ord(" ")
-        blanked = bytes(blanked)
-    # the count sizes the output once: read to an unknown end, fromstring
-    # grows it by reallocation, and the freed blocks stay resident
+    flat = raw.translate(_BLANK_BRACKETS)
+    values = np.empty(int(np.prod(shape)))
+    filled = start = 0
     try:
-        values = np.fromstring(blanked, dtype=float, count=count, sep=",")
+        while start <= len(flat):
+            cut = flat.find(b",", start + _PIECE)
+            cut = len(flat) if cut < 0 else cut
+            piece = json.loads(b"[%b]" % flat[start:cut])
+            values[filled : filled + len(piece)] = piece
+            filled += len(piece)
+            start = cut + 1
     except ValueError:
         raise StrategyError(_NOT_ONE_NUMBER) from None
+    except OverflowError:
+        raise StrategyError("strategy arrays hold an integer beyond float range") from None
+    if filled != values.size:
+        raise StrategyError(_NOT_ONE_NUMBER)
     return values.reshape(shape)
 
 

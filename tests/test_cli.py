@@ -50,6 +50,14 @@ class TestTables:
         assert lines[0] == "a,b,p"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("source", ["printed", "exact"])
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (9, 0), (0, 5)])
+    def test_pair_outside_questions_is_usage_error(self, capsys, pair, source):
+        code, out, err = run_capture(capsys, ["tables", "--pair", *map(str, pair), "--source", source])
+        assert code == 1
+        assert err.startswith("usage error: ") and "--pair" in err
+        assert out == ""
+
 
 class TestStrategyPipeline:
     def test_truncate_then_induce(self, capsys, tmp_path):
@@ -305,6 +313,40 @@ class TestStrategyFiles:
         path = tmp_path / "strategy.json"
         path.write_text(text)
         code, out, err = run_capture(capsys, [command, "--strategy", str(path)])
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_integer_beyond_float_range_exits_1(self, capsys, tmp_path):
+        data = json.loads(ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2)).to_json())
+        data["state"][0][0] = "@big@"
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(data).replace('"@big@"', "1" + "0" * 400))
+        code, out, err = run_capture(capsys, ["induce", "--strategy", str(path)])
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+
+class TestCorrelationFiles:
+    HEADER = '"m": 1, "n": 1, "r": 1, "s": 1'
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{" + HEADER + "}",
+            "[1, 2]",
+            "null",
+            "{" + HEADER + ', "table": "uniform"}',
+            "{" + HEADER + ', "table": [[[[1' + "0" * 400 + "]]]]}",
+        ],
+        ids=["no table", "list", "null", "string table", "400-digit integer"],
+    )
+    def test_malformed_file_exits_1(self, capsys, tmp_path, text):
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        ok.write_text("{" + self.HEADER + ', "table": [[[[1.0]]]]}')
+        bad.write_text(text)
+        code, out, err = run_capture(capsys, ["distance", "--p", str(bad), "--q", str(ok)])
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""

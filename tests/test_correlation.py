@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qcorrkit.correlation import (
     BlockSpec,
@@ -247,6 +248,13 @@ class TestSerialization:
         np.testing.assert_allclose(q.table, p.table, atol=0)
         data = json.loads(p.to_json())
         assert (data["m"], data["n"], data["r"], data["s"]) == (2, 3, 3, 2)
+
+    @given(arrays(np.float64, array_shapes(min_dims=4, max_dims=4, max_side=3), elements=st.floats(0.0, 1.0)))
+    def test_json_roundtrip_bitwise(self, weights):
+        sums = weights.sum(axis=(2, 3), keepdims=True)
+        p = Correlation(np.where(sums > 0, weights / np.where(sums > 0, sums, 1.0), 1.0 / weights[0, 0].size))
+        q = Correlation.from_json(p.to_json())
+        assert q.shape == p.shape and q.table.tobytes() == p.table.tobytes()
 
     def test_header_shape_mismatch_rejected(self, rng):
         p = random_correlation(rng, 2, 2, 2, 2)

@@ -1,5 +1,6 @@
 """Strategies: validation, induced correlations, projectors, substates, serialization."""
 
+import functools
 import json
 import re
 
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from qcorrkit.correlation import distance
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
+    _PIECE,
     InvalidStrategyError,
     Strategy,
     StrategyError,
@@ -19,6 +21,7 @@ from qcorrkit.strategy import (
     haar_unitary,
     induce,
     projected_substate,
+    _split_arrays,
     random_strategy,
     restrict_questions,
     validate,
@@ -168,6 +171,71 @@ MUTATIONS = {
         "-NaN", "+Infinity", "--1", "1e", "1e+", "0x10", "1-2",
     )},
 }
+
+
+@functools.lru_cache(maxsize=None)
+def cut_text() -> str:
+    """A strategy file whose measurement arrays each span four reader pieces."""
+    return random_strategy(np.random.default_rng(3), dA=24, dB=24).to_json()
+
+
+def cut_commas(text: str) -> list[list[int]]:
+    """For each array of ``text``, the positions of the commas the reader cuts it at."""
+    cuts = []
+    for start, end in _split_arrays(text)[1]:
+        cuts.append([])
+        while (comma := text.find(",", start + _PIECE, end)) >= 0:
+            cuts[-1].append(comma)
+            start = comma + 1
+    return cuts
+
+
+def mutate_near(mutate, text: str, comma: int, place: str) -> str:
+    """``text`` with one ``mutate`` edit at ``comma``, or the one just before or after it.
+
+    An edit is placed by the first character it changes, and "at" is the
+    edit closest to the comma.  Edits are made in the whole entries from
+    four commas before to four after, so no pattern matches part of a number.
+    """
+    lo = hi = comma
+    for _ in range(4):
+        lo, hi = text.rfind(",", 0, lo), text.find(",", hi + 1)
+    lo += 1
+    window = text[lo:hi]
+    edits = {}
+    for k in range(len(window)):
+        edited = mutate(window, k)
+        at = next((i for i, (c, e) in enumerate(zip(window, edited)) if c != e), len(window))
+        edits.setdefault(lo + at, edited)
+    at = min(edits, key=lambda i: abs(i - comma))
+    if place == "before":
+        at = max(i for i in edits if i < at)
+    elif place == "after":
+        at = min(i for i in edits if i > at)
+    return text[:lo] + edits[at] + text[hi:]
+
+
+@st.composite
+def cut_strategy_texts(draw):
+    """Strategy JSON with dA = dB = 24 whose measurement arrays span at least three pieces.
+
+    Three entries in four keep their to_json spelling, which keeps those
+    arrays long enough; the rest take spellings from a small drawn pool.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    pool = draw(st.lists(NUMBER_SPELLINGS, min_size=1, max_size=6))
+    layout = draw(st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}]))
+    s = random_strategy(rng, dA=24, dB=24)
+    pairs = [as_pairs(getattr(s, key)) for key in FIELDS]
+    values = np.concatenate([arr.ravel() for arr in pairs])
+    keep = rng.random(values.size) < 0.75
+    picks = rng.integers(len(pool), size=values.size)
+    spellings = [repr(v) if k else pool[i] for v, k, i in zip(values.tolist(), keep, picks)]
+    marks = np.array([f"@{k}@" for k in range(values.size)], dtype=object)
+    parts = np.split(marks, np.cumsum([arr.size for arr in pairs])[:-1])
+    fields = {key: part.reshape(arr.shape).tolist() for key, part, arr in zip(FIELDS, parts, pairs)}
+    text = json.dumps({"dA": 24, "dB": 24, **fields}, **layout)
+    return re.sub(r'"@(\d+)@"', lambda mark: spellings[int(mark[1])], text)
 
 
 def product_deterministic_strategy(m=2, n=2, r=2, s=2):
@@ -520,6 +588,51 @@ class TestSerialization:
         else:
             expected = StrategyError
         with pytest.raises(expected):
+            Strategy.from_json(text)
+
+    @given(cut_strategy_texts())
+    def test_reader_matches_json_oracle_across_cuts(self, text):
+        assert sorted(map(len, cut_commas(text)))[-2] >= 2
+        t = Strategy.from_json(text)
+        for field, want in zip(FIELDS, json_oracle(text)):
+            assert_bitwise(as_pairs(getattr(t, field)), want)
+
+    @pytest.mark.parametrize("place", ["before", "at", "after"])
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_reader_rejects_mutations_at_cuts(self, name, place):
+        cuts = [comma for commas in cut_commas(cut_text()) for comma in commas]
+        comma = cuts[sorted(MUTATIONS).index(name) % len(cuts)]
+        text = mutate_near(MUTATIONS[name], cut_text(), comma, place)
+        try:
+            json.loads(text)
+        except ValueError:
+            expected = ValueError
+        else:
+            expected = StrategyError
+        with pytest.raises(expected):
+            Strategy.from_json(text)
+
+    def test_trailing_comma_on_last_cut_rejected(self):
+        # the piece after the last cut is then empty, which json reads as no
+        # entries: only the count of entries filled refuses it
+        text = cut_text()
+        (start, end), cuts = _split_arrays(text)[1][0], cut_commas(text)[0]
+        last = text.rfind(",", start, end)
+        pad = max(0, max([start - 1] + [c for c in cuts if c < last]) + 1 + _PIECE - last)
+        text = text[:last] + " " * pad + "," + re.sub(_NUMBER, "", text[last + 1 : end]) + text[end:]
+        assert cut_commas(text)[0][-1] == last + pad
+        with pytest.raises(StrategyError):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_float_range_rejected(self, sign):
+        # json + numpy raise OverflowError here; the reader does not read it as inf
+        data = json.loads(base_text())
+        data["alice_meas"][0][1][0][1][0] = "@big@"
+        text = json.dumps(data).replace('"@big@"', sign + "1" + "0" * 400)
+        with pytest.raises(OverflowError):
+            json_oracle(text)
+        with pytest.raises(StrategyError):
             Strategy.from_json(text)
 
     @pytest.mark.parametrize("bad", ["1.5.3", "1e", "1e+", "1e5e5", "1e5.5", "1NaN", "NaN1", "Infinity5", "1.", "01"])
