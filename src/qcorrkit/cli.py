@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import analysis, correlation, seesaw, separating, strategy
 
@@ -115,11 +116,18 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _emit(text: str, out: str | None) -> None:
-    # text + "\n" would copy a 5.5 MB strategy file once more
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, whole or in pieces, and a newline when it does not end in one.
+
+    A strategy file comes in pieces, so no copy of its 5.5 MB text is held.
+    """
+    pieces = [text] if isinstance(text, str) else text
+    last = ""
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as stream:
-        stream.write(text)
-        if not text.endswith("\n"):
+        for piece in pieces:
+            stream.write(piece)
+            last = piece[-1:] or last
+        if last != "\n":
             stream.write("\n")
 
 
@@ -187,7 +195,7 @@ def _cmd_truncate(args) -> int:
     s = separating.ideal_truncated_strategy(
         separating.TruncationSpec(alpha=args.alpha, m=args.m)
     )
-    _emit(s.to_json(), args.out)
+    _emit(strategy._json_chunks(s), args.out)
     return EXIT_OK
 
 

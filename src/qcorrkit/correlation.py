@@ -47,7 +47,11 @@ class CorrelationError(ValueError):
 
 
 def _clean_probabilities(arr: np.ndarray, norm_tol: float, what: str) -> np.ndarray:
-    """Clamp tiny negatives to zero and check per-table normalization."""
+    """Refuse non-finite entries, clamp tiny negatives to zero and check per-table normalization."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(finite)), arr.shape)))
+        raise CorrelationError(f"{what} has non-finite entry {float(arr[idx])!r} at index {idx}")
     if np.any(arr < -NEGATIVE_CLAMP):
         idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
         raise CorrelationError(

@@ -14,7 +14,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +96,8 @@ def _as_measurements(meas, dim: int, side: str) -> np.ndarray:
             f"{side} measurements have shape {meas.shape}, "
             f"expected (questions, answers, {dim}, {dim})"
         )
+    if meas.shape[1] == 0:
+        raise StrategyError(f"{side} questions need at least one answer")
     return meas
 
 
@@ -161,7 +163,8 @@ class Strategy:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte, built without the float tree."""
+        return "".join(_json_chunks(self))
 
     @classmethod
     def from_json(cls, text: str) -> "Strategy":
@@ -193,6 +196,73 @@ class Strategy:
 def _complex_to_pairs(arr: np.ndarray) -> list:
     stacked = np.stack([np.real(arr), np.imag(arr)], axis=-1)
     return stacked.tolist()
+
+
+# what json writes for the floats whose repr it does not use
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK = 1 << 12  # entries the writer takes at once: 32 KiB per float64 temporary
+
+
+def _json_chunks(s: Strategy) -> Iterator[str]:
+    """The text of :meth:`Strategy.to_json` in pieces of at most one row of pairs.
+
+    Keys come in ``sort_keys`` order.  The CLI writes the pieces as they come,
+    so the whole text is never held at once.
+    """
+    yield '{"alice_meas": '
+    yield from _array_chunks(s.alice_meas)
+    yield ', "bob_meas": '
+    yield from _array_chunks(s.bob_meas)
+    yield f', "dA": {json.dumps(s.dA)}, "dB": {json.dumps(s.dB)}, "state": '
+    yield from _array_chunks(s.state)
+    yield "}"
+
+
+def _spellings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """json's spelling of each distinct float64 bit pattern in ``values``, and each entry's index into it.
+
+    Bits, not values, are compared, so that -0.0 keeps its own spelling.
+    """
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(float)
+    spelled = list(map(repr, distinct.tolist()))
+    for k in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        spelled[k] = _JSON_NONFINITE[spelled[k]]
+    return spelled, inverse
+
+
+def _pair_spellings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each distinct [re, im] pair of ``values`` as json spells it, and each entry's index into them."""
+    real, index = _spellings(values.real.reshape(-1))
+    if values.dtype.kind == "f":  # every imaginary part is +0.0
+        return [f"[{x}, 0.0]" for x in real], index
+    imag, index_im = _spellings(values.imag.reshape(-1))
+    codes, index = np.unique(index * len(imag) + index_im, return_inverse=True)
+    which_re, which_im = np.divmod(codes, len(imag))
+    return [f"[{real[a]}, {imag[b]}]" for a, b in zip(which_re.tolist(), which_im.tolist())], index
+
+
+def _array_chunks(arr: np.ndarray) -> Iterator[str]:
+    """``json.dumps(_complex_to_pairs(arr))``, one row of [re, im] pairs per piece.
+
+    Rows are taken about ``_BLOCK`` entries at a time, so every temporary
+    stays small.  Within a block each distinct pair is spelled once, and the
+    rows are joined from those spellings, with the brackets and ", " that
+    ``json`` puts between rows.  Every axis is nonempty, as the constructor
+    requires.
+    """
+    outer, width = arr.shape[:-1], arr.shape[-1]
+    # rows per sub-array at each depth below the top, innermost first
+    spans = np.cumprod(outer[::-1], dtype=int)[:-1].tolist()
+    seps = ["]" * depth + ", " + "[" * depth for depth in range(len(outer))]
+    rows = arr.reshape(-1, width)
+    step = max(1, _BLOCK // width)
+    for start in range(0, len(rows), step):
+        pairs, index = _pair_spellings(rows[start : start + step])
+        for k, row in enumerate(np.array(pairs, dtype=object)[index.reshape(-1, width)], start):
+            lead = seps[sum(k % span == 0 for span in spans)] if k else "[" * len(outer)
+            yield f"{lead}[{', '.join(row)}]"
+    yield "]" * len(outer)
 
 
 # A strategy array holds numbers, brackets, commas and JSON whitespace; its
@@ -321,7 +391,8 @@ class ValidationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((i.residual for i in self.issues), default=0.0)
+        # np.max, unlike max, returns NaN whenever a residual is NaN
+        return float(np.max([i.residual for i in self.issues], initial=0.0))
 
     def summary(self) -> str:
         if self.ok:
@@ -350,32 +421,28 @@ def validate(s: Strategy) -> ValidationReport:
     An empty report means the strategy is valid: unit-norm state, Hermitian
     idempotent measurement elements, per-question completeness, and mutual
     orthogonality of elements belonging to the same question, at
-    ``STATE_NORM_TOL`` and ``PROJECTOR_TOL``.
+    ``STATE_NORM_TOL`` and ``PROJECTOR_TOL``.  A residual that is not
+    ``<=`` its tolerance is an issue, so a NaN residual is one.
     """
     issues: list[ValidationIssue] = []
-    norm_residual = abs(float(np.linalg.norm(s.state)) - 1.0)
-    if norm_residual > STATE_NORM_TOL:
-        issues.append(ValidationIssue("state_norm", None, None, None, norm_residual))
 
+    def check(kind, side, x, answers, residual, tol=PROJECTOR_TOL):
+        if not residual <= tol:
+            issues.append(ValidationIssue(kind, side, x, answers, residual))
+
+    check("state_norm", None, None, None, abs(float(np.linalg.norm(s.state)) - 1.0), STATE_NORM_TOL)
     for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
         eye = np.eye(meas.shape[-1])
         # products element by element: the stacked forms (a transpose over the
         # stack, fancy-indexed pairs) copy more and measured slower at D = 256
         for x, elements in enumerate(meas):
             for a, proj in enumerate(elements):
-                herm = float(np.linalg.norm(proj - proj.conj().T))
-                if herm > PROJECTOR_TOL:
-                    issues.append(ValidationIssue("hermitian", side, x, (a,), herm))
-                idem = float(np.linalg.norm(proj @ proj - proj))
-                if idem > PROJECTOR_TOL:
-                    issues.append(ValidationIssue("idempotent", side, x, (a,), idem))
-            comp = float(np.linalg.norm(elements.sum(axis=0) - eye))
-            if comp > PROJECTOR_TOL:
-                issues.append(ValidationIssue("completeness", side, x, None, comp))
+                check("hermitian", side, x, (a,), float(np.linalg.norm(proj - proj.conj().T)))
+                check("idempotent", side, x, (a,), float(np.linalg.norm(proj @ proj - proj)))
+            check("completeness", side, x, None, float(np.linalg.norm(elements.sum(axis=0) - eye)))
             for a, a2 in itertools.combinations(range(len(elements)), 2):
                 ortho = float(np.linalg.norm(elements[a] @ elements[a2]))
-                if ortho > PROJECTOR_TOL:
-                    issues.append(ValidationIssue("orthogonality", side, x, (a, a2), ortho))
+                check("orthogonality", side, x, (a, a2), ortho)
     return ValidationReport(tuple(issues))
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -298,6 +299,40 @@ class TestStrategyFiles:
             pairs[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
         assert out == json.dumps({"dA": 16, "dB": 16, **pairs}, sort_keys=True) + "\n"
 
+    # sha256 of `truncate --alpha 0.95 --m 64` as json.dumps(s.to_dict(), sort_keys=True) writes it
+    M64_SHA256 = "6a715155e114ed1a74cc100bb6979fcb92e03f86879dfc86b12a921300f8835a"
+
+    def test_truncate_m64_bytes_pinned(self, capsys, tmp_path):
+        argv = ["truncate", "--alpha", "0.95", "--m", "64"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.M64_SHA256
+        path = tmp_path / "strategy.json"
+        code, out, _ = run_capture(capsys, argv + ["--out", str(path)])
+        assert code == 0 and out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.M64_SHA256
+
+    @pytest.mark.parametrize("command", ["verify", "induce"])
+    @pytest.mark.parametrize("damage", ["NaN state", "NaN projector entries"])
+    def test_nan_strategy_refused(self, capsys, tmp_path, command, damage):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        state, alice = s.state, s.alice_meas
+        if damage == "NaN state":
+            state = np.full(state.shape, np.nan)
+        else:
+            alice = np.where(alice == 1.0, np.nan, alice)
+        path = tmp_path / "strategy.json"
+        path.write_text(Strategy(s.dA, s.dB, state, alice, s.bob_meas).to_json())
+        code, out, err = run_capture(capsys, [command, "--strategy", str(path)])
+        if command == "verify":
+            assert code == 2
+            assert json.loads(out)["passed"] is False
+            assert err.startswith("strategy invalid: ")
+        else:
+            assert code == 1
+            assert err.startswith("error: invalid strategy") and "Traceback" not in err
+            assert out == ""
+
     @pytest.mark.parametrize("damage", ["truncated", "ragged", "not JSON"])
     @pytest.mark.parametrize("command", ["induce", "schmidt", "verify"])
     def test_malformed_file_exits_1(self, capsys, tmp_path, command, damage):
@@ -330,6 +365,15 @@ class TestStrategyFiles:
 
 class TestCorrelationFiles:
     HEADER = '"m": 1, "n": 1, "r": 1, "s": 1'
+
+    def test_nan_table_exits_1(self, capsys, tmp_path):
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        ok.write_text('{"m": 1, "n": 1, "r": 1, "s": 2, "table": [[[[0.5, 0.5]]]]}')
+        bad.write_text('{"m": 1, "n": 1, "r": 1, "s": 2, "table": [[[[NaN, NaN]]]]}')
+        code, out, err = run_capture(capsys, ["distance", "--p", str(bad), "--q", str(ok)])
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "text",

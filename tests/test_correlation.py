@@ -42,6 +42,15 @@ class TestConstruction:
         with pytest.raises(CorrelationError, match="negative"):
             Correlation(table)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        table = np.full((1, 1, 2, 2), 0.25)
+        table[0, 0, 1, 0] = bad
+        with pytest.raises(CorrelationError, match=r"non-finite entry .* at index \(0, 0, 1, 0\)"):
+            Correlation(table)
+        with pytest.raises(CorrelationError, match="non-finite"):
+            Correlation([[[[float("nan"), float("nan")]]]])
+
     def test_rejects_unnormalized(self):
         table = np.full((1, 1, 2, 2), 0.3)
         with pytest.raises(CorrelationError, match="normalized"):

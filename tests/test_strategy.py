@@ -272,6 +272,13 @@ class TestConstruction:
         with pytest.raises(StrategyError, match="at least one question"):
             Strategy(2, 2, [1, 0, 0, 0], [], [[np.eye(2)]])
 
+    def test_question_without_answers_rejected(self):
+        # its file would hold "alice_meas": [[]], which from_json cannot read back
+        with pytest.raises(StrategyError, match="alice questions need at least one answer"):
+            Strategy(2, 2, np.ones(4) / 2, np.zeros((1, 0, 2, 2)), np.zeros((1, 1, 2, 2)))
+        with pytest.raises(StrategyError, match="bob questions need at least one answer"):
+            Strategy(2, 2, np.ones(4) / 2, np.zeros((1, 1, 2, 2)), np.zeros((2, 0, 2, 2)))
+
     def test_writeable_input_copied_not_frozen(self, rng):
         s = random_strategy(rng, dA=2, dB=2)
         alice = np.array(s.alice_meas)
@@ -344,6 +351,20 @@ class TestValidate:
         meas = [[proj, proj + np.array([[0, 0], [0, 1]], complex)]]
         report = validate(Strategy(2, 2, [1, 0, 0, 0], meas * 1, meas * 1))
         assert "orthogonality" in {i.kind for i in report.issues}
+
+    def test_nan_state_flagged(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        report = validate(Strategy(s.dA, s.dB, np.full(s.state.shape, np.nan), s.alice_meas, s.bob_meas))
+        assert [i.kind for i in report.issues] == ["state_norm"]
+        assert not report.ok and np.isnan(report.max_residual)
+
+    def test_nan_projector_entries_flagged(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        alice = np.where(s.alice_meas == 1.0, np.nan, s.alice_meas)
+        report = validate(Strategy(s.dA, s.dB, s.state, alice, s.bob_meas))
+        assert not report.ok and np.isnan(report.max_residual)
+        assert {i.side for i in report.issues} == {"A"}
+        assert {"hermitian", "idempotent", "completeness"} <= {i.kind for i in report.issues}
 
     def test_random_strategies_valid(self, rng):
         for _ in range(20):
@@ -558,6 +579,33 @@ class TestSerialization:
         for field in FIELDS:
             # NaN payloads are not in the text; every other value comes back bitwise
             assert_bitwise(getattr(t, field), getattr(s, field), nan_bits=False)
+
+    @given(st.data())
+    def test_writer_matches_json_dumps_on_real_and_complex(self, data):
+        def entries(shape, real):
+            part = st.one_of(
+                st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 0.1]),
+                st.floats(width=64),
+            )
+            out = np.empty(shape, dtype=float if real else complex)
+            out.real = data.draw(arrays(np.float64, shape, elements=part))
+            if not real:
+                out.imag = data.draw(arrays(np.float64, shape, elements=part))
+            return out
+
+        dA, dB, m, n, r, s = (data.draw(st.integers(1, 3)) for _ in range(6))
+        real = data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        strat = Strategy(dA, dB, entries((dA * dB,), real[0]),
+                         entries((m, r, dA, dA), real[1]), entries((n, s, dB, dB), real[2]))
+        assert strat.to_json() == json.dumps(strat.to_dict(), sort_keys=True)
+
+    def test_writer_matches_json_dumps_across_blocks(self, rng):
+        # 70-entry rows: the writer's blocks of rows end inside elements and questions
+        s = random_strategy(rng, dA=70, dB=3, m=2, n=2, r=2, s=2)
+        alice = np.array(s.alice_meas)
+        alice[0, 1, 5:9, 3] = [-0.0, np.nan, np.inf, 5e-324]
+        t = Strategy(s.dA, s.dB, s.state, alice, s.bob_meas)
+        assert t.to_json() == json.dumps(t.to_dict(), sort_keys=True)
 
     @given(strategy_texts())
     def test_reader_matches_json_oracle(self, text):
