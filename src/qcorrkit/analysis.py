@@ -49,11 +49,9 @@ __all__ = [
     "certify_truncation",
     "multiset_equal",
     "multiset_subtract",
-    "ZERO_CUTOFF",
     "MULTISET_REL_TOL",
 ]
 
-ZERO_CUTOFF = 1e-9
 MULTISET_REL_TOL = 1e-8
 
 
@@ -69,14 +67,14 @@ class BlockDecompositionError(AnalysisError):
 class SchmidtSpectrum:
     """Nonzero Schmidt coefficients in descending order.
 
-    Coefficients at or below ``zero_cutoff`` are discarded before
-    construction; the stored values are strictly positive, sorted descending,
-    and their squares sum to at most 1 (subnormalized spectra come from
-    projected, unnormalized vectors).
+    ``cutoff`` records the value the coefficients were cut at: singular values
+    at or below it were discarded.  The stored values are strictly positive,
+    sorted descending, and their squares sum to at most 1 (subnormalized
+    spectra come from projected, unnormalized vectors).
     """
 
     coefficients: tuple[float, ...]
-    zero_cutoff: float = ZERO_CUTOFF
+    cutoff: float = 0.0
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -105,27 +103,35 @@ class SchmidtResult:
     spectrum: SchmidtSpectrum
 
 
-def _svd_spectrum(mat: np.ndarray, zero_cutoff: float) -> np.ndarray:
-    # values only: no certificate reads the Schmidt vectors
-    sing = np.linalg.svd(mat, compute_uv=False)
-    return sing[sing > zero_cutoff]
+def _svd_spectrum(mat: np.ndarray, cutoff: float | None = None) -> SchmidtSpectrum:
+    """Singular values of ``mat`` above ``cutoff``, by default numpy ``matrix_rank``'s
+    tolerance sigma_max * max(shape) * eps: what the SVD itself resolves."""
+    sing = np.linalg.svd(mat, compute_uv=False)  # values only: nothing reads the vectors
+    if cutoff is None:
+        cutoff = float(sing.max(initial=0.0)) * max(mat.shape) * np.finfo(float).eps
+    return SchmidtSpectrum(tuple(sing[sing > cutoff].tolist()), cutoff)
 
 
-def schmidt(
-    state: np.ndarray, dA: int, dB: int, zero_cutoff: float = ZERO_CUTOFF
-) -> SchmidtResult:
+def _clipped(spectrum: SchmidtSpectrum, dim: int) -> str | None:
+    """Why ``spectrum`` cannot stand for a truncation's D = ``dim`` coefficients, or None."""
+    if len(spectrum) < dim:
+        return (f"the state spectrum holds {len(spectrum)} of D = {dim} coefficients "
+                f"above its cutoff {spectrum.cutoff:.3e}")
+    return None
+
+
+def schmidt(state: np.ndarray, dA: int, dB: int) -> SchmidtResult:
     """Schmidt decomposition of a normalized bipartite vector.
 
-    Singular values below ``zero_cutoff`` are dropped; the discarded square
-    mass is at most min(dA, dB) * zero_cutoff^2.
+    Singular values at or below sigma_max * max(dA, dB) * eps, which the SVD
+    does not resolve, are dropped; the spectrum records that cutoff.
     """
     vec = np.asarray(state).reshape(-1)
     if vec.size != dA * dB:
         raise AnalysisError(f"vector length {vec.size} != dA*dB = {dA * dB}")
     if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
         raise AnalysisError("schmidt expects a unit-norm state")
-    sing = _svd_spectrum(vec.reshape(dA, dB), zero_cutoff)
-    return SchmidtResult(spectrum=SchmidtSpectrum(tuple(sing.tolist()), zero_cutoff))
+    return SchmidtResult(spectrum=_svd_spectrum(vec.reshape(dA, dB)))
 
 
 def multiset_equal(
@@ -200,10 +206,10 @@ def strategy_block_decompose(
     for the same partitions.  For each block the summed answer projector must
     act on the state identically for every question on either side; that
     common image is the block sub-state, its squared norm the block weight.
-    The block subspaces are spanned by the nontrivial eigenvectors of the
-    reduced densities (eigenvalue cutoff tol^2); restricted measurement
-    elements must stay projections and the normalized restricted strategy
-    must induce the block's sub-correlation.
+    The block subspaces are spanned by the eigenvectors of the reduced
+    densities that ``eigh`` resolves; restricted measurement elements must
+    stay projections and the normalized restricted strategy must induce the
+    block's sub-correlation.
     """
     spec = BlockSpec(tuple(tuple(c) for c in alice_partition), tuple(tuple(c) for c in bob_partition))
     p = induce(s)
@@ -325,11 +331,13 @@ def _restrict_side(
     """Block subspace of one side and that side's ``answers`` compressed onto it.
 
     The subspace is spanned by the eigenvectors of the reduced density ``rho``
-    above tol^2.  Works one question at a time; every compressed element must
-    stay a projection, and its leakage out of the subspace is recorded.
+    above lambda_max * n * eps, the resolution of ``eigh``.  Works one
+    question at a time; every compressed element must stay a projection, and
+    its leakage out of the subspace is recorded.
     """
     evals, evecs = np.linalg.eigh(rho)
-    basis = evecs[:, evals > tol * tol]
+    threshold = float(evals.max(initial=0.0)) * len(rho) * np.finfo(float).eps
+    basis = evecs[:, evals > threshold]
     answers = list(answers)
     out = np.empty((len(meas), len(answers), basis.shape[1], basis.shape[1]),
                    dtype=np.result_type(basis, meas))
@@ -347,7 +355,8 @@ def _restrict_side(
             q, a = ("x", "a") if side == "A" else ("y", "b")
             raise BlockDecompositionError(
                 f"restricted element ({side}, {q}={x}, {a}={answers[k]}) of block {block} "
-                f"is not a projection: residual {idem[k]:.3e}"
+                f"is not a projection: residual {idem[k]:.3e} (kept rank {basis.shape[1]} "
+                f"of {len(rho)}, eigenvalues above {threshold:.3e})"
             )
     return basis, _frozen(out)
 
@@ -459,10 +468,8 @@ def _partition(
             f"the Schmidt split is not licensed"
         )
     vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
-    cutoff = spec_s.zero_cutoff
-    s0 = SchmidtSpectrum(tuple(_svd_spectrum(vec0, cutoff)), cutoff)
-    s1 = SchmidtSpectrum(tuple(_svd_spectrum(vec1, cutoff)), cutoff)
-    s2 = SchmidtSpectrum(tuple(_svd_spectrum(vec2, cutoff)), cutoff)
+    # pieces of the same vector: cut where the state spectrum was cut
+    s0, s1, s2 = (_svd_spectrum(v, spec_s.cutoff) for v in (vec0, vec1, vec2))
 
     merged = sorted(list(s0) + list(s1), reverse=True)
     if not multiset_equal(spec_s.as_list(), merged, tol):
@@ -580,11 +587,21 @@ def _max_pair_deviation(a: Sequence[float], b: Sequence[float]) -> float:
 def verify_schmidt_bijections(
     s: Strategy, alpha: float, tol: float = 1e-9
 ) -> BijectionReport:
-    """Check the alpha-scaling correspondences on the partitioned spectrum."""
-    return _bijections(schmidt_partition(s, tol), alpha, tol)
+    """Check the alpha-scaling correspondences on the partitioned spectrum;
+    a spectrum clipped below the ``s.dA`` coefficients raises, naming its cutoff."""
+    y4, vec0, vec1 = _y4_relations(s, tol)
+    return _bijections(s, y4, vec0, vec1, schmidt(s.state, s.dA, s.dB).spectrum, alpha, tol)
 
 
-def _bijections(part: SchmidtPartition, alpha: float, tol: float) -> BijectionReport:
+def _bijections(
+    s: Strategy, y4: Y4Report, vec0: np.ndarray, vec1: np.ndarray,
+    spectrum: SchmidtSpectrum, alpha: float, tol: float,
+) -> BijectionReport:
+    """:func:`verify_schmidt_bijections` from a question-4 pass and the state spectrum."""
+    clipped = _clipped(spectrum, s.dA)
+    if clipped is not None:
+        raise AnalysisError(clipped)
+    part = _partition(s, y4, vec0, vec1, spectrum, tol)
     dev_first = _max_pair_deviation(part.s1.as_list(), [alpha * c for c in part.s0])
 
     boundary = min(part.s1) if len(part.s1) else float("nan")
@@ -611,7 +628,8 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     table, one block decomposition of the shifted-pair questions, one
     question-4 pass (its residuals give the relation row at ``tol``, its
     double projections the Schmidt split at 1e-9), and one state spectrum,
-    shared by the split and the descent chain.
+    shared by the split and the descent chain; if it holds fewer than D
+    coefficients, their rows fail and name the count and the cutoff.
     """
     dim = s.dA
     tail = alpha ** (2 * dim)
@@ -664,12 +682,13 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
 
     spectrum = schmidt(s.state, s.dA, s.dB).spectrum
     try:
-        bij = _bijections(_partition(s, y4, vec0, vec1, spectrum, 1e-9), alpha, 1e-9)
+        bij = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
         record("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9)
         record("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0)
     except AnalysisError as exc:
         record("schmidt_partition", float("inf"), 1e-9, str(exc))
 
     chains = descent_chain(spectrum, alpha)
-    record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0)
+    record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0,
+           _clipped(spectrum, dim))
     return rows

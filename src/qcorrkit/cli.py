@@ -5,7 +5,8 @@ float formatting); ``tables``, ``induce``, ``schmidt`` and ``chain`` also
 write CSV with ``--format csv``, the default for ``chain``.  ``--out``
 writes to a file instead.  Exit codes: 0 success, 1 usage error, 2
 verification failure (the failing residual, and its reason where one is
-known, is named on stderr).
+known, is named on stderr).  ``schmidt`` prints the cutoff its SVD resolves;
+``chain`` exits 2 naming it rather than print a length it clipped.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("schmidt", help="Schmidt spectrum of a strategy's state")
     common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None)
-    p.add_argument("--cutoff", type=float, default=analysis.ZERO_CUTOFF)
 
     p = sub.add_parser("blocks", help="block decomposition of the truncated strategy")
     common(p)
@@ -135,8 +135,7 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -173,11 +172,7 @@ def _cmd_tables(args) -> int:
         corr = separating.exact_pstar(args.alpha)
         entries = corr.table[x, y]
     if args.format == "csv":
-        rows = [
-            [a, b, repr(float(entries[a, b]))]
-            for a in range(entries.shape[0])
-            for b in range(entries.shape[1])
-        ]
+        rows = [[a, b, repr(float(p))] for a, row in enumerate(entries) for b, p in enumerate(row)]
         _emit(_csv_rows(["a", "b", "p"], rows), args.out)
     else:
         payload = {
@@ -230,13 +225,13 @@ def _cmd_distance(args) -> int:
 
 def _cmd_schmidt(args) -> int:
     s = _strategy_from_args(args)
-    result = analysis.schmidt(s.state, s.dA, s.dB, zero_cutoff=args.cutoff)
-    coeffs = result.spectrum.as_list()
+    spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
+    coeffs = spectrum.as_list()
     if args.format == "csv":
         rows = [[i, repr(float(c))] for i, c in enumerate(coeffs)]
         _emit(_csv_rows(["index", "coefficient"], rows), args.out)
     else:
-        _emit(_dump_json({"coefficients": coeffs, "cutoff": args.cutoff}), args.out)
+        _emit(_dump_json({"coefficients": coeffs, "cutoff": spectrum.cutoff}), args.out)
     return EXIT_OK
 
 
@@ -286,6 +281,10 @@ def _cmd_chain(args) -> int:
             separating.TruncationSpec(alpha=args.alpha, m=m)
         )
         spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
+        clipped = analysis._clipped(spectrum, s.dA)
+        if clipped is not None:
+            sys.stderr.write(f"chain failed at m={m}: {clipped}\n")
+            return EXIT_VERIFY
         chains = analysis.descent_chain(spectrum, args.alpha, rel_tol=args.rel_tol)
         rows.append((m, chains.max_length))
     if args.format == "json":

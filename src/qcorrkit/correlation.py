@@ -53,10 +53,8 @@ def _clean_probabilities(arr: np.ndarray, norm_tol: float, what: str) -> np.ndar
         idx = tuple(map(int, np.unravel_index(int(np.argmin(finite)), arr.shape)))
         raise CorrelationError(f"{what} has non-finite entry {float(arr[idx])!r} at index {idx}")
     if np.any(arr < -NEGATIVE_CLAMP):
-        idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
-        raise CorrelationError(
-            f"{what} has negative entry {arr[idx]:.3e} at index {idx}"
-        )
+        idx = tuple(map(int, np.unravel_index(int(np.argmin(arr)), arr.shape)))
+        raise CorrelationError(f"{what} has negative entry {arr[idx]:.3e} at index {idx}")
     arr = np.where(arr < 0.0, 0.0, arr)
     sums = arr.sum(axis=(-2, -1))
     worst = float(np.max(np.abs(sums - 1.0)))
@@ -146,11 +144,8 @@ class Correlation:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "y", "a", "b", "p"])
-        for x in range(self.m):
-            for y in range(self.n):
-                for a in range(self.r):
-                    for b in range(self.s):
-                        writer.writerow([x, y, a, b, repr(float(self.table[x, y, a, b]))])
+        for index, value in np.ndenumerate(self.table):
+            writer.writerow([*index, repr(float(value))])
         return buf.getvalue()
 
 
@@ -254,13 +249,9 @@ def direct_sum(blocks: Sequence[tuple[float, Correlation]]) -> Correlation:
 
 @dataclass(frozen=True)
 class BlockCheckFailure:
-    """Identifies the first entry or weight that breaks the block structure."""
+    """The first entry or weight that breaks the block structure, named in ``detail``."""
 
     kind: str  # "cross_block_mass" | "weight_variation"
-    x: int
-    y: int
-    a: int | None
-    b: int | None
     value: float
     detail: str
 
@@ -295,10 +286,6 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
                 x, y, ia, ib = np.unravel_index(int(np.argmax(sub)), sub.shape)
                 fail = BlockCheckFailure(
                     kind="cross_block_mass",
-                    x=int(x),
-                    y=int(y),
-                    a=a_cls[ia],
-                    b=b_cls[ib],
                     value=worst,
                     detail=(
                         f"cross-block entry p({a_cls[ia]},{b_cls[ib]}|{x},{y}) = "
@@ -318,10 +305,6 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
         i, x, y = np.unravel_index(int(np.argmax(dev)), dev.shape)
         fail = BlockCheckFailure(
             kind="weight_variation",
-            x=int(x),
-            y=int(y),
-            a=None,
-            b=None,
             value=float(masses[i, x, y]),
             detail=(
                 f"block {i} weight {masses[i, x, y]!r} at questions ({x},{y}) "

@@ -225,10 +225,7 @@ def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
         entries[:2, :2] = chsh
     elif x in (2, 3) and y in (2, 3):
         chsh = ideal_table(params, x % 2, y % 2).entries
-        w1 = (c - 1.0) / c
-        for a in range(2):
-            for b in range(2):
-                entries[a, b] = w1 * chsh[1 - a, 1 - b]
+        entries[:2, :2] = (c - 1.0) / c * chsh[::-1, ::-1]
         entries[2, 2] = 1.0 / c
     elif (x, y) == (0, 4):
         entries[0, 0] = (1.0 / c) / (1.0 - alpha**4)

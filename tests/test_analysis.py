@@ -296,6 +296,37 @@ class TestBijections:
         assert not report.ok_first and not report.ok_second and not report.ok
         assert report.max_pair_deviation == pytest.approx(1e-6, rel=1e-3)
 
+    def test_clipped_spectrum_raises_naming_the_cutoff(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=32))
+        with pytest.raises(AnalysisError, match=r"holds \d+ of D = 64 coefficients above its cutoff"):
+            verify_schmidt_bijections(s, 0.5, tol=1e-9)
+
+
+SPECTRUM_ROWS = ("schmidt_partition_bijections", "schmidt_point_block_single", "descent_chain_length")
+
+
+class TestDerivedCutoff:
+    def test_cutoff_is_the_svd_resolution(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=16))
+        spectrum = schmidt(s.state, s.dA, s.dB).spectrum
+        assert len(spectrum) == 32
+        assert spectrum.cutoff == spectrum.coefficients[0] * 32 * np.finfo(float).eps
+        assert descent_chain(spectrum, 0.5).max_length == 32
+
+    @given(st.floats(0.05, 0.95), st.integers(2, 40))
+    def test_spectrum_rows_certify_2m_or_name_the_cutoff(self, alpha, m):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m))
+        held = len(schmidt(s.state, s.dA, s.dB).spectrum)
+        rows = {r["name"]: r for r in certify_truncation(s, alpha, 1e-12)}
+        chain = rows["descent_chain_length"]
+        if held == 2 * m:
+            assert chain["pass"] and chain["residual"] == 0.0
+            assert all(rows[name]["pass"] for name in SPECTRUM_ROWS)
+        else:
+            assert not any(rows.get(name, {"pass": False})["pass"] for name in SPECTRUM_ROWS)
+            for name in ("schmidt_partition", "descent_chain_length"):
+                assert f"holds {held} of D = {2 * m} coefficients above its cutoff" in rows[name]["detail"]
+
 
 class TestDescentChain:
     def test_small_cut_single_chain(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestTables:
         lines = out.strip().split("\n")
         assert lines[0] == "a,b,p"
         assert len(lines) == 10
+
+    # sha256 of `tables --alpha 0.95 --format csv`, the full exact table as CSV
+    CSV_SHA256 = "b4d7c50e8f6c4d3308c87d4e72cdf6f024893788e2bc7735026ec29900eaaea1"
+
+    def test_full_csv_bytes_pinned(self, capsys):
+        code, out, _ = run_capture(capsys, ["tables", "--alpha", "0.95", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CSV_SHA256
 
     @pytest.mark.parametrize("source", ["printed", "exact"])
     @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (9, 0), (0, 5)])
@@ -105,6 +114,17 @@ class TestStrategyPipeline:
         assert len(coeffs) == 4
         assert coeffs[0] == pytest.approx(0.8677218312746246, abs=1e-12)
 
+    def test_schmidt_cutoff_is_derived_not_set(self, capsys):
+        code, out, _ = run_capture(capsys, ["schmidt", "--alpha", "0.5", "--m", "16"])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["coefficients"]) == 32
+        # numpy matrix_rank's tolerance on the 32 x 32 state matrix
+        assert payload["cutoff"] == payload["coefficients"][0] * 32 * np.finfo(float).eps
+        code, out, err = run_capture(capsys, ["schmidt", "--cutoff", "1e-9"])
+        assert code == 1
+        assert err.startswith("usage error: ") and "--cutoff" in err and out == ""
+
 
 class TestVerifiers:
     def test_y4_passes_on_reference(self, capsys):
@@ -126,6 +146,35 @@ class TestVerifiers:
         lines = out.strip().split("\n")
         assert lines[0] == "m,max_chain_length"
         assert lines[1:] == ["2,4", "3,6", "4,8", "5,10", "6,12"]
+
+    def test_chain_grows_past_the_old_fixed_cutoff(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["chain", "--alpha", "0.5", "--m-min", "15", "--m-max", "17"]
+        )
+        assert code == 0
+        assert out.strip().split("\n")[1:] == ["15,30", "16,32", "17,34"]
+
+    def test_chain_refuses_a_clipped_spectrum(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["chain", "--alpha", "0.5", "--m-min", "32", "--m-max", "32"]
+        )
+        assert code == 2 and out == ""
+        assert "m=32" in err and "of D = 64 coefficients above its cutoff" in err
+
+    @pytest.mark.parametrize("alpha, m", [(0.5, 16), (0.05, 4)])
+    def test_verify_passes_where_the_old_cutoff_failed(self, capsys, alpha, m):
+        code, out, err = run_capture(capsys, ["verify", "--alpha", str(alpha), "--m", str(m)])
+        assert code == 0 and err == ""
+        assert json.loads(out)["passed"] is True
+
+    def test_verify_names_the_rank_threshold(self, capsys):
+        code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "32"])
+        assert code == 2
+        assert "block_decomposition" in err and "not a projection" in err
+        assert re.search(r"kept rank \d+ of 64, eigenvalues above \d\.\d{3}e-\d+", err)
+        rows = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("schmidt_partition", "descent_chain_length"):
+            assert not rows[name]["pass"] and "above its cutoff" in rows[name]["detail"]
 
     def test_verify_reference_passes(self, capsys):
         code, out, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])

@@ -39,7 +39,7 @@ class TestConstruction:
     def test_rejects_genuine_negative(self):
         table = np.zeros((1, 1, 2, 2))
         table[0, 0] = [[1.001, -1e-3], [0.0, 0.0]]
-        with pytest.raises(CorrelationError, match="negative"):
+        with pytest.raises(CorrelationError, match=r"negative entry .* at index \(0, 0, 0, 1\)$"):
             Correlation(table)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
