@@ -1,12 +1,13 @@
 """Command-line surface: generators, verifiers, and the see-saw optimizer.
 
 Subcommands emit JSON on stdout (canonical key order, shortest round-trip
-float formatting); ``tables``, ``induce``, ``schmidt`` and ``chain`` also
-write CSV with ``--format csv``, the default for ``chain``.  ``--out``
-writes to a file instead.  Exit codes: 0 success, 1 usage error, 2
-verification failure (the failing residual, and its reason where one is
-known, is named on stderr).  ``schmidt`` prints the cutoff its SVD resolves;
-``chain`` exits 2 naming it rather than print a length it clipped.
+float formatting, null for a non-finite number); ``tables``, ``induce``,
+``schmidt`` and ``chain`` also write CSV with ``--format csv``, the default
+for ``chain``.  ``--out`` writes to a file instead.  Exit codes: 0 success,
+1 usage error, 2 verification failure (the failing residual, and its reason
+where one is known, is named on stderr).  ``schmidt`` prints the cutoff its
+SVD resolves; ``chain`` exits 2 naming it rather than print a length it
+clipped.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -112,8 +114,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float (a failed check's residual) as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    # strict JSON: NaN and inf are not numbers there, so they are written as null
+    return json.dumps(_finite(obj), sort_keys=True, allow_nan=False)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:

@@ -10,8 +10,10 @@ atoms) and differ only in their linear-minimization oracle and atoms:
 * state block: atoms are pure states, and the oracle returns the smallest
   eigenvector of the gradient, formed as sum_xa A_x^a (x) C_xa by matmuls;
 * measurement block: atoms are whole POVMs of one question, and the oracle
-  returns a projective measurement that assigns, eigen-direction by
-  eigen-direction of the gradient, full weight to the minimizing outcome.
+  returns a projective measurement: the best Helstrom split of one outcome
+  pair, polished by two-outcome exchanges.  It is exact over projective
+  measurements when min(r, d) <= 2 and over all POVMs when r = 2; beyond
+  that no optimality gap is certified.
 
 Exact line search keeps the objective non-increasing across every step.
 Results are heuristic upper bounds on the true infimum; no optimality
@@ -241,35 +243,41 @@ def _state_block(
 def _povm_vertex(grads: np.ndarray) -> np.ndarray:
     """Linear subproblem over POVMs, for a (batch, r, d, d) stack of gradients.
 
-    Builds an orthonormal basis greedily (eigen-direction by eigen-direction
-    of the gradient blocks, each given full weight on its minimizing
-    outcome), then polishes the assignment with exact two-outcome exchanges:
-    on the span owned by an outcome pair, the optimal split is the negative /
-    nonnegative eigenspace split of the gradient difference.  A row stops
-    after the first sweep that moves no rank, and every row after two.
+    Starts from the best two-outcome split: for outcomes a < b, Helstrom's
+    E_a = negative eigenspace of G_a - G_b and E_b = I - E_a minimize
+    tr(G_a E_a + G_b E_b) over all two-outcome POVMs, at value tr G_b plus
+    the negative eigenvalues of G_a - G_b.  A projective measurement with
+    min(r, d) <= 2 has at most two nonzero outcomes, so there this start is
+    the exact projective optimum, and for r = 2 the exact optimum over all
+    POVMs; it is returned as it is.  Otherwise the start is polished with
+    exact two-outcome exchanges on the span each outcome pair owns.  A row
+    stops after the first sweep that moves no rank, and every row after two.
     """
     num, r, dim = grads.shape[:3]
-    rows, eye = np.arange(num), np.eye(dim)
-    basis, restricted = np.broadcast_to(eye.astype(complex), (num, dim, dim)), grads
-    cols, owner = np.empty((num, dim, dim), dtype=complex), np.empty((num, dim), dtype=int)
-    for i in range(dim):
-        evals, evecs = np.linalg.eigh(_hermitize(restricted))
-        owner[:, i] = np.argmin(evals[:, :, 0], axis=1)
-        chosen = basis @ evecs[rows, owner[:, i]]
-        cols[:, :, i], basis = chosen[:, :, 0], chosen[:, :, 1:]
-        restricted = basis.conj().swapaxes(1, 2)[:, None] @ grads @ basis[:, None]
-    owned = owner[:, None, :] == np.arange(r)[:, None]
-    elems = (cols[:, None] * owned[:, :, None]) @ cols.conj().swapaxes(1, 2)[:, None]
+    eye = np.eye(dim)
+    if r == 1:
+        return np.broadcast_to(eye, grads.shape).astype(complex, order="C")
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    first, second = (np.array(idx) for idx in zip(*pairs))
+    diffs = grads[:, first] - grads[:, second]
+    evals, evecs = np.linalg.eigh(diffs)
+    values = np.trace(grads, axis1=2, axis2=3).real[:, second] + np.minimum(evals, 0.0).sum(2)
+    best, rows = np.argmin(values, axis=1), np.arange(num)
+    vecs, neg = evecs[rows, best], evals[rows, best] < 0.0
+    low = (vecs * neg[:, None]) @ vecs.conj().swapaxes(1, 2)
+    elems = np.zeros(grads.shape, dtype=complex)
+    elems[rows, first[best]], elems[rows, second[best]] = low, eye - low
+    if min(r, dim) <= 2:
+        return elems
 
-    diffs = {(a, b): grads[:, a] - grads[:, b] for a in range(r) for b in range(a + 1, r)}
     # H = P diff P + c (I - P) with c > ||diff||: its negative eigenspace lies in span P
-    shifts = {k: 1.0 + np.linalg.norm(v, axis=(1, 2))[:, None, None] for k, v in diffs.items()}
+    shifts = 1.0 + np.linalg.norm(diffs, axis=(2, 3))[:, :, None, None]
     todo = np.ones(num, dtype=bool)
     for _ in range(2):
         improved = np.zeros(num, dtype=bool)
-        for (a, b), diff in diffs.items():
-            span = elems[:, a] + elems[:, b]
-            evals, evecs = np.linalg.eigh(span @ diff @ span + shifts[a, b] * (eye - span))
+        for k, (a, b) in enumerate(pairs):
+            diff, span = diffs[:, k], elems[:, a] + elems[:, b]
+            evals, evecs = np.linalg.eigh(span @ diff @ span + shifts[:, k] * (eye - span))
             neg = evals < 0.0
             low = (evecs * neg[:, None]) @ evecs.conj().swapaxes(1, 2)
             rank = np.rint(np.trace(elems[:, a], axis1=1, axis2=2).real)

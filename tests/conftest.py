@@ -34,12 +34,37 @@ def kron_induce(s: Strategy) -> np.ndarray:
 
 
 def povm_vertex_reference(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    """Per-question POVM oracle for (r, d, d) Hermitian gradients, column by column.
+    """Per-question POVM oracle for (r, d, d) Hermitian gradients, pair by pair.
 
-    The see-saw's first vertex oracle, kept as the reference for the batched
-    one: a greedy orthonormal basis (each eigen-direction given full weight on
-    its minimizing outcome), then exact two-outcome exchanges on the span each
-    outcome pair owns, until a sweep moves no column.
+    The reference for the batched oracle: the best Helstrom split over outcome
+    pairs (E_a the negative eigenspace of G_a - G_b, E_b its complement),
+    returned as it is when min(r, d) <= 2, else polished by exchanges.
+    """
+    num_out, dim = grads.shape[:2]
+    if num_out == 1:
+        return np.eye(dim, dtype=complex)[None]
+    best = np.inf
+    for a in range(num_out):
+        for b in range(a + 1, num_out):
+            evals, evecs = np.linalg.eigh(grads[a] - grads[b])
+            value = np.trace(grads[b]).real + evals[evals < 0.0].sum()
+            if value < best:
+                best, start = value, (a, b, evecs[:, evals < 0.0], evecs[:, evals >= 0.0])
+    a, b, low, high = start
+    owners = [np.zeros((dim, 0), dtype=complex) for _ in range(num_out)]
+    owners[a], owners[b] = low, high
+    if min(num_out, dim) > 2:
+        _exchange(grads, owners, sweeps)
+    return np.array([o @ o.conj().T for o in owners])
+
+
+def greedy_vertex_reference(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
+    """The see-saw's earlier POVM oracle, per question, for (r, d, d) Hermitian gradients.
+
+    A greedy orthonormal basis (each eigen-direction given full weight on its
+    minimizing outcome), then exact two-outcome exchanges on the span each
+    outcome pair owns, until a sweep moves no column.  Kept as the baseline
+    the Helstrom start must not lose to where it is exact.
     """
     num_out, dim = grads.shape[:2]
     basis = np.eye(dim, dtype=complex)
@@ -51,6 +76,16 @@ def povm_vertex_reference(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
         cols[a].append(basis @ evecs[a, :, 0])
         basis = basis @ evecs[a, :, 1:]
     owners = [np.array(c, dtype=complex).reshape(-1, dim).T for c in cols]
+    _exchange(grads, owners, sweeps)
+    return np.array([o @ o.conj().T for o in owners])
+
+
+def _exchange(grads: np.ndarray, owners: list[np.ndarray], sweeps: int) -> None:
+    """Exact two-outcome exchanges on the span each outcome pair owns, in place.
+
+    Stops after a sweep that moves no column.
+    """
+    num_out = len(owners)
     for _ in range(sweeps):
         improved = False
         for a in range(num_out):
@@ -66,7 +101,6 @@ def povm_vertex_reference(grads: np.ndarray, sweeps: int = 2) -> np.ndarray:
                 owners[a], owners[b] = span @ evecs[:, neg], span @ evecs[:, ~neg]
         if not improved:
             break
-    return np.array([o @ o.conj().T for o in owners])
 
 
 def random_correlation(rng: np.random.Generator, m: int, n: int, r: int, s: int) -> Correlation:

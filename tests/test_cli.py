@@ -20,6 +20,15 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def strict_loads(text):
+    """Parse JSON, refusing the NaN, Infinity and -Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestTables:
     def test_printed_pair_json(self, capsys):
         code, out, _ = run_capture(capsys, ["tables", "--alpha", "0.5", "--pair", "0", "4"])
@@ -207,9 +216,9 @@ class TestVerifiers:
         code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
         assert code == 2
         assert "block_decomposition" in err and "marker" in err
-        failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+        failed = [c for c in strict_loads(out)["checks"] if not c["pass"]]
         assert failed == [
-            {"name": "block_decomposition", "residual": float("inf"), "tolerance": 1e-9,
+            {"name": "block_decomposition", "residual": None, "tolerance": 1e-9,
              "pass": False, "detail": "marker"}
         ]
 
@@ -375,7 +384,10 @@ class TestStrategyFiles:
         code, out, err = run_capture(capsys, [command, "--strategy", str(path)])
         if command == "verify":
             assert code == 2
-            assert json.loads(out)["passed"] is False
+            # the NaN residual is written as null, so the payload is strict JSON
+            payload = strict_loads(out)
+            assert payload["passed"] is False
+            assert None in [issue["residual"] for issue in payload["checks"]["issues"]]
             assert err.startswith("strategy invalid: ")
         else:
             assert code == 1

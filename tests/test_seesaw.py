@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import kron_induce, povm_vertex_reference, random_correlation
+from conftest import (
+    greedy_vertex_reference,
+    kron_induce,
+    povm_vertex_reference,
+    random_correlation,
+)
 from qcorrkit import seesaw
 from qcorrkit.correlation import distance, restrict
 from qcorrkit.separating import exact_pstar, truncation_distance
@@ -88,10 +93,10 @@ class TestOptimize:
         )
 
     def test_lockstep_restarts_stop_on_their_own(self, monkeypatch):
-        # at this tolerance the restarts converge after 6, 9 and 7 outer
+        # at this tolerance the restarts converge after 7, 10 and 6 outer
         # iterations, and the best one (7) stops while another runs on
         cfg = SeesawConfig(
-            local_dim=2, restarts=3, max_outer_iters=20, seed=7,
+            local_dim=2, restarts=3, max_outer_iters=20, seed=9,
             convergence_tol=1e-3, state_steps=10, meas_steps=5,
         )
         batches = []
@@ -312,6 +317,32 @@ class TestBlockProperties:
             _assert_projective_povm(vertex)
             value = np.real(np.einsum("aij,aji->", grad, vertex))
             assert value <= np.real(np.einsum("aij,aji->", grad, want)) + 1e-12
+
+    @given(seeds, st.integers(1, 2), st.integers(1, 6), st.booleans(), st.integers(1, 3))
+    def test_povm_vertex_no_worse_than_greedy_where_exact(self, seed, few, many, swap, batch):
+        # with min(r, d) <= 2 the best Helstrom split is the projective optimum
+        dim, answers = (few, many) if swap else (many, few)
+        grads = _random_gradients(np.random.default_rng(seed), batch, answers, dim)
+        for grad, vertex in zip(grads, _povm_vertex(grads)):
+            value = np.real(np.einsum("aij,aji->", grad, vertex))
+            greedy = greedy_vertex_reference(grad)
+            assert value <= np.real(np.einsum("aij,aji->", grad, greedy)) + 1e-12
+
+    @given(seeds, st.integers(1, 6), st.integers(1, 3))
+    def test_two_outcome_vertex_beats_random_povms(self, seed, dim, batch):
+        # for r = 2 the Helstrom split is optimal over all POVMs, not only projective ones
+        rng = np.random.default_rng(seed)
+        grads = _random_gradients(rng, batch, 2, dim)
+        for grad, vertex in zip(grads, _povm_vertex(grads)):
+            value = np.real(np.einsum("aij,aji->", grad, vertex))
+            for _ in range(20):
+                g = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+                parts = g @ g.conj().swapaxes(1, 2)
+                evals, evecs = np.linalg.eigh(parts.sum(0))
+                root = (evecs / np.sqrt(evals)) @ evecs.conj().T
+                povm = root @ parts @ root
+                _assert_povm(povm)
+                assert value <= np.real(np.einsum("aij,aji->", grad, povm)) + 1e-12
 
     def test_away_tie_goes_to_oldest_atom(self):
         # with target 0 the residual is the iterate's image, about (1, 0), so
