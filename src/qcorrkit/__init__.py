@@ -58,7 +58,7 @@ from .analysis import (
     verify_schmidt_bijections,
     verify_y4_relations,
 )
-from .seesaw import SeesawConfig, SeesawResult, optimize, upper_bound_from_truncation
+from .seesaw import SeesawConfig, SeesawResult, optimize
 
 __version__ = "0.1.0"
 
@@ -107,6 +107,5 @@ __all__ = [
     "SeesawConfig",
     "SeesawResult",
     "optimize",
-    "upper_bound_from_truncation",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import separating, strategy
-from .correlation import BlockSpec, Correlation, block_structure_check, distance
+from .correlation import BlockSpec, Correlation, block_structure_check, distance, restrict
 from .strategy import Strategy, _frozen, induce, projected_substate
 
 __all__ = [
@@ -212,7 +212,11 @@ def strategy_block_decompose(
     block's sub-correlation.
     """
     spec = BlockSpec(tuple(tuple(c) for c in alice_partition), tuple(tuple(c) for c in bob_partition))
-    p = induce(s)
+    return _decompose(s, induce(s), spec, tol)
+
+
+def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> BlockDecomposition:
+    """:func:`strategy_block_decompose` of the valid ``s``, given the correlation ``p`` it induces."""
     chk = block_structure_check(p, spec, tol)
     if not chk.ok:
         raise BlockDecompositionError(
@@ -652,16 +656,18 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
 
     # the cut block reassigned by the dangling-vector policy carries mass
     # ~alpha^(2(D-1)), which dominates the tail for small alpha
+    table = induce(s, check=False)
     record(
         "truncation_bound",
-        distance(exact, induce(s, check=False), "max_tv"),
+        distance(exact, table, "max_tv"),
         max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
     )
 
     block_tol = max(tol, 1e-9)
     sub = strategy.restrict_questions(s, [2, 3], [2, 3])
     try:
-        deco = strategy_block_decompose(sub, ((0, 1), (2,)), ((0, 1), (2,)), tol=block_tol)
+        deco = _decompose(sub, restrict(table, [2, 3], [2, 3]),
+                          BlockSpec(((0, 1), (2,)), ((0, 1), (2,))), block_tol)
         c = 1.0 / (1.0 - alpha**2)
         weight_gap = max(abs(deco.weights[0] - (c - 1.0) / c), abs(deco.weights[1] - 1.0 / c))
         record("block_weights", weight_gap, max(1e-8, 8.0 * tail))

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -44,15 +45,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qcorrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=False):
+    def common(p, formats=False, m=True):
         p.add_argument("--alpha", type=float, default=0.5, help="state ratio in (0,1)")
-        p.add_argument("--m", type=int, default=8, help="number of pairing blocks (dimension 2m)")
+        if m:
+            p.add_argument("--m", type=int, default=8, help="number of pairing blocks (dimension 2m)")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
         if formats:
             p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
 
     p = sub.add_parser("tables", help="closed-form or exact correlation tables")
-    common(p, formats=True)
+    common(p, formats=True, m=False)
     p.add_argument("--pair", type=int, nargs=2, metavar=("X", "Y"), default=None)
     p.add_argument("--source", choices=["printed", "exact"], default="printed")
 
@@ -201,10 +203,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    s = separating.ideal_truncated_strategy(
-        separating.TruncationSpec(alpha=args.alpha, m=args.m)
-    )
-    _emit(strategy._json_chunks(s), args.out)
+    _emit(strategy._json_chunks(_strategy_from_args(args)), args.out)
     return EXIT_OK
 
 
@@ -331,9 +330,12 @@ def _cmd_seesaw(args) -> int:
         "seed": args.seed,
         **result.summary_dict(),
     }
-    if result.strategy is not None:
-        payload["strategy"] = result.strategy.to_dict()
-    _emit(_dump_json(payload), args.out)
+    if result.strategy is None:
+        _emit(_dump_json(payload), args.out)
+    else:
+        head, tail = _dump_json({**payload, "strategy": None}).split('"strategy": null')
+        chunks = strategy._json_chunks(result.strategy)
+        _emit(itertools.chain([head, '"strategy": '], chunks, [tail]), args.out)
     return EXIT_OK
 
 

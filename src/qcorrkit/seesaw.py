@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlation import Correlation
-from .separating import truncation_distance
 from .strategy import Strategy, _atom_image, _frozen, _random_measurements
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "RestartTrace",
     "SeesawError",
     "optimize",
-    "upper_bound_from_truncation",
 ]
 
 
@@ -80,6 +78,8 @@ class SeesawConfig:
             raise SeesawError("state_steps and meas_steps must be >= 1")
         if self.polish_iters < 0:
             raise SeesawError("polish_iters must be >= 0")
+        if np.isnan(self.convergence_tol):
+            raise SeesawError("convergence_tol must be a number, got nan")
 
 
 @dataclass
@@ -96,9 +96,9 @@ class SeesawResult:
 
     ``distance`` is the Euclidean distance of the best iterate's correlation
     from the target.  ``alice_povms`` and ``bob_povms`` have shape
-    (questions, answers, d, d).  ``strategy`` (and ``dilated_dims``) are
-    populated only under projective rounding; the dilated dimensions are
-    reported separately from the search dimension.
+    (questions, answers, d, d).  ``strategy`` is populated only under
+    projective rounding; its dilated dimensions are reported separately from
+    the search dimension.
     """
 
     distance: float
@@ -109,7 +109,6 @@ class SeesawResult:
     config: SeesawConfig
     converged: bool
     strategy: Strategy | None = None
-    dilated_dims: tuple[int, int] | None = None
 
     def trace_csv(self) -> str:
         buf = io.StringIO()
@@ -128,7 +127,7 @@ class SeesawResult:
             "converged": self.converged,
             "iterations": [t.iterations for t in self.traces],
             "final_objectives": [t.objectives[-1] for t in self.traces],
-            "dilated_dims": list(self.dilated_dims) if self.dilated_dims else None,
+            "dilated_dims": [self.strategy.dA, self.strategy.dB] if self.strategy else None,
         }
 
 
@@ -385,7 +384,7 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
         traces=traces, config=cfg, converged=traces[best].converged,
     )
     if cfg.rounding == "projective":
-        result.strategy, result.dilated_dims = _round_to_projective(rho, alice, bob)
+        result.strategy = _round_to_projective(rho, alice, bob)
     return result
 
 
@@ -420,9 +419,7 @@ def _naimark(povms: np.ndarray) -> np.ndarray:
     return _frozen(dilated)
 
 
-def _round_to_projective(
-    rho: np.ndarray, alice: np.ndarray, bob: np.ndarray
-) -> tuple[Strategy, tuple[int, int]]:
+def _round_to_projective(rho: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> Strategy:
     """Purify the state (ancilla to Bob) and dilate both parties' POVMs.
 
     The rounded strategy induces exactly the correlation of the relaxed
@@ -446,25 +443,10 @@ def _round_to_projective(
     da_dilated, db_dilated = alice_proj.shape[-1], bob_proj.shape[-1]
     state = np.zeros((da_dilated, db_dilated), dtype=complex)
     state[:: alice.shape[1], ::s] = psi
-    strategy = Strategy(
+    return Strategy(
         dA=da_dilated,
         dB=db_dilated,
         state=state.reshape(-1),
         alice_meas=alice_proj,
         bob_meas=bob_proj,
     )
-    return strategy, (da_dilated, db_dilated)
-
-
-def upper_bound_from_truncation(alpha: float, d: int, metric: str = "l2") -> float:
-    """Constructive upper bound at even local dimension d from the ideal cut.
-
-    The dimension-d truncation of the ideal strategy is itself a feasible
-    dimension-d model, so its distance to the exact correlation bounds the
-    optimum from above; a regression target for :func:`optimize` in l2.
-    """
-    if d % 2 != 0:
-        raise SeesawError(f"d must be even, got {d}")
-    if d < 4:
-        raise SeesawError(f"d must be >= 4, got {d}")
-    return truncation_distance(alpha, d // 2, metric)

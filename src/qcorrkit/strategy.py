@@ -153,17 +153,9 @@ class Strategy:
         """State as a dA x dB coefficient matrix (Alice-major layout)."""
         return self.state.reshape(self.dA, self.dB)
 
-    def to_dict(self) -> dict:
-        return {
-            "dA": self.dA,
-            "dB": self.dB,
-            "state": _complex_to_pairs(self.state),
-            "alice_meas": _complex_to_pairs(self.alice_meas),
-            "bob_meas": _complex_to_pairs(self.bob_meas),
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)``, byte for byte, built without the float tree."""
+        """What ``json.dumps(..., sort_keys=True)`` writes for ``dA``, ``dB`` and each array
+        as nested [re, im] pairs, built without a tree of Python floats."""
         return "".join(_json_chunks(self))
 
     @classmethod
@@ -191,11 +183,6 @@ class Strategy:
             raise StrategyError(f"not a strategy file: missing or malformed field ({exc!r})") from None
         state, alice, bob = map(_pairs_to_complex, fields)
         return cls(dA=dA, dB=dB, state=state, alice_meas=alice, bob_meas=bob)
-
-
-def _complex_to_pairs(arr: np.ndarray) -> list:
-    stacked = np.stack([np.real(arr), np.imag(arr)], axis=-1)
-    return stacked.tolist()
 
 
 # what json writes for the floats whose repr it does not use
@@ -243,7 +230,7 @@ def _pair_spellings(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def _array_chunks(arr: np.ndarray) -> Iterator[str]:
-    """``json.dumps(_complex_to_pairs(arr))``, one row of [re, im] pairs per piece.
+    """``arr`` as ``json.dumps`` writes its nested [re, im] pairs, one row of pairs per piece.
 
     Rows are taken about ``_BLOCK`` entries at a time, so every temporary
     stays small.  Within a block each distinct pair is spelled once, and the

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcorrkit import analysis, separating, strategy
 from qcorrkit.cli import run
-from qcorrkit.correlation import Correlation
+from qcorrkit.correlation import Correlation, restrict
+from qcorrkit.seesaw import SeesawConfig, optimize
 from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
 from qcorrkit.strategy import Strategy, induce
 
@@ -27,6 +29,15 @@ def strict_loads(text):
         raise ValueError(f"non-JSON constant {token}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def pairs_tree(s):
+    """A strategy file's fields, each array as nested [re, im] pairs of its complex128 copy."""
+    tree = {"dA": s.dA, "dB": s.dB}
+    for name in ("state", "alice_meas", "bob_meas"):
+        arr = np.array(getattr(s, name), dtype=np.complex128)
+        tree[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return tree
 
 
 class TestTables:
@@ -212,7 +223,7 @@ class TestVerifiers:
         def fail(*args, **kwargs):
             raise analysis.BlockDecompositionError("marker")
 
-        monkeypatch.setattr(analysis, "strategy_block_decompose", fail)
+        monkeypatch.setattr(analysis, "_decompose", fail)
         code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
         assert code == 2
         assert "block_decomposition" in err and "marker" in err
@@ -223,7 +234,7 @@ class TestVerifiers:
         ]
 
     def test_verify_builds_validates_and_decomposes_once(self, capsys, monkeypatch):
-        calls = {"build": 0, "validate": [], "svd": 0}
+        calls = {"build": 0, "validate": [], "induce": [], "svd": 0}
         build, validate, svd = separating.ideal_truncated_strategy, strategy.validate, np.linalg.svd
 
         def counted_build(*args, **kwargs):
@@ -234,18 +245,24 @@ class TestVerifiers:
             calls["validate"].append((s.m, s.n))
             return validate(s, *args, **kwargs)
 
+        def counted_induce(s, *args, **kwargs):
+            calls["induce"].append((s.m, s.n, s.dA))
+            return induce(s, *args, **kwargs)
+
         def counted_svd(*args, **kwargs):
             calls["svd"] += 1
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(separating, "ideal_truncated_strategy", counted_build)
         monkeypatch.setattr(strategy, "validate", counted_validate)
+        monkeypatch.setattr(analysis, "induce", counted_induce)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         code, _, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
         assert code == 0
         assert calls["build"] == 1
-        # the 2x2-question call guards strategy_block_decompose's own input
-        assert sorted(calls["validate"]) == [(2, 2), (4, 5)]
+        # the 2x2-question restriction is neither validated nor induced again
+        assert calls["validate"] == [(4, 5)]
+        assert [c for c in calls["induce"] if c[2] == 8] == [(4, 5, 8)]
         # the state spectrum S plus the split spectra S0, S1 and S2
         assert calls["svd"] == 4
 
@@ -292,6 +309,18 @@ class TestSeesawCommand:
         lines = trace_path.read_text().strip().split("\n")
         assert lines[0] == "restart,iter,objective"
 
+    def test_projective_payload_is_json_dumps(self, capsys):
+        code, out, _ = run_capture(capsys, [
+            "seesaw", "--target", "chsh", "--dim", "2", "--restarts", "2", "--iters", "5",
+            "--seed", "3", "--rounding", "projective",
+        ])
+        assert code == 0
+        cfg = SeesawConfig(local_dim=2, restarts=2, max_outer_iters=5, seed=3, rounding="projective")
+        result = optimize(restrict(separating.exact_pstar(0.5), [0, 1], [0, 1]), cfg)
+        payload = {"target": "chsh", "alpha": 0.5, "seed": 3, **result.summary_dict(),
+                   "strategy": pairs_tree(result.strategy)}
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+
 
 class TestCliContract:
     def test_usage_error_exit_code(self, capsys):
@@ -328,19 +357,22 @@ class TestFormatFlag:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["blocks"],
-            ["y4"],
-            ["verify"],
-            ["distance"],
-            ["truncate"],
-            ["seesaw", "--target", "chsh", "--dim", "1", "--restarts", "1", "--iters", "1"],
+            ["blocks", "--format", "csv"],
+            ["y4", "--format", "csv"],
+            ["verify", "--format", "csv"],
+            ["distance", "--format", "csv"],
+            ["truncate", "--format", "csv"],
+            ["seesaw", "--target", "chsh", "--dim", "1", "--restarts", "1", "--iters", "1",
+             "--format", "csv"],
+            # tables reads no truncation, so --m would change nothing
+            ["tables", "--alpha", "0.5", "--m", "99"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_refused_where_output_is_json_only(self, capsys, argv):
-        code, out, err = run_capture(capsys, argv + ["--format", "csv"])
+        code, out, err = run_capture(capsys, argv)
         assert code == 1
-        assert err.startswith("usage error: ") and "--format" in err
+        assert err.startswith("usage error: ") and argv[-2] in err
         assert out == ""
 
 
@@ -349,15 +381,10 @@ class TestStrategyFiles:
         code, out, _ = run_capture(capsys, ["truncate", "--alpha", "0.95", "--m", "8"])
         assert code == 0
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.95, m=8))
-        assert out == json.dumps(s.to_dict(), sort_keys=True) + "\n"
         # a real strategy writes the pairs its complex128 copy would, imaginary parts 0.0
-        pairs = {}
-        for name in ("state", "alice_meas", "bob_meas"):
-            arr = np.array(getattr(s, name), dtype=np.complex128)
-            pairs[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
-        assert out == json.dumps({"dA": 16, "dB": 16, **pairs}, sort_keys=True) + "\n"
+        assert out == json.dumps(pairs_tree(s), sort_keys=True) + "\n"
 
-    # sha256 of `truncate --alpha 0.95 --m 64` as json.dumps(s.to_dict(), sort_keys=True) writes it
+    # sha256 of `truncate --alpha 0.95 --m 64` as json.dumps of its [re, im] pairs writes it
     M64_SHA256 = "6a715155e114ed1a74cc100bb6979fcb92e03f86879dfc86b12a921300f8835a"
 
     def test_truncate_m64_bytes_pinned(self, capsys, tmp_path):
@@ -455,3 +482,51 @@ class TestCorrelationFiles:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
+
+
+class TestReadmeExamples:
+    """The CLI examples in README.md print the values the README shows."""
+
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def shown(self, command, after=True):
+        """The "# -> ..." line after ``command``, or else the comment block above it."""
+        lines = self.README.split("\n")
+        at = lines.index(f"qcorrkit {command}")
+        if after:
+            return lines[at + 1]
+        start = at
+        while lines[start - 1].startswith("#"):
+            start -= 1
+        return " ".join(lines[start:at])
+
+    def test_tables_pair(self, capsys):
+        shown = self.shown("tables --alpha 0.5 --pair 0 4")
+        code, out, _ = run_capture(capsys, ["tables", "--alpha", "0.5", "--pair", "0", "4"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha"] == float(re.search(r'"alpha": ([0-9.]+)', shown).group(1))
+        assert payload["entries"] == json.loads(re.search(r'"entries": (\[\[.*?\]\])', shown).group(1))
+
+    def test_schmidt(self, capsys):
+        shown = self.shown("schmidt --alpha 0.5 --m 2")
+        code, out, _ = run_capture(capsys, ["schmidt", "--alpha", "0.5", "--m", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        prefixes = re.search(r'"coefficients": \[(.*?)\]', shown).group(1).split(", ")
+        assert len(payload["coefficients"]) == len(prefixes)
+        for value, prefix in zip(payload["coefficients"], prefixes):
+            assert repr(value).startswith(prefix.removesuffix("..."))
+        cutoff = re.search(r'"cutoff": ([0-9.e+-]+)', shown).group(1)
+        assert f"{payload['cutoff']:.1e}" == cutoff
+
+    def test_chain(self, capsys):
+        shown = self.shown("chain --alpha 0.5 --m-min 2 --m-max 6", after=False)
+        code, out, _ = run_capture(capsys, ["chain", "--alpha", "0.5", "--m-min", "2", "--m-max", "6"])
+        assert code == 0
+        # "2, 3, ..., 6 blocks -> 4, 6, ..., 12": each m's chain has length 2m
+        blocks, lengths = (re.findall(r"\d+", side) for side in shown.split(";")[0].split("->"))
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [rows[0][0], rows[1][0], rows[-1][0]] == blocks
+        assert [rows[0][1], rows[1][1], rows[-1][1]] == lengths
+        assert all(int(n) == 2 * int(m) for m, n in rows)

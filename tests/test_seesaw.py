@@ -29,7 +29,6 @@ from qcorrkit.seesaw import (
     _state_block,
     _state_grad,
     optimize,
-    upper_bound_from_truncation,
 )
 from qcorrkit.strategy import _atom_image, _random_measurements, induce, random_strategy, validate
 
@@ -51,6 +50,8 @@ class TestConfig:
             SeesawConfig(local_dim=2, rounding="snap")
         with pytest.raises(SeesawError):
             SeesawConfig(local_dim=2, restarts=0)
+        with pytest.raises(SeesawError, match="nan"):
+            SeesawConfig(local_dim=2, convergence_tol=float("nan"))
 
 
 class TestOptimize:
@@ -169,8 +170,8 @@ class TestProjectiveRounding:
         )
         result = optimize(chsh_target(), cfg)
         assert result.strategy is not None
-        assert result.dilated_dims is not None
-        assert result.dilated_dims[0] > cfg.local_dim  # reported separately
+        assert result.strategy.dA > cfg.local_dim  # reported separately
+        assert result.summary_dict()["dilated_dims"] == [result.strategy.dA, result.strategy.dB]
         assert validate(result.strategy).ok
         rounded = induce(result.strategy)
         assert distance(rounded, chsh_target(), "l2") == pytest.approx(
@@ -179,35 +180,21 @@ class TestProjectiveRounding:
 
 
 class TestUpperBound:
-    def test_matches_truncation_distance(self):
-        assert upper_bound_from_truncation(0.5, 8, "max_tv") == pytest.approx(
-            truncation_distance(0.5, 4, "max_tv"), abs=0
-        )
+    """A truncation is a feasible model: its distance bounds the see-saw's optimum."""
 
     def test_deep_cut_scale(self):
-        assert upper_bound_from_truncation(0.5, 16, "max_tv") <= 4.0 * 0.5**32
+        assert truncation_distance(0.5, 8, "max_tv") <= 4.0 * 0.5**32
 
     def test_shallow_cut_scale(self):
-        value = upper_bound_from_truncation(0.5, 4, "max_tv")
+        value = truncation_distance(0.5, 2, "max_tv")
         assert 0.5**8 / 4.0 < value < 4.0 * 0.5**8
 
     def test_metrics_comparable(self):
-        tv = upper_bound_from_truncation(0.5, 8, "max_tv")
-        l2 = upper_bound_from_truncation(0.5, 8, "l2")
+        tv = truncation_distance(0.5, 4, "max_tv")
+        l2 = truncation_distance(0.5, 4, "l2")
         # per-table total variation is at most 1.5x the Euclidean norm on 3x3 tables
         assert l2 >= tv / 1.5
         assert tv > 0 and l2 > 0
-
-    def test_default_metric_is_the_seesaw_objective(self):
-        # optimize minimizes l2, so the bound it is compared against is l2 too
-        assert upper_bound_from_truncation(0.5, 8) == truncation_distance(0.5, 4, "l2")
-        assert upper_bound_from_truncation(0.5, 8) != truncation_distance(0.5, 4, "max_tv")
-
-    def test_rejects_odd_or_tiny_dimension(self):
-        with pytest.raises(SeesawError, match="even"):
-            upper_bound_from_truncation(0.5, 7)
-        with pytest.raises(SeesawError, match=">= 4"):
-            upper_bound_from_truncation(0.5, 2)
 
 
 def _random_density(rng, dim):
