@@ -16,7 +16,7 @@ Four mechanisms live here:
   finite-dimension witness at desk scale.
 
 :func:`certify_truncation` runs all of these on a truncated pairing
-strategy in one pass.
+strategy in one pass, and :func:`certify_strategy` those any strategy gets.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "schmidt_partition",
     "descent_chain",
     "verify_schmidt_bijections",
+    "certify_strategy",
     "certify_truncation",
     "multiset_equal",
     "multiset_subtract",
@@ -387,9 +388,6 @@ class Y4Report:
         name = max(self.residuals, key=self.residuals.get)  # type: ignore[arg-type]
         return name, self.residuals[name]
 
-    def as_dict(self) -> dict:
-        return {"residuals": dict(self.residuals), "tol": self.tol, "passed": self.passed}
-
 
 def verify_y4_relations(s: Strategy, tol: float = 1e-12) -> Y4Report:
     """Check the three state identities relating questions 0, 2, and Bob's 4.
@@ -623,45 +621,65 @@ def _bijections(
     )
 
 
+def _row(name: str, residual: float, limit: float, detail: str | None = None) -> dict:
+    row = {"name": name, "residual": residual, "tolerance": limit, "pass": residual <= limit}
+    if detail is not None:
+        row["detail"] = detail
+    return row
+
+
+def _validity_row(s: Strategy) -> dict:
+    report = strategy.validate(s)
+    row = _row("strategy_valid", report.max_residual, 1e-10, None if report.ok else report.summary())
+    # validate holds the state norm to 1e-12, under this row's limit
+    row["pass"] = report.ok
+    return row
+
+
+def _y4_rows(y4: Y4Report) -> list[dict]:
+    return [_row(f"y4_{name}", value, y4.tol) for name, value in y4.residuals.items()]
+
+
+def certify_strategy(s: Strategy, tol: float) -> list[dict]:
+    """A ``strategy_valid`` row naming every broken invariant, and on 4x5 questions
+    with 3x3 answers one ``y4_*`` row per question-4 relation at ``tol``."""
+    rows = [_validity_row(s)]
+    if (s.m, s.n, s.r, s.s) == _Y4_SHAPE:
+        rows += _y4_rows(verify_y4_relations(s, tol))
+    return rows
+
+
 def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     """Every certificate on a truncated pairing strategy, as ordered check rows.
 
     Each row is ``{"name", "residual", "tolerance", "pass"}``, plus a
-    ``detail`` when a certificate raised.  The dimension D = 2m is read from
+    ``detail`` where a certificate names why it failed.  The dimension D = 2m is read from
     ``s``.  Every ingredient is computed once: one validation, one induced
     table, one block decomposition of the shifted-pair questions, one
-    question-4 pass (its residuals give the relation row at ``tol``, its
+    question-4 pass (its residuals give the ``y4_*`` rows at ``tol``, its
     double projections the Schmidt split at 1e-9), and one state spectrum,
     shared by the split and the descent chain; if it holds fewer than D
     coefficients, their rows fail and name the count and the cutoff.
     """
     dim = s.dA
     tail = alpha ** (2 * dim)
-    rows: list[dict] = []
-
-    def record(name: str, residual: float, limit: float, detail: str | None = None) -> None:
-        row = {"name": name, "residual": residual, "tolerance": limit, "pass": residual <= limit}
-        if detail is not None:
-            row["detail"] = detail
-        rows.append(row)
-
-    record("strategy_valid", strategy.validate(s).max_residual, 1e-10)
+    rows = [_validity_row(s)]
 
     exact = separating.exact_pstar(alpha)
     worst_printed = 0.0
     for x, y in separating.PRINTED_PAIRS:
         printed = separating.printed_table(alpha, x, y).entries
         worst_printed = max(worst_printed, float(np.abs(exact.table[x, y] - printed).max()))
-    record("tables_printed_match", worst_printed, 1e-12)
+    rows.append(_row("tables_printed_match", worst_printed, 1e-12))
 
     # the cut block reassigned by the dangling-vector policy carries mass
     # ~alpha^(2(D-1)), which dominates the tail for small alpha
     table = induce(s, check=False)
-    record(
+    rows.append(_row(
         "truncation_bound",
         distance(exact, table, "max_tv"),
         max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
-    )
+    ))
 
     block_tol = max(tol, 1e-9)
     sub = strategy.restrict_questions(s, [2, 3], [2, 3])
@@ -670,8 +688,8 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
                           BlockSpec(((0, 1), (2,)), ((0, 1), (2,))), block_tol)
         c = 1.0 / (1.0 - alpha**2)
         weight_gap = max(abs(deco.weights[0] - (c - 1.0) / c), abs(deco.weights[1] - 1.0 / c))
-        record("block_weights", weight_gap, max(1e-8, 8.0 * tail))
-        record("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9)
+        rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
+        rows.append(_row("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9))
         assert deco.restricted[0] is not None
         block_corr = induce(deco.restricted[0], check=False)
         worst_block = 0.0
@@ -679,22 +697,22 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
             for y in range(2):
                 ref = separating.printed_table(alpha, x + 2, y + 2).entries[:2, :2] * c / (c - 1.0)
                 worst_block = max(worst_block, float(np.abs(block_corr.table[x, y] - ref).max()))
-        record("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * (dim - 1))))
+        rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
     except BlockDecompositionError as exc:
-        record("block_decomposition", float("inf"), block_tol, str(exc))
+        rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
 
     y4, vec0, vec1 = _y4_relations(s, tol)
-    record("y4_relations", y4.max_residual, tol)
+    rows += _y4_rows(y4)
 
     spectrum = schmidt(s.state, s.dA, s.dB).spectrum
     try:
         bij = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
-        record("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9)
-        record("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0)
+        rows.append(_row("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9))
+        rows.append(_row("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0))
     except AnalysisError as exc:
-        record("schmidt_partition", float("inf"), 1e-9, str(exc))
+        rows.append(_row("schmidt_partition", float("inf"), 1e-9, str(exc)))
 
     chains = descent_chain(spectrum, alpha)
-    record("descent_chain_length", float(abs(chains.max_length - dim)), 0.0,
-           _clipped(spectrum, dim))
+    rows.append(_row("descent_chain_length", float(abs(chains.max_length - dim)), 0.0,
+                     _clipped(spectrum, dim)))
     return rows

@@ -45,10 +45,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qcorrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # None, so that _truncation_flags tells a given --alpha or --m from its default
     def common(p, formats=False, m=True):
-        p.add_argument("--alpha", type=float, default=0.5, help="state ratio in (0,1)")
+        p.add_argument("--alpha", type=float, default=None, help="state ratio in (0,1) (default 0.5)")
         if m:
-            p.add_argument("--m", type=int, default=8, help="number of pairing blocks (dimension 2m)")
+            p.add_argument("--m", type=int, default=None, help="number of pairing blocks (default 8)")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
         if formats:
             p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
@@ -83,11 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--bob-partition", type=str, default="0,1|2")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("y4", help="operator relations tied to Bob's question 4")
-    common(p)
-    p.add_argument("--strategy", type=str, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
-
     p = sub.add_parser("chain", help="descent-chain lengths across truncations")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--m-min", type=int, default=2)
@@ -108,9 +104,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace-out", type=str, default=None, help="write the iteration trace CSV here")
     p.add_argument("--out", type=str, default=None)
 
-    p = sub.add_parser("verify", help="full invariant suite on the reference construction")
+    p = sub.add_parser("verify", help="check rows of the reference construction or a strategy file")
     common(p)
-    p.add_argument("--strategy", type=str, default=None, help="validate this strategy file instead")
+    p.add_argument("--strategy", type=str, default=None, help="check this strategy file instead")
     p.add_argument("--tol", type=float, default=1e-12)
 
     return parser
@@ -155,15 +151,21 @@ def _csv_rows(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _load_strategy(path: str) -> strategy.Strategy:
-    return strategy.Strategy.from_json(Path(path).read_text(encoding="utf-8"))
-
-
 def _strategy_from_args(args) -> strategy.Strategy:
     if getattr(args, "strategy", None):
-        return _load_strategy(args.strategy)
+        return strategy.Strategy.from_json(Path(args.strategy).read_text(encoding="utf-8"))
     spec = separating.TruncationSpec(alpha=args.alpha, m=args.m)
     return separating.ideal_truncated_strategy(spec)
+
+
+def _truncation_flags(args) -> None:
+    """Default ``--alpha`` and ``--m``, or refuse them next to a file they would not describe."""
+    from_file = getattr(args, "strategy", None) or getattr(args, "p_file", None)
+    for dest, default in (("alpha", 0.5), ("m", 8)):
+        if getattr(args, dest, default) is None:
+            setattr(args, dest, default)
+        elif from_file:
+            raise UsageError(f"--{dest} has no effect next to an input file")
 
 
 def _cmd_tables(args) -> int:
@@ -274,17 +276,6 @@ def _cmd_blocks(args) -> int:
     return EXIT_OK
 
 
-def _cmd_y4(args) -> int:
-    s = _strategy_from_args(args)
-    report = analysis.verify_y4_relations(s, tol=args.tol)
-    _emit(_dump_json(report.as_dict()), args.out)
-    if not report.passed:
-        name, value = report.worst()
-        sys.stderr.write(f"relation check failed: {name} residual {value!r} > {args.tol!r}\n")
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
 def _cmd_chain(args) -> int:
     if args.m_min < 2 or args.m_max < args.m_min:
         raise UsageError("need 2 <= m-min <= m-max")
@@ -339,27 +330,15 @@ def _cmd_seesaw(args) -> int:
     return EXIT_OK
 
 
-def _verify_strategy_file(args) -> int:
-    s = _load_strategy(args.strategy)
-    report = strategy.validate(s)
-    payload = {"checks": report.as_dict(), "passed": report.ok}
-    _emit(_dump_json(payload), args.out)
-    if not report.ok:
-        first = report.issues[0]
-        sys.stderr.write(
-            f"strategy invalid: {first.describe()} (and {len(report.issues) - 1} more)\n"
-        )
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
+    s = _strategy_from_args(args)
     if args.strategy:
-        return _verify_strategy_file(args)
-    checks = analysis.certify_truncation(_strategy_from_args(args), args.alpha, args.tol)
+        head, checks = {}, analysis.certify_strategy(s, args.tol)
+    else:
+        head = {"alpha": args.alpha, "m": args.m}
+        checks = analysis.certify_truncation(s, args.alpha, args.tol)
     passed = all(c["pass"] for c in checks)
-    payload = {"alpha": args.alpha, "m": args.m, "checks": checks, "passed": passed}
-    _emit(_dump_json(payload), args.out)
+    _emit(_dump_json({**head, "checks": checks, "passed": passed}), args.out)
     if not passed:
         first = next(c for c in checks if not c["pass"])
         detail = f": {first['detail']}" if "detail" in first else ""
@@ -378,7 +357,6 @@ _HANDLERS = {
     "distance": _cmd_distance,
     "schmidt": _cmd_schmidt,
     "blocks": _cmd_blocks,
-    "y4": _cmd_y4,
     "chain": _cmd_chain,
     "seesaw": _cmd_seesaw,
     "verify": _cmd_verify,
@@ -390,6 +368,7 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _truncation_flags(args)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -386,21 +386,6 @@ class ValidationReport:
             return "valid"
         return "; ".join(issue.describe() for issue in self.issues)
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "issues": [
-                {
-                    "kind": i.kind,
-                    "side": i.side,
-                    "question": i.question,
-                    "answers": list(i.answers) if i.answers is not None else None,
-                    "residual": i.residual,
-                }
-                for i in self.issues
-            ],
-        }
-
 
 def validate(s: Strategy) -> ValidationReport:
     """Report every broken strategy invariant with its Frobenius residual.

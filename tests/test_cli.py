@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcorrkit import analysis, separating, strategy
-from qcorrkit.cli import run
+from qcorrkit.cli import _build_parser, run
 from qcorrkit.correlation import Correlation, restrict
 from qcorrkit.seesaw import SeesawConfig, optimize
 from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
 from qcorrkit.strategy import Strategy, induce
+from qcorrkit.tilted_chsh import ideal_strategy, params_from_beta
 
 
 def run_capture(capsys, argv):
@@ -38,6 +41,16 @@ def pairs_tree(s):
         arr = np.array(getattr(s, name), dtype=np.complex128)
         tree[name] = np.stack([arr.real, arr.imag], axis=-1).tolist()
     return tree
+
+
+def wrong_q4_file(tmp_path):
+    """The alpha = 0.5, m = 2 truncation with Bob's question 4 replaced by his question 1."""
+    s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+    bob = [list(q) for q in s.bob_meas]
+    bob[4] = list(s.bob_meas[1])
+    path = tmp_path / "wrong_q4.json"
+    path.write_text(Strategy(s.dA, s.dB, s.state, s.alice_meas, bob).to_json())
+    return path
 
 
 class TestTables:
@@ -147,11 +160,6 @@ class TestStrategyPipeline:
 
 
 class TestVerifiers:
-    def test_y4_passes_on_reference(self, capsys):
-        code, out, _ = run_capture(capsys, ["y4", "--alpha", "0.5", "--m", "4"])
-        assert code == 0
-        assert json.loads(out)["passed"] is True
-
     def test_blocks_reports_weights(self, capsys):
         code, out, _ = run_capture(capsys, ["blocks", "--alpha", "0.5", "--m", "6"])
         assert code == 0
@@ -211,6 +219,16 @@ class TestVerifiers:
         code, out, err = run_capture(capsys, ["verify", "--strategy", str(path)])
         assert code == 2
         assert "state_norm" in err
+
+    def test_verify_fails_a_state_norm_under_the_row_limit(self, capsys, tmp_path):
+        # 5e-11 breaks validate's 1e-12 state-norm tolerance, not the row's 1e-10 limit
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        path = tmp_path / "off_norm.json"
+        path.write_text(Strategy(s.dA, s.dB, (1 + 5e-11) * s.state, s.alice_meas, s.bob_meas).to_json())
+        code, out, err = run_capture(capsys, ["verify", "--strategy", str(path)])
+        assert code == 2 and "state_norm" in err
+        row = strict_loads(out)["checks"][0]
+        assert row["residual"] <= row["tolerance"] and row["pass"] is False
 
     def test_verify_accepts_valid_strategy_file(self, capsys, tmp_path):
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
@@ -282,15 +300,47 @@ class TestVerifiers:
         assert calls == 14
 
     def test_y4_fails_on_corrupted_file(self, capsys, tmp_path):
-        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
-        bob = [list(q) for q in s.bob_meas]
-        bob[4] = list(s.bob_meas[1])
-        broken = Strategy(s.dA, s.dB, s.state, s.alice_meas, bob)
-        path = tmp_path / "wrong_q4.json"
-        path.write_text(broken.to_json())
-        code, _, err = run_capture(capsys, ["y4", "--strategy", str(path)])
+        code, out, err = run_capture(capsys, ["verify", "--strategy", str(wrong_q4_file(tmp_path))])
         assert code == 2
-        assert "residual" in err
+        assert re.match(r"verification failed: y4_\w+ residual ", err)
+        rows = strict_loads(out)["checks"]
+        assert rows[0]["name"] == "strategy_valid" and rows[0]["pass"]
+
+    def test_file_rows_read_tol(self, capsys, tmp_path):
+        path = str(wrong_q4_file(tmp_path))
+        code, out, err = run_capture(capsys, ["verify", "--strategy", path, "--tol", "10"])
+        assert code == 0 and err == ""
+        rows = strict_loads(out)["checks"]
+        assert [r["tolerance"] for r in rows[1:]] == [10.0] * 5
+        code, _, _ = run_capture(capsys, ["verify", "--strategy", path])
+        assert code == 2
+
+    def test_two_by_two_file_gets_one_row(self, capsys, tmp_path):
+        path = tmp_path / "chsh.json"
+        path.write_text(ideal_strategy(params_from_beta(0.5)).to_json())
+        code, out, err = run_capture(capsys, ["verify", "--strategy", str(path)])
+        assert code == 0 and err == ""
+        assert strict_loads(out) == {
+            "checks": [{"name": "strategy_valid", "residual": 0.0, "tolerance": 1e-10, "pass": True}],
+            "passed": True,
+        }
+
+    @given(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True), st.integers(2, 12))
+    def test_file_rows_equal_the_truncation_rows(self, tmp_path_factory, alpha, m):
+        work = tmp_path_factory.mktemp("rows")
+        strategy_file, file_rows = work / "strategy.json", work / "file_rows.json"
+        truncation_rows = work / "truncation_rows.json"
+        flags = ["--alpha", repr(alpha), "--m", str(m)]
+        assert run(["truncate", *flags, "--out", str(strategy_file)]) == 0
+        assert run(["verify", "--strategy", str(strategy_file), "--out", str(file_rows)]) == 0
+        run(["verify", *flags, "--out", str(truncation_rows)])
+        rows = strict_loads(file_rows.read_text())["checks"]
+        names = [r["name"] for r in rows]
+        assert names[0] == "strategy_valid" and len(names) == 6
+        assert all(name.startswith("y4_") for name in names[1:])
+        reference = {r["name"]: r for r in strict_loads(truncation_rows.read_text())["checks"]}
+        # each float is written as its shortest repr, so equal text is equal bits
+        assert json.dumps(rows) == json.dumps([reference[name] for name in names])
 
 
 class TestSeesawCommand:
@@ -331,6 +381,27 @@ class TestCliContract:
         assert run(["distance", "--p", "only-one.json"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [["--alpha", "0.9"], ["--m", "99"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["induce", "--strategy", "{strategy}"],
+            ["schmidt", "--strategy", "{strategy}"],
+            ["verify", "--strategy", "{strategy}"],
+            ["distance", "--p", "{table}", "--q", "{table}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_truncation_flags_refused_next_to_a_file(self, capsys, tmp_path, argv, flag):
+        files = {"strategy": tmp_path / "strategy.json", "table": tmp_path / "table.json"}
+        assert run(["truncate", "--alpha", "0.5", "--m", "2", "--out", str(files["strategy"])]) == 0
+        assert run(["induce", "--strategy", str(files["strategy"]), "--out", str(files["table"])]) == 0
+        argv = [arg.format(**files) for arg in argv]
+        assert run_capture(capsys, argv)[0] == 0
+        code, out, err = run_capture(capsys, argv + flag)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and flag[0] in err
+
     def test_byte_reproducible_json(self, capsys):
         _, out1, _ = run_capture(capsys, ["tables", "--alpha", "0.5", "--pair", "2", "4"])
         _, out2, _ = run_capture(capsys, ["tables", "--alpha", "0.5", "--pair", "2", "4"])
@@ -358,7 +429,6 @@ class TestFormatFlag:
         "argv",
         [
             ["blocks", "--format", "csv"],
-            ["y4", "--format", "csv"],
             ["verify", "--format", "csv"],
             ["distance", "--format", "csv"],
             ["truncate", "--format", "csv"],
@@ -414,8 +484,11 @@ class TestStrategyFiles:
             # the NaN residual is written as null, so the payload is strict JSON
             payload = strict_loads(out)
             assert payload["passed"] is False
-            assert None in [issue["residual"] for issue in payload["checks"]["issues"]]
-            assert err.startswith("strategy invalid: ")
+            row = payload["checks"][0]
+            assert row["name"] == "strategy_valid" and row["residual"] is None and not row["pass"]
+            kind = "state_norm" if damage == "NaN state" else "hermitian [A x=0 a=0]"
+            assert f"{kind}: residual nan" in row["detail"]
+            assert err.startswith("verification failed: strategy_valid residual nan ")
         else:
             assert code == 1
             assert err.startswith("error: invalid strategy") and "Traceback" not in err
@@ -499,6 +572,13 @@ class TestReadmeExamples:
         while lines[start - 1].startswith("#"):
             start -= 1
         return " ".join(lines[start:at])
+
+    def test_every_command_parses(self):
+        lines = [line for line in self.README.split("\n") if line.startswith("qcorrkit ")]
+        assert lines
+        parser = _build_parser()
+        for line in lines:
+            parser.parse_args(line.split()[1:])
 
     def test_tables_pair(self, capsys):
         shown = self.shown("tables --alpha 0.5 --pair 0 4")
