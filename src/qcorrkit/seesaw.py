@@ -8,7 +8,8 @@ pairwise Frank-Wolfe core (away steps, exact line search, pruning of spent
 atoms) and differ only in their linear-minimization oracle and atoms:
 
 * state block: atoms are pure states, and the oracle returns the smallest
-  eigenvector of the gradient, formed as sum_xa A_x^a (x) C_xa by matmuls;
+  eigenvector of the gradient, formed as sum_xa A_x^a (x) C_xa by matmuls,
+  from its eigenvalues and one shifted solve against a fixed random probe;
 * measurement block: atoms are whole POVMs of one question, and the oracle
   returns a projective measurement: the best Helstrom split of one outcome
   pair, polished by two-outcome exchanges.  It is exact over projective
@@ -183,19 +184,21 @@ def _pairwise_fw(
     )
     cur_img = (weights[:, None] @ images)[:, 0]
     live = np.ones(num, dtype=bool)
+    # candidate steps, pairwise then plain, and their caps; the plain cap stays 1
+    cand, caps = np.empty((2,) + res.shape), np.ones((2, num))
     for slot in range(start, start + steps):
-        vertex, v_img = lmo(res)
-        step_fw = v_img - cur_img
-        # a row stops once its Frank-Wolfe gap is under 1e-6 of its objective
-        live &= 2.0 * (res * step_fw).sum(1) <= -1e-6 * np.maximum((res * res).sum(1), 1e-120)
         scores = np.where(weights > 0.0, (images @ res[:, :, None])[:, :, 0], -np.inf)
         top = scores.max(1, keepdims=True)
         # the atom that gave weight ties the new one, so near-ties go to the oldest
         away = np.argmax(scores >= top - 1e-12 * np.abs(top), axis=1)
-        # minimize ||res + gamma*step||^2 over gamma in [0, cap], pairwise then plain
-        cand = np.stack([v_img - images[rows, away], step_fw])
-        caps = np.stack([weights[rows, away], np.ones(num)])
+        vertex, v_img = lmo(res)
+        np.subtract(v_img, images[rows, away], out=cand[0])
+        np.subtract(v_img, cur_img, out=cand[1])
+        caps[0] = weights[rows, away]
+        # minimize ||res + gamma*step||^2 over gamma in [0, cap]
         denom, slope = (cand * cand).sum(2), (cand * res).sum(2)
+        # a row stops once its Frank-Wolfe gap is under 1e-6 of its objective
+        live &= 2.0 * slope[1] <= -1e-6 * np.maximum((res * res).sum(1), 1e-120)
         gamma = np.where(denom > 0.0, np.clip(-slope / np.maximum(denom, 1e-300), 0.0, caps), 0.0)
         gain = -gamma * slope - 0.5 * gamma**2 * denom
         pairwise = gain[0] >= gain[1]
@@ -213,6 +216,25 @@ def _pairwise_fw(
     return atoms, weights, res
 
 
+def _min_eigvec(grads: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Unit smallest eigenvector of each Hermitian matrix in a (batch, n, n) stack.
+
+    One step of inverse iteration from ``probe`` after eigvalsh: a shift of
+    tau = 4096 eps max|lambda| below lambda_min (max|lambda| = 1 for a zero
+    matrix) damps every other eigendirection by tau over its gap, and clears
+    the few eps max|lambda| by which lambda_min and the last LU pivot are
+    off.  eigvalsh reads one triangle, so nothing needs Hermitization.
+    """
+    evals, n = np.linalg.eigvalsh(grads), grads.shape[-1]
+    # max |lambda| sits at one end of the ascending spectrum
+    scale = np.maximum(-evals[:, 0], evals[:, -1])
+    tau = 4096 * np.finfo(float).eps * np.where(scale > 0.0, scale, 1.0)
+    shifted = grads - (evals[:, 0] - tau)[:, None, None] * np.eye(n)
+    # the right-hand side is scaled by tau, so the solution keeps about the probe's size
+    vecs = np.linalg.solve(shifted, (tau[:, None] * probe)[:, :, None])[:, :, 0]
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
 def _state_block(
     rho: np.ndarray, res: np.ndarray, alice: np.ndarray, bob: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +246,11 @@ def _state_block(
     C = res @ B, whose smallest eigenvector solves the linear subproblem.
     """
 
+    # a structured probe can miss the answer: all-ones is orthogonal to the singlet
+    probe = np.array([1.0, 1j]) @ np.random.default_rng(0).normal(size=(2, rho.shape[-1]))
+
     def lmo(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # eigh reads one triangle, so the gradient needs no Hermitization
-        vecs = np.linalg.eigh(_state_grad(2.0 * res, alice, bob))[1][:, :, 0]
+        vecs = _min_eigvec(_state_grad(2.0 * res, alice, bob), probe)
         return vecs, _atom_image(vecs[:, None], alice, bob).real[:, 0]
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
@@ -271,21 +295,18 @@ def _povm_vertex(grads: np.ndarray) -> np.ndarray:
 
     # H = P diff P + c (I - P) with c > ||diff||: its negative eigenspace lies in span P
     shifts = 1.0 + np.linalg.norm(diffs, axis=(2, 3))[:, :, None, None]
-    todo = np.ones(num, dtype=bool)
     for _ in range(2):
-        improved = np.zeros(num, dtype=bool)
+        moved = np.zeros(len(rows), dtype=bool)
         for k, (a, b) in enumerate(pairs):
-            diff, span = diffs[:, k], elems[:, a] + elems[:, b]
-            evals, evecs = np.linalg.eigh(span @ diff @ span + shifts[:, k] * (eye - span))
+            diff, span = diffs[rows, k], elems[rows, a] + elems[rows, b]
+            evals, evecs = np.linalg.eigh(span @ diff @ span + shifts[rows, k] * (eye - span))
             neg = evals < 0.0
             low = (evecs * neg[:, None]) @ evecs.conj().swapaxes(1, 2)
-            rank = np.rint(np.trace(elems[:, a], axis1=1, axis2=2).real)
-            improved |= todo & (neg.sum(1) != rank)
-            keep = todo[:, None, None]
-            elems[:, a] = np.where(keep, low, elems[:, a])
-            elems[:, b] = np.where(keep, span - low, elems[:, b])
-        todo &= improved
-        if not todo.any():
+            moved |= neg.sum(1) != np.rint(np.trace(elems[rows, a], axis1=1, axis2=2).real)
+            elems[rows, a], elems[rows, b] = low, span - low
+        # the second sweep polishes only the rows whose first sweep moved a rank
+        rows = rows[moved]
+        if not len(rows):
             break
     return elems
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from conftest import (
     random_correlation,
 )
 from qcorrkit import seesaw
-from qcorrkit.correlation import distance, restrict
+from qcorrkit.correlation import Correlation, distance, restrict
 from qcorrkit.separating import exact_pstar, truncation_distance
 from qcorrkit.seesaw import (
     SeesawConfig,
     SeesawError,
     _all_probs,
+    _min_eigvec,
     _pairwise_fw,
     _povm_block,
     _povm_vertex,
@@ -154,6 +156,20 @@ class TestOptimize:
         cfg = SeesawConfig(local_dim=1, restarts=4, max_outer_iters=25, seed=2)
         result = optimize(target, cfg)
         assert result.distance > 0.05
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_attained_target_survives_a_zero_gradient(self, dim):
+        # p(a, b | x, y) = [a = 0][b = 0] is attained; with no convergence stop the
+        # state blocks run on at the optimum, where at d = 1 the gradient is exactly 0
+        table = np.zeros((4, 5, 3, 3))
+        table[:, :, 0, 0] = 1.0
+        cfg = SeesawConfig(
+            local_dim=dim, restarts=2, max_outer_iters=10, seed=0, convergence_tol=0.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize(Correlation(table), cfg)
+        assert result.distance <= 1e-12
 
     def test_trace_csv_layout(self):
         cfg = SeesawConfig(local_dim=1, restarts=2, max_outer_iters=3, seed=0)
@@ -305,6 +321,14 @@ class TestBlockProperties:
             value = np.real(np.einsum("aij,aji->", grad, vertex))
             assert value <= np.real(np.einsum("aij,aji->", grad, want)) + 1e-12
 
+    @given(seeds, st.sampled_from([3, 4, 8]), st.integers(3, 4), st.integers(2, 10))
+    def test_povm_vertex_rows_match_single_calls_bitwise(self, seed, dim, answers, batch):
+        # the second exchange sweep runs on a compressed batch of the rows that moved
+        grads = _random_gradients(np.random.default_rng(seed), batch, answers, dim)
+        vertices = _povm_vertex(grads)
+        for i in range(batch):
+            np.testing.assert_array_equal(vertices[i], _povm_vertex(grads[i : i + 1])[0])
+
     @given(seeds, st.integers(1, 2), st.integers(1, 6), st.booleans(), st.integers(1, 3))
     def test_povm_vertex_no_worse_than_greedy_where_exact(self, seed, few, many, swap, batch):
         # with min(r, d) <= 2 the best Helstrom split is the projective optimum
@@ -330,6 +354,35 @@ class TestBlockProperties:
                 povm = root @ parts @ root
                 _assert_povm(povm)
                 assert value <= np.real(np.einsum("aij,aji->", grad, povm)) + 1e-12
+
+    @given(
+        seeds, st.sampled_from([1, 4, 9, 16, 64]), st.integers(1, 3),
+        st.sampled_from(["random", "zero", "identity", "degenerate"]),
+    )
+    def test_min_eigvec_reaches_the_smallest_eigenvalue(self, seed, n, batch, kind):
+        rng = np.random.default_rng(seed)
+        shape = (batch, n, n)
+        if kind == "zero":
+            grads = np.zeros(shape, dtype=complex)
+        elif kind == "identity":
+            grads = rng.normal(size=(batch, 1, 1)) * np.eye(n) + 0j
+        else:
+            # U diag(lam) U^+ with a random scale; "degenerate" repeats the bottom eigenvalue
+            lam = np.sort(rng.normal(size=(batch, n)), axis=1) * 10.0 ** rng.uniform(-6, 6)
+            if kind == "degenerate" and n > 1:
+                lam[:, 1] = lam[:, 0]
+            unitary = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+            grads = (unitary * lam[:, None]) @ unitary.conj().swapaxes(1, 2)
+            grads = 0.5 * (grads + grads.conj().swapaxes(1, 2))
+        probe = rng.normal(size=n) + 1j * rng.normal(size=n)
+        vecs = _min_eigvec(grads, probe)
+        evals = np.linalg.eigh(grads)[0]
+        assert np.isfinite(vecs).all()
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+        # any unit vector of a degenerate bottom eigenspace attains lambda_min
+        rayleigh = np.einsum("ki,kij,kj->k", vecs.conj(), grads, vecs).real
+        spread, scale = evals[:, -1] - evals[:, 0], np.abs(evals).max(1)
+        assert (rayleigh - evals[:, 0] <= 1e-10 * spread + 1e-13 * scale).all()
 
     def test_away_tie_goes_to_oldest_atom(self):
         # with target 0 the residual is the iterate's image, about (1, 0), so
