@@ -1,111 +1,26 @@
 """Toolkit for bipartite quantum correlations and their finite-dimensional limits.
 
 Builds and analyzes correlations p(a, b | x, y): tilted-CHSH building blocks,
-weighted direct sums, a family of strategies on truncated sequence spaces
-whose exact correlation is available in closed form, Schmidt-spectrum
-certificates for the dimension such strategies require, and a see-saw search
-for the best fixed-dimension approximation.
+a family of strategies on truncated sequence spaces whose exact correlation
+is available in closed form, Schmidt-spectrum certificates for the dimension
+such strategies require, and a see-saw search for the best fixed-dimension
+approximation.
+
+The package exports every name in the ``__all__`` of its six library modules.
 """
 
-from .correlation import (
-    BlockSpec,
-    Correlation,
-    CorrelationError,
-    CorrelationTable,
-    block_structure_check,
-    direct_sum,
-    distance,
-    restrict,
-)
-from .strategy import (
-    InvalidStrategyError,
-    Strategy,
-    StrategyError,
-    direct_sum_strategies,
-    induce,
-    projected_substate,
-    random_strategy,
-    restrict_questions,
-    validate,
-)
-from .tilted_chsh import (
-    TiltedChshParams,
-    bell_value,
-    ideal_strategy,
-    ideal_table,
-    params_from_alpha,
-    params_from_beta,
-)
-from .separating import (
-    SeparatingError,
-    TruncationSpec,
-    exact_pstar,
-    ideal_truncated_strategy,
-    printed_table,
-    truncation_distance,
-)
-from .analysis import (
-    AnalysisError,
-    BlockDecomposition,
-    BlockDecompositionError,
-    DescentChain,
-    SchmidtPartition,
-    SchmidtSpectrum,
-    descent_chain,
-    schmidt,
-    schmidt_partition,
-    strategy_block_decompose,
-    verify_schmidt_bijections,
-    verify_y4_relations,
-)
-from .seesaw import SeesawConfig, SeesawResult, optimize
+from . import analysis, correlation, seesaw, separating, strategy, tilted_chsh
+from .analysis import *  # noqa: F403
+from .correlation import *  # noqa: F403
+from .seesaw import *  # noqa: F403
+from .separating import *  # noqa: F403
+from .strategy import *  # noqa: F403
+from .tilted_chsh import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSpec",
-    "Correlation",
-    "CorrelationError",
-    "CorrelationTable",
-    "block_structure_check",
-    "direct_sum",
-    "distance",
-    "restrict",
-    "InvalidStrategyError",
-    "Strategy",
-    "StrategyError",
-    "direct_sum_strategies",
-    "induce",
-    "projected_substate",
-    "random_strategy",
-    "restrict_questions",
-    "validate",
-    "TiltedChshParams",
-    "bell_value",
-    "ideal_strategy",
-    "ideal_table",
-    "params_from_alpha",
-    "params_from_beta",
-    "SeparatingError",
-    "TruncationSpec",
-    "exact_pstar",
-    "ideal_truncated_strategy",
-    "printed_table",
-    "truncation_distance",
-    "AnalysisError",
-    "BlockDecomposition",
-    "BlockDecompositionError",
-    "DescentChain",
-    "SchmidtPartition",
-    "SchmidtSpectrum",
-    "descent_chain",
-    "schmidt",
-    "schmidt_partition",
-    "strategy_block_decompose",
-    "verify_schmidt_bijections",
-    "verify_y4_relations",
-    "SeesawConfig",
-    "SeesawResult",
-    "optimize",
-    "__version__",
-]
+    name
+    for module in (correlation, strategy, tilted_chsh, separating, analysis, seesaw)
+    for name in module.__all__
+] + ["__version__"]

@@ -50,7 +50,6 @@ __all__ = [
     "certify_truncation",
     "multiset_equal",
     "multiset_subtract",
-    "MULTISET_REL_TOL",
 ]
 
 MULTISET_REL_TOL = 1e-8
@@ -475,8 +474,13 @@ def _partition(
 
     merged = sorted(list(s0) + list(s1), reverse=True)
     if not multiset_equal(spec_s.as_list(), merged, tol):
+        if len(merged) != len(spec_s):
+            why = f"S holds {len(spec_s)} coefficients, S0 and S1 {len(s0)} + {len(s1)}"
+        else:
+            deviation = _max_pair_deviation(spec_s.as_list(), merged)
+            why = f"worst relative pair deviation {deviation:.3e} > {tol:.1e}"
         raise AnalysisError(
-            "spectrum does not split as S = S0 u S1; the two projected parts "
+            f"spectrum does not split as S = S0 u S1 ({why}); the two projected parts "
             "are not orthogonal on both subsystems at the working tolerance"
         )
     try:
@@ -659,7 +663,8 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     question-4 pass (its residuals give the ``y4_*`` rows at ``tol``, its
     double projections the Schmidt split at 1e-9), and one state spectrum,
     shared by the split and the descent chain; if it holds fewer than D
-    coefficients, their rows fail and name the count and the cutoff.
+    coefficients, their rows fail and name the count and the cutoff.  A
+    failing chain row names the longest chain, D, the ratio and ``rel_tol``.
     """
     dim = s.dA
     tail = alpha ** (2 * dim)
@@ -707,12 +712,22 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     spectrum = schmidt(s.state, s.dA, s.dB).spectrum
     try:
         bij = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
-        rows.append(_row("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9))
+        broken = [name for ok, name in ((bij.ok_first, "S1 = alpha S0"),
+                                        (bij.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
+        rows.append(_row("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9,
+                         f"worst relative pair deviation {bij.max_pair_deviation:.3e} > 1.0e-09 "
+                         f"(broken: {', '.join(broken)})" if broken else None))
         rows.append(_row("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0))
     except AnalysisError as exc:
         rows.append(_row("schmidt_partition", float("inf"), 1e-9, str(exc)))
 
     chains = descent_chain(spectrum, alpha)
-    rows.append(_row("descent_chain_length", float(abs(chains.max_length - dim)), 0.0,
-                     _clipped(spectrum, dim)))
+    detail = None
+    if chains.max_length != dim:
+        detail = "; ".join(filter(None, (
+            f"longest chain {chains.max_length} of D = {dim} at ratio {chains.ratio!r}, "
+            f"rel_tol {chains.rel_tol:.1e}",
+            _clipped(spectrum, dim),
+        )))
+    rows.append(_row("descent_chain_length", float(abs(chains.max_length - dim)), 0.0, detail))
     return rows

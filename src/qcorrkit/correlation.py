@@ -2,11 +2,11 @@
 
 The central object is :class:`Correlation`: the full conditional probability
 table p(a, b | x, y) over finite question sets (sizes ``m``, ``n``) and answer
-sets (sizes ``r``, ``s``).  Correlations compose by weighted direct sums over
-disjoint answer blocks, restrict to question subsets, and compare under a
-max-total-variation or Euclidean metric.  Values are immutable after
-construction and all operations are pure, so they are safe to share across
-threads.
+sets (sizes ``r``, ``s``).  Correlations are checked for a weighted block
+structure over disjoint answer blocks, restrict to question subsets, and
+compare under a max-total-variation or Euclidean metric.  Values are
+immutable after construction and all operations are pure, so they are safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ __all__ = [
     "BlockCheckFailure",
     "BlockCheckResult",
     "CorrelationError",
-    "direct_sum",
     "block_structure_check",
     "restrict",
     "distance",
-    "NEGATIVE_CLAMP",
-    "DEFAULT_NORM_TOL",
 ]
 
 # Entries slightly below zero are float noise from inner products; anything
@@ -212,39 +209,6 @@ def _check_partition_covers(partition: tuple[tuple[int, ...], ...], size: int, s
         raise CorrelationError(
             f"{side} partition {partition} is not a partition of range({size})"
         )
-
-
-def direct_sum(blocks: Sequence[tuple[float, Correlation]]) -> Correlation:
-    """Assemble a correlation whose answer sets split into weighted diagonal blocks.
-
-    All blocks must share the question counts (m, n).  Block answers occupy
-    contiguous index ranges in declaration order; the result satisfies
-    p(a, b | x, y) = w_i * p_i(a, b | x, y) when (a, b) lie in block i and is
-    zero across blocks.
-    """
-    if not blocks:
-        raise CorrelationError("direct_sum requires at least one block")
-    weights = np.array([w for w, _ in blocks], dtype=float)
-    parts = [q for _, q in blocks]
-    if np.any(weights < 0.0):
-        raise CorrelationError("block weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > DEFAULT_NORM_TOL:
-        raise CorrelationError(f"block weights must sum to 1, got {weights.sum()!r}")
-    m, n = parts[0].m, parts[0].n
-    for q in parts[1:]:
-        if (q.m, q.n) != (m, n):
-            raise CorrelationError(
-                f"blocks must share question counts: ({q.m},{q.n}) != ({m},{n})"
-            )
-    r_tot = sum(q.r for q in parts)
-    s_tot = sum(q.s for q in parts)
-    table = np.zeros((m, n, r_tot, s_tot))
-    ra = sa = 0
-    for w, q in zip(weights, parts):
-        table[:, :, ra : ra + q.r, sa : sa + q.s] = w * q.table
-        ra += q.r
-        sa += q.s
-    return Correlation(table)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,6 @@ __all__ = [
     "PRINTED_PAIRS",
     "NUM_ALICE_QUESTIONS",
     "NUM_BOB_QUESTIONS",
-    "NUM_ANSWERS",
 ]
 
 NUM_ALICE_QUESTIONS = 4

@@ -30,11 +30,7 @@ __all__ = [
     "validate",
     "projected_substate",
     "restrict_questions",
-    "direct_sum_strategies",
-    "random_strategy",
     "haar_unitary",
-    "STATE_NORM_TOL",
-    "PROJECTOR_TOL",
 ]
 
 STATE_NORM_TOL = 1e-12
@@ -492,54 +488,6 @@ def restrict_questions(s: Strategy, xs: Sequence[int], ys: Sequence[int]) -> Str
     )
 
 
-def direct_sum_strategies(blocks: Sequence[tuple[float, Strategy]]) -> Strategy:
-    """Embed strategies block-diagonally with contiguous answer ranges.
-
-    The combined state is the weighted orthogonal sum of the block states
-    (weight w contributes amplitude sqrt(w)); each block's answers keep their
-    declaration order.  Inducing the result gives the direct sum of the
-    induced block correlations with the same weights.
-    """
-    if not blocks:
-        raise StrategyError("direct_sum_strategies requires at least one block")
-    weights = [float(w) for w, _ in blocks]
-    parts = [s for _, s in blocks]
-    if any(w < 0.0 for w in weights):
-        raise StrategyError("weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise StrategyError(f"weights must sum to 1, got {sum(weights)!r}")
-    if any((s.m, s.n) != (parts[0].m, parts[0].n) for s in parts):
-        raise StrategyError("blocks must share question counts")
-    psi = np.zeros((sum(s.dA for s in parts), sum(s.dB for s in parts)),
-                   dtype=np.result_type(*(s.state for s in parts)))
-    oa = ob = 0
-    for w, s in zip(weights, parts):
-        psi[oa : oa + s.dA, ob : ob + s.dB] = np.sqrt(w) * s.state_matrix()
-        oa += s.dA
-        ob += s.dB
-    return Strategy(
-        dA=oa,
-        dB=ob,
-        state=psi.reshape(-1),
-        alice_meas=_block_embed([s.alice_meas for s in parts]),
-        bob_meas=_block_embed([s.bob_meas for s in parts]),
-    )
-
-
-def _block_embed(sides: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-diagonal embedding of one side's elements, answer ranges contiguous."""
-    dim = sum(meas.shape[-1] for meas in sides)
-    answers = sum(meas.shape[1] for meas in sides)
-    out = np.zeros((sides[0].shape[0], answers, dim, dim), dtype=np.result_type(*sides))
-    a0 = o = 0
-    for meas in sides:
-        r, d = meas.shape[1:3]
-        out[:, a0 : a0 + r, o : o + d, o : o + d] = meas
-        a0 += r
-        o += d
-    return _frozen(out)
-
-
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -553,7 +501,9 @@ def _random_measurements(
 ) -> np.ndarray:
     """Haar-random projective measurements, (questions, answers, dim, dim).
 
-    Eigenspace dimensions are split over the answers as in :func:`random_strategy`.
+    Eigenspace dimensions are split as evenly as possible over the answers;
+    when there are more answers than dimensions the trailing answers get zero
+    projectors (still a valid projective measurement).
     """
     sizes = [dim // answers + (1 if i < dim % answers else 0) for i in range(answers)]
     out = np.empty((questions, answers, dim, dim), dtype=complex)
@@ -565,29 +515,3 @@ def _random_measurements(
             out[x, a] = block @ block.conj().T
             col += size
     return out
-
-
-def random_strategy(
-    rng: np.random.Generator,
-    dA: int = 2,
-    dB: int = 2,
-    m: int = 2,
-    n: int = 2,
-    r: int = 2,
-    s: int = 2,
-) -> Strategy:
-    """Haar-random pure state with random projective measurements.
-
-    Eigenspace dimensions are split as evenly as possible over the answers;
-    when there are more answers than dimensions the trailing answers get zero
-    projectors (still a valid projective measurement).
-    """
-    state = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
-    state /= np.linalg.norm(state)
-    return Strategy(
-        dA=dA,
-        dB=dB,
-        state=state,
-        alice_meas=_random_measurements(rng, dA, m, r),
-        bob_meas=_random_measurements(rng, dB, n, s),
-    )

@@ -1,13 +1,15 @@
-"""Shared oracles and fixtures for the test suite."""
+"""Shared oracles, test-input builders and fixtures for the test suite."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from qcorrkit.correlation import Correlation
-from qcorrkit.strategy import Strategy
+from qcorrkit.correlation import Correlation, CorrelationError
+from qcorrkit.strategy import Strategy, StrategyError, _random_measurements, haar_unitary
 
 # Property tests draw the same examples on every run and stay bounded in time.
 settings.register_profile("qcorrkit", derandomize=True, deadline=None, max_examples=25, database=None)
@@ -101,6 +103,123 @@ def _exchange(grads: np.ndarray, owners: list[np.ndarray], sweeps: int) -> None:
                 owners[a], owners[b] = span @ evecs[:, neg], span @ evecs[:, ~neg]
         if not improved:
             break
+
+
+def direct_sum(blocks: Sequence[tuple[float, Correlation]]) -> Correlation:
+    """Assemble a correlation whose answer sets split into weighted diagonal blocks.
+
+    All blocks must share the question counts (m, n).  Block answers occupy
+    contiguous index ranges in declaration order; the result satisfies
+    p(a, b | x, y) = w_i * p_i(a, b | x, y) when (a, b) lie in block i and is
+    zero across blocks.
+    """
+    if not blocks:
+        raise CorrelationError("direct_sum requires at least one block")
+    weights = np.array([w for w, _ in blocks], dtype=float)
+    parts = [q for _, q in blocks]
+    if np.any(weights < 0.0):
+        raise CorrelationError("block weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise CorrelationError(f"block weights must sum to 1, got {weights.sum()!r}")
+    m, n = parts[0].m, parts[0].n
+    for q in parts[1:]:
+        if (q.m, q.n) != (m, n):
+            raise CorrelationError(
+                f"blocks must share question counts: ({q.m},{q.n}) != ({m},{n})"
+            )
+    table = np.zeros((m, n, sum(q.r for q in parts), sum(q.s for q in parts)))
+    ra = sa = 0
+    for w, q in zip(weights, parts):
+        table[:, :, ra : ra + q.r, sa : sa + q.s] = w * q.table
+        ra += q.r
+        sa += q.s
+    return Correlation(table)
+
+
+def direct_sum_strategies(blocks: Sequence[tuple[float, Strategy]]) -> Strategy:
+    """Embed strategies block-diagonally with contiguous answer ranges.
+
+    The combined state is the weighted orthogonal sum of the block states
+    (weight w contributes amplitude sqrt(w)); each block's answers keep their
+    declaration order.  Inducing the result gives the direct sum of the
+    induced block correlations with the same weights.
+    """
+    if not blocks:
+        raise StrategyError("direct_sum_strategies requires at least one block")
+    weights = [float(w) for w, _ in blocks]
+    parts = [s for _, s in blocks]
+    if any(w < 0.0 for w in weights):
+        raise StrategyError("weights must be nonnegative")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise StrategyError(f"weights must sum to 1, got {sum(weights)!r}")
+    if any((s.m, s.n) != (parts[0].m, parts[0].n) for s in parts):
+        raise StrategyError("blocks must share question counts")
+    psi = np.zeros((sum(s.dA for s in parts), sum(s.dB for s in parts)),
+                   dtype=np.result_type(*(s.state for s in parts)))
+    oa = ob = 0
+    for w, s in zip(weights, parts):
+        psi[oa : oa + s.dA, ob : ob + s.dB] = np.sqrt(w) * s.state_matrix()
+        oa += s.dA
+        ob += s.dB
+    return Strategy(
+        dA=oa,
+        dB=ob,
+        state=psi.reshape(-1),
+        alice_meas=_block_embed([s.alice_meas for s in parts]),
+        bob_meas=_block_embed([s.bob_meas for s in parts]),
+    )
+
+
+def _block_embed(sides: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-diagonal embedding of one side's elements, answer ranges contiguous."""
+    dim = sum(meas.shape[-1] for meas in sides)
+    answers = sum(meas.shape[1] for meas in sides)
+    out = np.zeros((sides[0].shape[0], answers, dim, dim), dtype=np.result_type(*sides))
+    a0 = o = 0
+    for meas in sides:
+        r, d = meas.shape[1:3]
+        out[:, a0 : a0 + r, o : o + d, o : o + d] = meas
+        a0 += r
+        o += d
+    return out
+
+
+def random_strategy(
+    rng: np.random.Generator,
+    dA: int = 2,
+    dB: int = 2,
+    m: int = 2,
+    n: int = 2,
+    r: int = 2,
+    s: int = 2,
+) -> Strategy:
+    """Haar-random pure state with Haar-random projective measurements."""
+    state = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
+    state /= np.linalg.norm(state)
+    return Strategy(
+        dA=dA,
+        dB=dB,
+        state=state,
+        alice_meas=_random_measurements(rng, dA, m, r),
+        bob_meas=_random_measurements(rng, dB, n, s),
+    )
+
+
+def rotated_strategy(s: Strategy, seed: int = 0) -> Strategy:
+    """``s`` conjugated by one Haar-random U_A (x) U_B, drawn from ``default_rng(seed)``, A then B.
+
+    The same strategy in another local basis: its correlation, Schmidt
+    coefficients and operator relations are unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(rng, s.dA), haar_unitary(rng, s.dB)
+    return Strategy(
+        s.dA,
+        s.dB,
+        (ua @ s.state_matrix() @ ub.T).reshape(-1),
+        ua @ s.alice_meas @ ua.conj().T,
+        ub @ s.bob_meas @ ub.conj().T,
+    )
 
 
 def random_correlation(rng: np.random.Generator, m: int, n: int, r: int, s: int) -> Correlation:

@@ -32,7 +32,6 @@ from qcorrkit.seesaw import SeesawConfig, optimize
 from qcorrkit.strategy import (
     Strategy,
     induce,
-    random_strategy,
     restrict_questions,
     validate,
 )
@@ -43,6 +42,8 @@ from qcorrkit.tilted_chsh import (
     params_from_alpha,
     params_from_beta,
 )
+
+from conftest import random_strategy
 
 
 def report(number: int, ok: bool, detail: str) -> None:

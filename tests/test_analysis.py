@@ -1,6 +1,7 @@
 """Schmidt machinery, block decomposition, question-4 relations, descent chains."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,14 +25,14 @@ from qcorrkit.analysis import (
 from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
 from qcorrkit.strategy import (
     Strategy,
-    direct_sum_strategies,
     haar_unitary,
     induce,
-    random_strategy,
     restrict_questions,
     validate,
 )
 from qcorrkit.tilted_chsh import ideal_strategy, ideal_table, params_from_alpha
+
+from conftest import direct_sum_strategies, random_strategy, rotated_strategy
 
 
 EPR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
@@ -326,6 +327,25 @@ class TestDerivedCutoff:
             assert not any(rows.get(name, {"pass": False})["pass"] for name in SPECTRUM_ROWS)
             for name in ("schmidt_partition", "descent_chain_length"):
                 assert f"holds {held} of D = {2 * m} coefficients above its cutoff" in rows[name]["detail"]
+
+
+class TestRotatedBasis:
+    # the points where the ideal truncation passes and one Haar-random basis fails
+    @pytest.mark.parametrize("alpha, m", [(0.3, 8), (0.3, 12), (0.5, 12), (0.5, 16), (0.7, 24)])
+    def test_failing_rows_name_their_numbers(self, alpha, m):
+        s = rotated_strategy(ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m)))
+        failing = [row for row in certify_truncation(s, alpha, 1e-9) if not row["pass"]]
+        assert failing
+        for row in failing:
+            # a digit not glued to a letter: "S0" or "y4" name no number
+            assert re.search(r"(?<![A-Za-z_])\d", row.get("detail", "")), row
+
+    def test_chain_and_split_rows_name_their_limits(self):
+        s = rotated_strategy(ideal_truncated_strategy(TruncationSpec(alpha=0.3, m=12)))
+        rows = {r["name"]: r for r in certify_truncation(s, 0.3, 1e-9)}
+        assert rows["descent_chain_length"]["detail"] == "longest chain 23 of D = 24 at ratio 0.3, rel_tol 1.0e-06"
+        assert re.search(r"worst relative pair deviation \d\.\d{3}e-\d+ > 1\.0e-09",
+                         rows["schmidt_partition"]["detail"])
 
 
 class TestDescentChain:

@@ -1,9 +1,10 @@
-"""Every exported or benchmark-traced name resolves, so deletions cannot leave stale ones."""
+"""The package exports every library name, and every exported or benchmark-traced name resolves."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,23 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+LIBRARY = ("correlation", "strategy", "tilted_chsh", "separating", "analysis", "seesaw")
+
+
+def test_package_exports_every_library_name():
+    expected = [name for mod in LIBRARY for name in importlib.import_module(f"qcorrkit.{mod}").__all__]
+    assert sorted(qcorrkit.__all__) == sorted(expected + ["__version__"])
+    assert {"certify_truncation", "certify_strategy", "SeesawError"} <= set(qcorrkit.__all__)
+
+
+def test_readme_imports_are_exported():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"from qcorrkit import \((.*?)\)", readme, re.S)
+    assert block
+    names = {name.strip() for name in block.group(1).replace("\n", ",").split(",") if name.strip()}
+    assert names and names <= set(qcorrkit.__all__), sorted(names - set(qcorrkit.__all__))
 
 
 def _traced_names() -> list[str]:

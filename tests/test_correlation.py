@@ -13,14 +13,13 @@ from qcorrkit.correlation import (
     Correlation,
     CorrelationError,
     block_structure_check,
-    direct_sum,
     distance,
     restrict,
 )
 from qcorrkit.separating import exact_pstar, printed_table, truncation_distance
 from qcorrkit.tilted_chsh import ideal_table, params_from_alpha
 
-from conftest import random_correlation
+from conftest import direct_sum, random_correlation
 
 
 def deterministic(m, n, r, s, a=0, b=0):

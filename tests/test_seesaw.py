@@ -14,6 +14,7 @@ from conftest import (
     kron_induce,
     povm_vertex_reference,
     random_correlation,
+    random_strategy,
 )
 from qcorrkit import seesaw
 from qcorrkit.correlation import Correlation, distance, restrict
@@ -32,7 +33,7 @@ from qcorrkit.seesaw import (
     _state_grad,
     optimize,
 )
-from qcorrkit.strategy import _atom_image, _random_measurements, induce, random_strategy, validate
+from qcorrkit.strategy import _atom_image, _random_measurements, induce, validate
 
 seeds = st.integers(0, 2**32 - 1)
 small = st.integers(1, 3)

@@ -17,18 +17,16 @@ from qcorrkit.strategy import (
     InvalidStrategyError,
     Strategy,
     StrategyError,
-    direct_sum_strategies,
     haar_unitary,
     induce,
     projected_substate,
     _split_arrays,
-    random_strategy,
     restrict_questions,
     validate,
 )
 from qcorrkit.tilted_chsh import ideal_strategy, params_from_alpha, params_from_beta
 
-from conftest import kron_induce
+from conftest import direct_sum_strategies, kron_induce, random_strategy
 
 seeds = st.integers(0, 2**32 - 1)
 
