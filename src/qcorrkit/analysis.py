@@ -103,12 +103,17 @@ class SchmidtResult:
     spectrum: SchmidtSpectrum
 
 
+def _rank_cutoff(values: np.ndarray, n: int) -> float:
+    """max(values) * n * eps, numpy ``matrix_rank``'s tolerance: what an order-n solver resolves."""
+    return float(values.max(initial=0.0)) * n * np.finfo(float).eps
+
+
 def _svd_spectrum(mat: np.ndarray, cutoff: float | None = None) -> SchmidtSpectrum:
-    """Singular values of ``mat`` above ``cutoff``, by default numpy ``matrix_rank``'s
-    tolerance sigma_max * max(shape) * eps: what the SVD itself resolves."""
+    """Singular values of ``mat`` above ``cutoff``, by default the :func:`_rank_cutoff`
+    sigma_max * max(shape) * eps: what the SVD itself resolves."""
     sing = np.linalg.svd(mat, compute_uv=False)  # values only: nothing reads the vectors
     if cutoff is None:
-        cutoff = float(sing.max(initial=0.0)) * max(mat.shape) * np.finfo(float).eps
+        cutoff = _rank_cutoff(sing, max(mat.shape))
     return SchmidtSpectrum(tuple(sing[sing > cutoff].tolist()), cutoff)
 
 
@@ -137,16 +142,9 @@ def schmidt(state: np.ndarray, dA: int, dB: int) -> SchmidtResult:
 def multiset_equal(
     a: Sequence[float], b: Sequence[float], rel_tol: float = MULTISET_REL_TOL
 ) -> bool:
-    """Whether two positive multisets pair up within relative tolerance.
-
-    Sorting both descending makes the largest-first pairing canonical.
-    """
-    if len(a) != len(b):
-        return False
-    return all(
-        abs(va - vb) <= rel_tol * max(abs(va), abs(vb))
-        for va, vb in zip(sorted(a, reverse=True), sorted(b, reverse=True))
-    )
+    """Whether two positive multisets have equal sizes and pair up within relative
+    tolerance: their :func:`_max_pair_deviation` is at most ``rel_tol``."""
+    return len(a) == len(b) and _max_pair_deviation(a, b) <= rel_tol
 
 
 def multiset_subtract(
@@ -248,7 +246,7 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
         side_gap = float(np.linalg.norm(ref - b_vecs[0]))
         residuals["question_independence"] = max(residuals["question_independence"], worst_q)
         residuals["side_agreement"] = max(residuals["side_agreement"], side_gap)
-        if worst_q > tol or side_gap > tol:
+        if not (worst_q <= tol and side_gap <= tol):
             raise BlockDecompositionError(
                 f"block {i} projector image depends on the question "
                 f"(residual {max(worst_q, side_gap):.3e} > tol {tol:.1e})"
@@ -259,7 +257,7 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
     for i, (w, w_corr) in enumerate(zip(weights, chk.weights)):
         gap = abs(w - w_corr)
         residuals["weight_consistency"] = max(residuals["weight_consistency"], gap)
-        if gap > tol:
+        if not gap <= tol:
             raise BlockDecompositionError(
                 f"block {i} state mass {w!r} disagrees with correlation weight "
                 f"{w_corr!r} beyond tol"
@@ -306,7 +304,7 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
         got = induce(sub_strategy, check=False)
         gap = distance(got, expected, "max_tv")
         residuals["induced_block_mismatch"] = max(residuals["induced_block_mismatch"], gap)
-        if gap > tol:
+        if not gap <= tol:
             raise BlockDecompositionError(
                 f"block {i} restricted strategy induces the wrong sub-correlation "
                 f"(max_tv {gap:.3e} > tol {tol:.1e})"
@@ -334,13 +332,13 @@ def _restrict_side(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block subspace of one side and that side's ``answers`` compressed onto it.
 
-    The subspace is spanned by the eigenvectors of the reduced density ``rho``
-    above lambda_max * n * eps, the resolution of ``eigh``.  Works one
-    question at a time; every compressed element must stay a projection, and
+    The subspace is spanned by the eigenvectors of the reduced density ``rho`` above
+    the :func:`_rank_cutoff` lambda_max * n * eps, the resolution of ``eigh``.  Works
+    one question at a time; every compressed element must stay a projection, and
     its leakage out of the subspace is recorded.
     """
     evals, evecs = np.linalg.eigh(rho)
-    threshold = float(evals.max(initial=0.0)) * len(rho) * np.finfo(float).eps
+    threshold = _rank_cutoff(evals, len(rho))
     basis = evecs[:, evals > threshold]
     answers = list(answers)
     out = np.empty((len(meas), len(answers), basis.shape[1], basis.shape[1]),
@@ -354,8 +352,8 @@ def _restrict_side(
         residuals["restricted_idempotence"] = max(
             residuals["restricted_idempotence"], float(idem.max())
         )
-        if idem.max() > tol:
-            k = int(np.argmax(idem > tol))
+        if not idem.max() <= tol:
+            k = int(np.argmax(~(idem <= tol)))
             q, a = ("x", "a") if side == "A" else ("y", "b")
             raise BlockDecompositionError(
                 f"restricted element ({side}, {q}={x}, {a}={answers[k]}) of block {block} "
@@ -472,12 +470,12 @@ def _partition(
     # pieces of the same vector: cut where the state spectrum was cut
     s0, s1, s2 = (_svd_spectrum(v, spec_s.cutoff) for v in (vec0, vec1, vec2))
 
-    merged = sorted(list(s0) + list(s1), reverse=True)
-    if not multiset_equal(spec_s.as_list(), merged, tol):
+    merged = list(s0) + list(s1)
+    deviation = _max_pair_deviation(spec_s.as_list(), merged)
+    if not deviation <= tol:
         if len(merged) != len(spec_s):
             why = f"S holds {len(spec_s)} coefficients, S0 and S1 {len(s0)} + {len(s1)}"
         else:
-            deviation = _max_pair_deviation(spec_s.as_list(), merged)
             why = f"worst relative pair deviation {deviation:.3e} > {tol:.1e}"
         raise AnalysisError(
             f"spectrum does not split as S = S0 u S1 ({why}); the two projected parts "
@@ -516,13 +514,14 @@ def descent_chain(
     Chains start at the largest unused coefficient and always extend to the
     largest admissible successor, so degenerate groups are consumed one
     member at a time.  ``rel_tol`` must stay below (1 - ratio)/2 or chain
-    membership would be ambiguous.
+    membership would be ambiguous; a negative or NaN one admits no successor.
     """
     if not (0.0 < ratio < 1.0):
         raise AnalysisError(f"ratio must lie in (0, 1), got {ratio!r}")
-    if rel_tol >= (1.0 - ratio) / 2.0:
+    if not (0.0 <= rel_tol < (1.0 - ratio) / 2.0):
         raise AnalysisError(
-            f"rel_tol {rel_tol!r} too large for ratio {ratio!r}: chains would overlap"
+            f"rel_tol {rel_tol!r} must lie in [0, (1 - ratio)/2) for ratio {ratio!r}: "
+            "a negative or nan one admits no successor, one too large lets chains overlap"
         )
     values = list(spectrum.coefficients)
     used = [False] * len(values)
@@ -583,11 +582,14 @@ class BijectionReport:
 
 
 def _max_pair_deviation(a: Sequence[float], b: Sequence[float]) -> float:
+    """Largest |x - y| / max(|x|, |y|) over ``a`` and ``b`` paired largest-first (0 for
+    x == y); inf for unequal sizes, NaN when a member is NaN."""
     if len(a) != len(b) or not a:
         return float("inf") if a or b else 0.0
     sa = sorted(a, reverse=True)
     sb = sorted(b, reverse=True)
-    return max(abs(x - y) / max(x, y) for x, y in zip(sa, sb))
+    return float(np.max([0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+                         for x, y in zip(sa, sb)]))
 
 
 def verify_schmidt_bijections(

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import json
 import math
@@ -143,14 +141,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
             stream.write("\n")
 
 
-def _csv_rows(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _strategy_from_args(args) -> strategy.Strategy:
     if getattr(args, "strategy", None):
         return strategy.Strategy.from_json(Path(args.strategy).read_text(encoding="utf-8"))
@@ -191,7 +181,7 @@ def _cmd_tables(args) -> int:
         entries = corr.table[x, y]
     if args.format == "csv":
         rows = [[a, b, repr(float(p))] for a, row in enumerate(entries) for b, p in enumerate(row)]
-        _emit(_csv_rows(["a", "b", "p"], rows), args.out)
+        _emit(correlation._csv(["a", "b", "p"], rows), args.out)
     else:
         payload = {
             "alpha": args.alpha,
@@ -244,7 +234,7 @@ def _cmd_schmidt(args) -> int:
     coeffs = spectrum.as_list()
     if args.format == "csv":
         rows = [[i, repr(float(c))] for i, c in enumerate(coeffs)]
-        _emit(_csv_rows(["index", "coefficient"], rows), args.out)
+        _emit(correlation._csv(["index", "coefficient"], rows), args.out)
     else:
         _emit(_dump_json({"coefficients": coeffs, "cutoff": spectrum.cutoff}), args.out)
     return EXIT_OK
@@ -295,7 +285,7 @@ def _cmd_chain(args) -> int:
         payload = [{"m": m, "max_chain_length": L} for m, L in rows]
         _emit(_dump_json(payload), args.out)
     else:
-        _emit(_csv_rows(["m", "max_chain_length"], [[m, L] for m, L in rows]), args.out)
+        _emit(correlation._csv(["m", "max_chain_length"], [[m, L] for m, L in rows]), args.out)
     return EXIT_OK
 
 

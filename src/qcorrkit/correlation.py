@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 # worse than this is treated as a genuine invariant violation.
 NEGATIVE_CLAMP = 1e-14
 DEFAULT_NORM_TOL = 1e-12
+# what strategy.validate allows a valid strategy: induce builds to it, files are read at it
+INDUCED_NORM_TOL = 1e-10
 
 Metric = Literal["max_tv", "l2"]
 
@@ -55,7 +57,7 @@ def _clean_probabilities(arr: np.ndarray, norm_tol: float, what: str) -> np.ndar
     arr = np.where(arr < 0.0, 0.0, arr)
     sums = arr.sum(axis=(-2, -1))
     worst = float(np.max(np.abs(sums - 1.0)))
-    if worst > norm_tol:
+    if not worst <= norm_tol:
         raise CorrelationError(
             f"{what} is not normalized: max |sum - 1| = {worst:.3e} > {norm_tol:.1e}"
         )
@@ -116,8 +118,9 @@ class Correlation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, norm_tol: float = DEFAULT_NORM_TOL) -> "Correlation":
-        """Read what :meth:`to_dict` writes; malformed data raises :class:`CorrelationError`."""
+    def from_dict(cls, data: dict) -> "Correlation":
+        """Read what :meth:`to_dict` writes, normalized to ``INDUCED_NORM_TOL``;
+        malformed data raises :class:`CorrelationError`."""
         try:
             arr = np.asarray(data["table"], dtype=float)
             expected = (data["m"], data["n"], data["r"], data["s"])
@@ -127,23 +130,28 @@ class Correlation:
             raise CorrelationError(
                 f"table shape {arr.shape} disagrees with header {expected}"
             )
-        return cls(arr, norm_tol=norm_tol)
+        return cls(arr, norm_tol=INDUCED_NORM_TOL)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, norm_tol: float = DEFAULT_NORM_TOL) -> "Correlation":
-        return cls.from_dict(json.loads(text), norm_tol=norm_tol)
+    def from_json(cls, text: str) -> "Correlation":
+        return cls.from_dict(json.loads(text))
 
     def to_csv(self) -> str:
         """One row per (x, y, a, b, value), header included."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "y", "a", "b", "p"])
-        for index, value in np.ndenumerate(self.table):
-            writer.writerow([*index, repr(float(value))])
-        return buf.getvalue()
+        rows = ([*index, repr(float(value))] for index, value in np.ndenumerate(self.table))
+        return _csv(["x", "y", "a", "b", "p"], rows)
+
+
+def _csv(header: list[str], rows: Iterable[list]) -> str:
+    """The CSV text of ``header`` and ``rows``, each line ending in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +254,7 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
                 continue
             sub = p.table[:, :, list(a_cls)][:, :, :, list(b_cls)]
             worst = float(sub.max(initial=0.0))
-            if worst > tol:
+            if not worst <= tol:
                 x, y, ia, ib = np.unravel_index(int(np.argmax(sub)), sub.shape)
                 fail = BlockCheckFailure(
                     kind="cross_block_mass",
@@ -265,7 +273,7 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
         masses[i] = p.table[:, :, a_cls][:, :, :, b_cls].sum(axis=(2, 3))
     weights = masses.mean(axis=(1, 2))
     dev = np.abs(masses - weights[:, None, None])
-    if float(dev.max()) > tol:
+    if not float(dev.max()) <= tol:
         i, x, y = np.unravel_index(int(np.argmax(dev)), dev.shape)
         fail = BlockCheckFailure(
             kind="weight_variation",

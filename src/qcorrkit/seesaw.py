@@ -25,14 +25,12 @@ register per side), which reproduces its correlation exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import Correlation
+from .correlation import Correlation, _csv
 from .strategy import Strategy, _atom_image, _frozen, _random_measurements
 
 __all__ = [
@@ -87,8 +85,11 @@ class SeesawConfig:
 class RestartTrace:
     restart: int
     objectives: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objectives) - 1
 
 
 @dataclass(eq=False)
@@ -112,13 +113,9 @@ class SeesawResult:
     strategy: Strategy | None = None
 
     def trace_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["restart", "iter", "objective"])
-        for trace in self.traces:
-            for i, obj in enumerate(trace.objectives):
-                writer.writerow([trace.restart, i, repr(float(obj))])
-        return buf.getvalue()
+        return _csv(["restart", "iter", "objective"],
+                    ([trace.restart, i, repr(float(obj))]
+                     for trace in self.traces for i, obj in enumerate(trace.objectives)))
 
     def summary_dict(self) -> dict:
         return {
@@ -389,7 +386,6 @@ def optimize(target: Correlation, cfg: SeesawConfig) -> SeesawResult:
             for k in idx:
                 trace = traces[k]
                 trace.objectives.append(float(np.sqrt((res[k] ** 2).sum())))
-                trace.iterations += 1
                 if trace.objectives[-2] - trace.objectives[-1] < cfg.convergence_tol:
                     trace.converged = True
                     live.remove(k)

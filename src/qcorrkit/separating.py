@@ -64,6 +64,11 @@ class SeparatingError(ValueError):
     """Invalid truncation parameters or an unavailable closed-form table."""
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise SeparatingError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class TruncationSpec:
     """Truncation to ``m`` two-dimensional pairing blocks (dimension 2m).
@@ -77,8 +82,7 @@ class TruncationSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise SeparatingError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if int(self.m) != self.m or self.m < 2:
             raise SeparatingError(f"m must be an integer >= 2, got {self.m!r}")
 
@@ -156,28 +160,24 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
 # Exact correlation via closed-form geometric sums.
 #
 # Every ideal measurement element P is banded (P[i][j] = 0 for |i - j| > 1)
-# and 2-periodic away from the origin, so it is determined by six numbers:
-# the (0,0) entry, the diagonal values on odd and on even >= 2 indices, and
-# the two coupling entries on the pair offset it follows.  The series
+# and 2-periodic away from the origin, so six numbers, read off the D = 4 cut
+# of _side_measurements, determine it: the (0,0) entry, the diagonal at 2 (even
+# indices >= 2) and at 1 (odd), the parity s of the pair starts, and the
+# couplings (s, s+1) and (s+1, s); the dangling |3> touches none.  The series
 # (1 - a^2) * sum_{i,j} a^(i+j) P[i][j] Q[i][j] then collapses to a handful
 # of geometric sums with ratio a^4.
 # ---------------------------------------------------------------------------
 
 
 def _descriptors(questions: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Banded descriptors, shape (6, questions, answers).
-
-    The six rows are the (0,0) entry, the diagonal on even indices >= 2 and
-    on odd indices, the parity of the pair starts carrying the couplings, and
-    the upper and lower couplings.
-    """
-    desc = np.zeros((len(questions), NUM_ANSWERS, 6))
-    for x, (shift, obs) in enumerate(questions):
-        for a, blk in zip((shift, 1 - shift), _pm_projectors(obs)):
-            even, odd = (blk[1, 1], blk[0, 0]) if shift else (blk[0, 0], blk[1, 1])
-            desc[x, a] = (0.0 if shift else blk[0, 0], even, odd, shift, blk[0, 1], blk[1, 0])
-        desc[x, 2, 0] = shift  # |0><0| on answer 2 of shifted questions
-    return desc.transpose(2, 0, 1)
+    """Banded descriptors, shape (6, questions, answers), in the order above; answer 2 of
+    a shifted question reads parity 1 with zero couplings, so its coupling term adds +0.0."""
+    meas = _side_measurements(questions, 2)
+    shift = np.array([s for s, _ in questions])
+    x = np.arange(len(questions))
+    parity = np.broadcast_to(shift[:, None], meas.shape[:2])
+    return np.stack([meas[:, :, 0, 0], meas[:, :, 2, 2], meas[:, :, 1, 1], parity,
+                     meas[x, :, shift, shift + 1], meas[x, :, shift + 1, shift]])
 
 
 def exact_pstar(alpha: float) -> Correlation:
@@ -188,8 +188,7 @@ def exact_pstar(alpha: float) -> Correlation:
     elements times 1/(1 - alpha^4), boundary terms added separately), so no
     truncation is involved.
     """
-    if not (0.0 < alpha < 1.0):
-        raise SeparatingError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     alice, bob = _question_layout(alpha)
     p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
     p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
@@ -212,8 +211,7 @@ def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
     other.  Shifted-pair questions carry the CHSH block with the 0/1 answer
     labels flipped.
     """
-    if not (0.0 < alpha < 1.0):
-        raise SeparatingError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     if (x, y) not in PRINTED_PAIRS:
         raise SeparatingError(f"no closed-form table for question pair ({x},{y})")
     params = params_from_alpha(alpha)

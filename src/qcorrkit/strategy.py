@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .correlation import Correlation
+from .correlation import INDUCED_NORM_TOL, Correlation, _check_question_subset
 
 __all__ = [
     "Strategy",
@@ -446,7 +446,7 @@ def induce(s: Strategy, check: bool = True) -> Correlation:
             f"induced probabilities have imaginary part {worst_imag:.3e} > 1e-10"
         )
     table = table.real.reshape(s.m, s.r, s.n, s.s).transpose(0, 2, 1, 3)
-    return Correlation(table, norm_tol=1e-10)
+    return Correlation(table, norm_tol=INDUCED_NORM_TOL)
 
 
 def projected_substate(
@@ -472,13 +472,9 @@ def projected_substate(
 
 
 def restrict_questions(s: Strategy, xs: Sequence[int], ys: Sequence[int]) -> Strategy:
-    """Keep only the given questions on each side (state and answers unchanged)."""
-    xs = [int(x) for x in xs]
-    ys = [int(y) for y in ys]
-    if not xs or not ys:
-        raise StrategyError("question subsets must be nonempty")
-    if any(not (0 <= x < s.m) for x in xs) or any(not (0 <= y < s.n) for y in ys):
-        raise StrategyError(f"question subsets ({xs},{ys}) out of range")
+    """Keep only the given distinct questions on each side (state and answers unchanged)."""
+    xs = _check_question_subset(xs, s.m, "alice")
+    ys = _check_question_subset(ys, s.n, "bob")
     return Strategy(
         dA=s.dA,
         dB=s.dB,

@@ -113,6 +113,11 @@ class TestMultisets:
     def test_cardinality_matters(self):
         assert not multiset_equal([0.5, 0.5], [0.5])
 
+    def test_zeros_pair_and_nan_does_not(self):
+        assert multiset_equal([0.0, 1.0], [1.0, 0.0])
+        assert not multiset_equal([0.0, 1.0], [1e-300, 1.0])
+        assert not multiset_equal([1.0, float("nan")], [1.0, 0.5])
+
     def test_subtract(self):
         assert multiset_subtract([0.5, 0.3, 0.3], [0.3]) == [0.5, 0.3]
         with pytest.raises(AnalysisError, match="no match"):
@@ -381,6 +386,11 @@ class TestDescentChain:
         spectrum = SchmidtSpectrum((1.0,))
         with pytest.raises(AnalysisError, match="too large"):
             descent_chain(spectrum, 0.5, rel_tol=0.3)
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), -0.1])
+    def test_rel_tol_without_window_refused(self, rel_tol):
+        with pytest.raises(AnalysisError, match=r"must lie in \[0, \(1 - ratio\)/2\)"):
+            descent_chain(SchmidtSpectrum((0.8, 0.4)), 0.5, rel_tol=rel_tol)
 
     def test_ratio_range(self):
         spectrum = SchmidtSpectrum((1.0,))

@@ -113,7 +113,7 @@ class TestStrategyPipeline:
 
         code, out, _ = run_capture(capsys, ["induce", "--strategy", str(path)])
         assert code == 0
-        corr = Correlation.from_json(out, norm_tol=1e-10)
+        corr = Correlation.from_json(out)
         expected = induce(ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=3)))
         np.testing.assert_allclose(corr.table, expected.table, atol=1e-12)
 
@@ -132,6 +132,18 @@ class TestStrategyPipeline:
         )
         assert code == 0
         assert json.loads(out)["value"] == 1.0
+
+    def test_distance_reads_what_induce_wrote(self, capsys, tmp_path):
+        # a state norm off by 9e-13 is valid, and its induced sums stray past 1e-12
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        path = tmp_path / "strategy.json"
+        path.write_text(Strategy(s.dA, s.dB, s.state * (1 + 9e-13), s.alice_meas, s.bob_meas).to_json())
+        table = tmp_path / "table.json"
+        assert run_capture(capsys, ["verify", "--strategy", str(path)])[0] == 0
+        assert run_capture(capsys, ["induce", "--strategy", str(path), "--out", str(table)])[0] == 0
+        code, out, err = run_capture(capsys, ["distance", "--p", str(table), "--q", str(table)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 0.0
 
     def test_truncation_distance_default(self, capsys):
         code, out, _ = run_capture(
@@ -165,6 +177,24 @@ class TestVerifiers:
         assert code == 0
         payload = json.loads(out)
         np.testing.assert_allclose(payload["weights"], [0.25, 0.75], atol=1e-6)
+
+    def test_blocks_refuses_duplicate_questions(self, capsys):
+        code, out, err = run_capture(capsys, ["blocks", "--alpha", "0.5", "--m", "4", "--xs", "2", "2"])
+        assert (code, out) == (1, "")
+        assert err == "error: alice question subset has duplicates: [2, 2]\n"
+
+    def test_blocks_nan_tol_fails(self, capsys):
+        code, out, err = run_capture(capsys, ["blocks", "--alpha", "0.5", "--m", "4", "--tol", "nan"])
+        assert (code, out) == (2, "")
+        assert err.startswith("block decomposition failed: ") and "exceeds tol nan" in err
+
+    @pytest.mark.parametrize("rel_tol", ["nan", "-0.1"])
+    def test_chain_refuses_a_rel_tol_without_window(self, capsys, rel_tol):
+        code, out, err = run_capture(
+            capsys, ["chain", "--alpha", "0.5", "--m-min", "2", "--m-max", "4", "--rel-tol", rel_tol]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: rel_tol {float(rel_tol)!r} must lie in [0, (1 - ratio)/2)")
 
     def test_chain_csv_rows(self, capsys):
         code, out, _ = run_capture(
@@ -466,6 +496,43 @@ class TestStrategyFiles:
         code, out, _ = run_capture(capsys, argv + ["--out", str(path)])
         assert code == 0 and out == ""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.M64_SHA256
+
+    # sha256 of each command's stdout; together they cover the pairing layout, the
+    # alpha check, the CSV writer, question subsets, the multiset pairing and the rank cutoff
+    STDOUT_SHA256 = {
+        "tables --alpha 0.5":
+            "bb640245140aee816eeb64f47066120d6549aa3826b11273036c2b2ef2c07052",
+        "tables --alpha 0.3 --pair 2 4 --source exact --format csv":
+            "66619cacc52b528694a7c5b9994dab6ef0f38929127aeef33ee293e971c68411",
+        "induce --alpha 0.5 --m 4 --format csv":
+            "691e8fb994a826c3862b4699e5eef4e90893c8229dcfb3bf642289548af114c4",
+        "schmidt --alpha 0.5 --m 3 --format csv":
+            "bc054b35f08877df032f7ab63b60b1be0cc2ab17b01d1e3099f2afe1d71f1e09",
+        "chain --alpha 0.5 --m-min 2 --m-max 6":
+            "71cbaf486e27635998131c1082aeb267e227754eda3808ab078b679433ed93cb",
+        "blocks --alpha 0.5 --m 6":
+            "ab3caf53d997967ea5c4d505c466b213166f79409362ff55e0fdec3071dc0c84",
+        "verify --alpha 0.95 --m 8":
+            "2fba2b8dee138446e62e8334dbfcdf873b45ccf734fd5f0920c72f35bf274c7f",
+    }
+
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_stdout_bytes_pinned(self, capsys, command):
+        code, out, _ = run_capture(capsys, command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[command]
+
+    # sha256 of the restart trace CSV that `seesaw --trace-out` writes
+    TRACE_SHA256 = "6b5d8d8f4763558be9ec38874fbcdafb95f15cb8e2c0691e7ac1be8a2d18b91f"
+
+    def test_seesaw_trace_bytes_pinned(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        code, _, _ = run_capture(capsys, [
+            "seesaw", "--target", "chsh", "--dim", "2", "--restarts", "2", "--iters", "5",
+            "--seed", "3", "--trace-out", str(path),
+        ])
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACE_SHA256
 
     @pytest.mark.parametrize("command", ["verify", "induce"])
     @pytest.mark.parametrize("damage", ["NaN state", "NaN projector entries"])

@@ -62,6 +62,10 @@ class TestConstruction:
             Correlation(table)
         Correlation(table, norm_tol=1e-9)
 
+    def test_nan_norm_tol_checks_nothing_away(self):
+        with pytest.raises(CorrelationError, match=r"max \|sum - 1\| = 2\.600e\+00 > nan"):
+            Correlation(np.full((1, 1, 2, 2), 0.9), norm_tol=float("nan"))
+
     def test_immutable(self):
         p = deterministic(1, 1, 2, 2)
         with pytest.raises(ValueError):

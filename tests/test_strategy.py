@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcorrkit.correlation import distance
+from qcorrkit.correlation import CorrelationError, distance, restrict
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
     _PIECE,
@@ -513,6 +513,18 @@ class TestCombinators:
         np.testing.assert_allclose(
             induce(sub).table, induce(s).table[[2, 0]][:, [1]], atol=1e-14
         )
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([2, 2], [1], "alice question subset has duplicates"),
+        ([0], [], "bob question subset must be nonempty"),
+        ([0], [3], r"bob question subset \[3\] out of range\(3\)"),
+    ])
+    def test_restrict_questions_checks_as_restrict(self, rng, xs, ys, message):
+        s = random_strategy(rng, m=3, n=3)
+        with pytest.raises(CorrelationError, match=message):
+            restrict_questions(s, xs, ys)
+        with pytest.raises(CorrelationError, match=message):
+            restrict(induce(s), xs, ys)
 
     def test_direct_sum_strategies_induces_block_diagonal(self, rng):
         s1 = ideal_strategy(params_from_alpha(0.5))
