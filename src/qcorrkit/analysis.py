@@ -78,11 +78,11 @@ class SchmidtSpectrum:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
-        if any(c <= 0.0 for c in coeffs):
+        if any(not c > 0.0 for c in coeffs):
             raise AnalysisError("Schmidt coefficients must be strictly positive")
-        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
+        if any(not coeffs[i] >= coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise AnalysisError("Schmidt coefficients must be sorted descending")
-        if sum(c * c for c in coeffs) > 1.0 + 1e-10:
+        if not sum(c * c for c in coeffs) <= 1.0 + 1e-10:
             raise AnalysisError("squared Schmidt coefficients exceed unit total")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -134,7 +134,7 @@ def schmidt(state: np.ndarray, dA: int, dB: int) -> SchmidtResult:
     vec = np.asarray(state).reshape(-1)
     if vec.size != dA * dB:
         raise AnalysisError(f"vector length {vec.size} != dA*dB = {dA * dB}")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
         raise AnalysisError("schmidt expects a unit-norm state")
     return SchmidtResult(spectrum=_svd_spectrum(vec.reshape(dA, dB)))
 
@@ -154,7 +154,7 @@ def multiset_subtract(
     remaining = sorted(a, reverse=True)
     for vb in b:
         for i, va in enumerate(remaining):
-            if abs(va - vb) <= rel_tol * max(abs(va), abs(vb)):
+            if _max_pair_deviation((va,), (vb,)) <= rel_tol:
                 remaining.pop(i)
                 break
         else:
@@ -379,10 +379,11 @@ class Y4Report:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
     def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=self.residuals.get)  # type: ignore[arg-type]
+        """The largest residual, or the first NaN one: ``argmax`` ranks NaN highest."""
+        name = list(self.residuals)[int(np.argmax(list(self.residuals.values())))]
         return name, self.residuals[name]
 
 
@@ -511,9 +512,11 @@ def descent_chain(
 ) -> DescentChain:
     """Greedily link coefficients lam -> lam' with lam'/lam within rel_tol of ratio.
 
-    Chains start at the largest unused coefficient and always extend to the
-    largest admissible successor, so degenerate groups are consumed one
-    member at a time.  ``rel_tol`` must stay below (1 - ratio)/2 or chain
+    One pass, largest coefficient first: each continues the oldest chain whose
+    tail admits it, or else opens a new chain.  A chain is offered the values
+    in descending order, so the first it takes is its largest admissible
+    successor, and degenerate groups are consumed one member at a time.  The
+    cost is O(D x chains).  ``rel_tol`` must stay below (1 - ratio)/2 or chain
     membership would be ambiguous; a negative or NaN one admits no successor.
     """
     if not (0.0 < ratio < 1.0):
@@ -524,36 +527,21 @@ def descent_chain(
             "a negative or nan one admits no successor, one too large lets chains overlap"
         )
     values = list(spectrum.coefficients)
-    used = [False] * len(values)
-    chains: list[tuple[float, ...]] = []
-    index_chains: list[tuple[int, ...]] = []
+    chains: list[list[int]] = []
     lo, hi = ratio * (1.0 - rel_tol), ratio * (1.0 + rel_tol)
-    for start in range(len(values)):
-        if used[start]:
-            continue
-        chain = [start]
-        used[start] = True
-        current = values[start]
-        while True:
-            successor = None
-            for j in range(len(values)):
-                if used[j]:
-                    continue
-                if lo * current <= values[j] <= hi * current:
-                    successor = j  # descending order: first hit is the largest
-                    break
-            if successor is None:
+    for j, value in enumerate(values):
+        for chain in chains:
+            tail = values[chain[-1]]
+            if lo * tail <= value <= hi * tail:
+                chain.append(j)
                 break
-            used[successor] = True
-            chain.append(successor)
-            current = values[successor]
-        chains.append(tuple(values[i] for i in chain))
-        index_chains.append(tuple(chain))
+        else:
+            chains.append([j])
     return DescentChain(
         ratio=ratio,
         rel_tol=rel_tol,
-        chains=tuple(chains),
-        index_chains=tuple(index_chains),
+        chains=tuple(tuple(values[i] for i in chain) for chain in chains),
+        index_chains=tuple(tuple(chain) for chain in chains),
         max_length=max((len(c) for c in chains), default=0),
     )
 
@@ -673,11 +661,9 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     rows = [_validity_row(s)]
 
     exact = separating.exact_pstar(alpha)
-    worst_printed = 0.0
-    for x, y in separating.PRINTED_PAIRS:
-        printed = separating.printed_table(alpha, x, y).entries
-        worst_printed = max(worst_printed, float(np.abs(exact.table[x, y] - printed).max()))
-    rows.append(_row("tables_printed_match", worst_printed, 1e-12))
+    printed = {xy: separating.printed_table(alpha, *xy).entries for xy in separating.PRINTED_PAIRS}
+    rows.append(_row("tables_printed_match", max(
+        float(np.abs(exact.table[xy] - entries).max()) for xy, entries in printed.items()), 1e-12))
 
     # the cut block reassigned by the dangling-vector policy carries mass
     # ~alpha^(2(D-1)), which dominates the tail for small alpha
@@ -699,11 +685,9 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
         rows.append(_row("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9))
         assert deco.restricted[0] is not None
         block_corr = induce(deco.restricted[0], check=False)
-        worst_block = 0.0
-        for x in range(2):
-            for y in range(2):
-                ref = separating.printed_table(alpha, x + 2, y + 2).entries[:2, :2] * c / (c - 1.0)
-                worst_block = max(worst_block, float(np.abs(block_corr.table[x, y] - ref).max()))
+        worst_block = max(
+            float(np.abs(block_corr.table[x, y] - printed[x + 2, y + 2][:2, :2] * c / (c - 1.0)).max())
+            for x in range(2) for y in range(2))
         rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
     except BlockDecompositionError as exc:
         rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))

@@ -246,13 +246,15 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
     """
     _check_partition_covers(spec.alice_partition, p.r, "alice")
     _check_partition_covers(spec.bob_partition, p.s, "bob")
-    l = spec.num_blocks
+    # cells[i][j]: Alice's answer block i against Bob's block j, for every question pair
+    cells = [[p.table[:, :, list(a_cls)][:, :, :, list(b_cls)] for b_cls in spec.bob_partition]
+             for a_cls in spec.alice_partition]
 
     for i, a_cls in enumerate(spec.alice_partition):
         for j, b_cls in enumerate(spec.bob_partition):
             if i == j:
                 continue
-            sub = p.table[:, :, list(a_cls)][:, :, :, list(b_cls)]
+            sub = cells[i][j]
             worst = float(sub.max(initial=0.0))
             if not worst <= tol:
                 x, y, ia, ib = np.unravel_index(int(np.argmax(sub)), sub.shape)
@@ -266,36 +268,30 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
                 )
                 return BlockCheckResult(False, None, None, fail)
 
-    masses = np.empty((l, p.m, p.n))
-    for i in range(l):
-        a_cls = list(spec.alice_partition[i])
-        b_cls = list(spec.bob_partition[i])
-        masses[i] = p.table[:, :, a_cls][:, :, :, b_cls].sum(axis=(2, 3))
+    masses = np.array([row[i].sum(axis=(2, 3)) for i, row in enumerate(cells)])
     weights = masses.mean(axis=(1, 2))
     dev = np.abs(masses - weights[:, None, None])
     if not float(dev.max()) <= tol:
         i, x, y = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        value = float(masses[i, x, y])
         fail = BlockCheckFailure(
             kind="weight_variation",
-            value=float(masses[i, x, y]),
+            value=value,
             detail=(
-                f"block {i} weight {masses[i, x, y]!r} at questions ({x},{y}) "
-                f"deviates from mean {weights[i]!r} beyond tol {tol!r}"
+                f"block {i} weight {value!r} at questions ({x},{y}) "
+                f"deviates from mean {float(weights[i])!r} beyond tol {tol!r}"
             ),
         )
         return BlockCheckResult(False, None, None, fail)
 
     blocks: list[Correlation | None] = []
-    for i in range(l):
-        if weights[i] <= tol:
+    for i, w in enumerate(weights):
+        if w <= tol:
             blocks.append(None)
             continue
-        a_cls = list(spec.alice_partition[i])
-        b_cls = list(spec.bob_partition[i])
-        sub = p.table[:, :, a_cls][:, :, :, b_cls] / weights[i]
         # Per-table mass may differ from the mean weight by up to tol.
-        sub_tol = max(DEFAULT_NORM_TOL, 4.0 * tol / weights[i])
-        blocks.append(Correlation(sub, norm_tol=sub_tol))
+        sub_tol = max(DEFAULT_NORM_TOL, 4.0 * tol / w)
+        blocks.append(Correlation(cells[i][i] / w, norm_tol=sub_tol))
     return BlockCheckResult(True, tuple(float(w) for w in weights), tuple(blocks), None)
 
 

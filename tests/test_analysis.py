@@ -5,13 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorrkit.analysis import (
     AnalysisError,
     BlockDecompositionError,
     SchmidtSpectrum,
+    Y4Report,
     certify_truncation,
     descent_chain,
     multiset_equal,
@@ -91,6 +92,12 @@ class TestSchmidt:
         with pytest.raises(AnalysisError, match="unit-norm"):
             schmidt(2.0 * EPR, 2, 2)
 
+    def test_nan_state_refused_as_not_unit_norm(self):
+        state = EPR.copy()
+        state[1] = float("nan")
+        with pytest.raises(AnalysisError, match="unit-norm"):
+            schmidt(state, 2, 2)
+
     def test_requires_matching_dims(self):
         with pytest.raises(AnalysisError, match="length"):
             schmidt(EPR, 2, 3)
@@ -100,6 +107,11 @@ class TestSchmidt:
             SchmidtSpectrum((0.5, 0.7))  # not descending
         with pytest.raises(AnalysisError):
             SchmidtSpectrum((0.9, 0.9))  # exceeds unit square mass
+
+    @pytest.mark.parametrize("coeffs", [(float("nan"), 0.5), (0.5, float("nan")), (float("nan"),)])
+    def test_nan_coefficients_refused(self, coeffs):
+        with pytest.raises(AnalysisError, match="strictly positive"):
+            SchmidtSpectrum(coeffs)
 
 
 class TestMultisets:
@@ -247,6 +259,14 @@ class TestY4Relations:
         with pytest.raises(AnalysisError, match="4x5"):
             verify_y4_relations(s)
 
+    def test_nan_residual_is_the_worst(self):
+        report = Y4Report(residuals={"a": 1.0, "b": float("nan"), "c": 2.0}, tol=1e-12)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        name, value = report.worst()
+        assert name == "b" and math.isnan(value)
+        assert Y4Report(residuals={"a": 1.0, "b": 3.0, "c": 3.0}, tol=1e-12).worst() == ("b", 3.0)
+
 
 class TestSchmidtPartition:
     def test_small_cut_split(self):
@@ -353,7 +373,67 @@ class TestRotatedBasis:
                          rows["schmidt_partition"]["detail"])
 
 
+def reference_descent_chain(values, ratio, rel_tol):
+    """Index chains of the rescanning greedy: each chain starts at the largest unused
+    coefficient and extends to the largest unused admissible successor, rescanning
+    the whole spectrum for every link."""
+    used = [False] * len(values)
+    index_chains = []
+    lo, hi = ratio * (1.0 - rel_tol), ratio * (1.0 + rel_tol)
+    for start in range(len(values)):
+        if used[start]:
+            continue
+        chain = [start]
+        used[start] = True
+        current = values[start]
+        while True:
+            successor = None
+            for j in range(len(values)):
+                if not used[j] and lo * current <= values[j] <= hi * current:
+                    successor = j
+                    break
+            if successor is None:
+                break
+            used[successor] = True
+            chain.append(successor)
+            current = values[successor]
+        index_chains.append(tuple(chain))
+    return tuple(index_chains)
+
+
+@st.composite
+def chain_spectra(draw):
+    """Descending spectra woven from up to six alpha-chains: each link repeats its value
+    one to three times (a degenerate group) and steps to the window's lower or upper
+    edge, inside it, or anywhere below the current value."""
+    ratio = draw(st.sampled_from([0.3, 0.5, 0.95]))
+    rel_tol = draw(st.floats(0.0, (1.0 - ratio) / 2.0, exclude_max=True))
+    lo, hi = ratio * (1.0 - rel_tol), ratio * (1.0 + rel_tol)
+    values = []
+    for _ in range(draw(st.integers(1, 6))):
+        value = draw(st.floats(0.01, 0.08))  # at most 144 values: squares sum below 1
+        for _ in range(draw(st.integers(1, 8))):
+            values += [value] * draw(st.integers(1, 3))
+            value *= draw(st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi), st.floats(0.1, 0.99)))
+    return ratio, rel_tol, tuple(sorted(values, reverse=True))
+
+
 class TestDescentChain:
+    @settings(max_examples=200)
+    @given(chain_spectra())
+    def test_one_pass_matches_rescanning_greedy(self, case):
+        ratio, rel_tol, values = case
+        result = descent_chain(SchmidtSpectrum(values), ratio, rel_tol)
+        want = reference_descent_chain(values, ratio, rel_tol)
+        assert result.index_chains == want
+        assert result.chains == tuple(tuple(values[i] for i in chain) for chain in want)
+        assert result.max_length == max(len(chain) for chain in want)
+
+    def test_ideal_spectrum_at_d2000_is_one_chain(self):
+        result = descent_chain(SchmidtSpectrum(tuple(geometric_spectrum(0.95, 2000))), 0.95)
+        assert result.max_length == 2000
+        assert result.index_chains == (tuple(range(2000)),)
+
     def test_small_cut_single_chain(self):
         spectrum = SchmidtSpectrum(tuple(geometric_spectrum(0.5, 4)))
         result = descent_chain(spectrum, 0.5)

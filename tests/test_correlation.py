@@ -142,6 +142,20 @@ class TestBlockStructureCheck:
         assert result.failure.kind == "cross_block_mass"
         assert result.failure.value == pytest.approx(0.25)
 
+    def test_block_mass_varying_with_questions_fails(self):
+        # block 0 holds mass 1/4, 1/4 and 1 at question pairs (0,0), (0,1) and (0,2)
+        table = np.zeros((1, 3, 2, 2))
+        table[0, :2] = np.diag([0.25, 0.75])
+        table[0, 2] = np.diag([1.0, 0.0])
+        spec = BlockSpec(((0,), (1,)), ((0,), (1,)))
+        result = block_structure_check(Correlation(table), spec, tol=1e-9)
+        assert not result.ok and result.weights is None and result.blocks is None
+        assert result.failure.kind == "weight_variation"
+        assert result.failure.value == 1.0
+        assert result.failure.detail == (
+            "block 0 weight 1.0 at questions (0,2) deviates from mean 0.5 beyond tol 1e-09"
+        )
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 3),
