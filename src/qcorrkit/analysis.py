@@ -21,13 +21,16 @@ strategy in one pass, and :func:`certify_strategy` those any strategy gets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import separating, strategy
-from .correlation import BlockSpec, Correlation, block_structure_check, distance, restrict
+from .correlation import (
+    INDUCED_NORM_TOL, BlockCheckResult, BlockSpec, Correlation, block_structure_check, distance, restrict,
+)
 from .strategy import Strategy, _frozen, induce, projected_substate
 
 __all__ = [
@@ -48,11 +51,14 @@ __all__ = [
     "verify_schmidt_bijections",
     "certify_strategy",
     "certify_truncation",
+    "certify_banded_truncation",
+    "log_descent_chain_length",
     "multiset_equal",
     "multiset_subtract",
 ]
 
 MULTISET_REL_TOL = 1e-8
+CHAIN_REL_TOL = 1e-6  # the descent chains' default relative window around alpha
 
 
 class AnalysisError(ValueError):
@@ -192,6 +198,11 @@ class BlockDecomposition:
         }
 
 
+_BLOCK_RESIDUALS = ("question_independence", "side_agreement", "weight_consistency",
+                    "substate_orthogonality", "restricted_idempotence", "subspace_leakage",
+                    "induced_block_mismatch")
+
+
 def strategy_block_decompose(
     s: Strategy,
     alice_partition: Sequence[Sequence[int]],
@@ -215,53 +226,20 @@ def strategy_block_decompose(
 
 def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> BlockDecomposition:
     """:func:`strategy_block_decompose` of the valid ``s``, given the correlation ``p`` it induces."""
-    chk = block_structure_check(p, spec, tol)
-    if not chk.ok:
-        raise BlockDecompositionError(
-            f"induced correlation is not a direct sum: {chk.failure.detail}"
-        )
-    assert chk.weights is not None and chk.blocks is not None
+    chk = _direct_sum(p, spec, tol)
 
     num_blocks = spec.num_blocks
-    residuals = {
-        "question_independence": 0.0,
-        "side_agreement": 0.0,
-        "weight_consistency": 0.0,
-        "substate_orthogonality": 0.0,
-        "restricted_idempotence": 0.0,
-        "subspace_leakage": 0.0,
-        "induced_block_mismatch": 0.0,
-    }
+    residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
 
     sub_states: list[np.ndarray] = []
     for i in range(num_blocks):
         a_vecs = [projected_substate(s, "A", x, spec.alice_partition[i]) for x in range(s.m)]
         b_vecs = [projected_substate(s, "B", y, spec.bob_partition[i]) for y in range(s.n)]
-        ref = a_vecs[0]
-        worst_q = max(
-            [float(np.linalg.norm(v - ref)) for v in a_vecs[1:]]
-            + [float(np.linalg.norm(v - b_vecs[0])) for v in b_vecs[1:]],
-            default=0.0,
-        )
-        side_gap = float(np.linalg.norm(ref - b_vecs[0]))
-        residuals["question_independence"] = max(residuals["question_independence"], worst_q)
-        residuals["side_agreement"] = max(residuals["side_agreement"], side_gap)
-        if not (worst_q <= tol and side_gap <= tol):
-            raise BlockDecompositionError(
-                f"block {i} projector image depends on the question "
-                f"(residual {max(worst_q, side_gap):.3e} > tol {tol:.1e})"
-            )
-        sub_states.append(ref)
+        _question_dependence(i, a_vecs, b_vecs, lambda v: float(np.linalg.norm(v)), residuals, tol)
+        sub_states.append(a_vecs[0])
 
     weights = [float(np.linalg.norm(v) ** 2) for v in sub_states]
-    for i, (w, w_corr) in enumerate(zip(weights, chk.weights)):
-        gap = abs(w - w_corr)
-        residuals["weight_consistency"] = max(residuals["weight_consistency"], gap)
-        if not gap <= tol:
-            raise BlockDecompositionError(
-                f"block {i} state mass {w!r} disagrees with correlation weight "
-                f"{w_corr!r} beyond tol"
-            )
+    _weight_consistency(weights, chk.weights, residuals, tol)
     for i in range(num_blocks):
         for j in range(i + 1, num_blocks):
             ov = abs(complex(np.vdot(sub_states[i], sub_states[j])))
@@ -299,16 +277,7 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
         )
         restricted.append(sub_strategy)
 
-        expected = chk.blocks[i]
-        assert expected is not None
-        got = induce(sub_strategy, check=False)
-        gap = distance(got, expected, "max_tv")
-        residuals["induced_block_mismatch"] = max(residuals["induced_block_mismatch"], gap)
-        if not gap <= tol:
-            raise BlockDecompositionError(
-                f"block {i} restricted strategy induces the wrong sub-correlation "
-                f"(max_tv {gap:.3e} > tol {tol:.1e})"
-            )
+        _induced_block(i, induce(sub_strategy, check=False), chk.blocks[i], residuals, tol)
 
     return BlockDecomposition(
         weights=tuple(weights),
@@ -319,6 +288,73 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
         blocks=chk.blocks,
         residuals=residuals,
     )
+
+
+def _direct_sum(p: Correlation, spec: BlockSpec, tol: float) -> BlockCheckResult:
+    """:func:`block_structure_check` of ``p``, raising where it is no direct sum."""
+    chk = block_structure_check(p, spec, tol)
+    if not chk.ok:
+        raise BlockDecompositionError(
+            f"induced correlation is not a direct sum: {chk.failure.detail}"
+        )
+    assert chk.weights is not None and chk.blocks is not None
+    return chk
+
+
+def _question_dependence(i: int, a_imgs: Sequence, b_imgs: Sequence, norm: Callable,
+                         residuals: dict[str, float], tol: float) -> None:
+    """Record how far block ``i``'s projector images move with the question and the side,
+    and raise past ``tol``; ``norm`` measures a difference of two images."""
+    worst_q = max([norm(v - a_imgs[0]) for v in a_imgs[1:]] + [norm(v - b_imgs[0]) for v in b_imgs[1:]],
+                  default=0.0)
+    side_gap = norm(a_imgs[0] - b_imgs[0])
+    residuals["question_independence"] = max(residuals["question_independence"], worst_q)
+    residuals["side_agreement"] = max(residuals["side_agreement"], side_gap)
+    if not (worst_q <= tol and side_gap <= tol):
+        raise BlockDecompositionError(
+            f"block {i} projector image depends on the question "
+            f"(residual {max(worst_q, side_gap):.3e} > tol {tol:.1e})"
+        )
+
+
+def _weight_consistency(weights: Sequence[float], expected: Sequence[float],
+                        residuals: dict[str, float], tol: float) -> None:
+    """Record how far each block's state mass is from its correlation weight; raise past ``tol``."""
+    for i, (w, w_corr) in enumerate(zip(weights, expected)):
+        gap = abs(w - w_corr)
+        residuals["weight_consistency"] = max(residuals["weight_consistency"], gap)
+        if not gap <= tol:
+            raise BlockDecompositionError(
+                f"block {i} state mass {w!r} disagrees with correlation weight "
+                f"{w_corr!r} beyond tol"
+            )
+
+
+def _projections(idem: np.ndarray, side: str, x: int, answers: Sequence[int], block: int,
+                 residuals: dict[str, float], tol: float, limit: str) -> None:
+    """Record question ``x``'s restricted idempotence residuals, one per answer; past
+    ``tol``, raise naming the element and the ``limit`` of its subspace."""
+    residuals["restricted_idempotence"] = max(residuals["restricted_idempotence"], float(idem.max()))
+    if not idem.max() <= tol:
+        k = int(np.argmax(~(idem <= tol)))
+        q, a = ("x", "a") if side == "A" else ("y", "b")
+        raise BlockDecompositionError(
+            f"restricted element ({side}, {q}={x}, {a}={answers[k]}) of block {block} "
+            f"is not a projection: residual {idem[k]:.3e} ({limit})"
+        )
+
+
+def _induced_block(i: int, got: Correlation, expected: Correlation | None,
+                   residuals: dict[str, float], tol: float) -> None:
+    """Record how far block ``i``'s restricted strategy induces from its sub-correlation; raise past ``tol``."""
+    assert expected is not None
+    gap = distance(got, expected, "max_tv")
+    residuals["induced_block_mismatch"] = max(residuals["induced_block_mismatch"], gap)
+    if not gap <= tol:
+        raise BlockDecompositionError(
+            f"block {i} restricted strategy induces the wrong sub-correlation "
+            f"(max_tv {gap:.3e} > tol {tol:.1e})"
+        )
 
 
 def _restrict_side(
@@ -349,17 +385,8 @@ def _restrict_side(
         leak = np.linalg.norm(elements @ basis - basis @ out[x], axis=(-2, -1))
         idem = np.linalg.norm(out[x] @ out[x] - out[x], axis=(-2, -1))
         residuals["subspace_leakage"] = max(residuals["subspace_leakage"], float(leak.max()))
-        residuals["restricted_idempotence"] = max(
-            residuals["restricted_idempotence"], float(idem.max())
-        )
-        if not idem.max() <= tol:
-            k = int(np.argmax(~(idem <= tol)))
-            q, a = ("x", "a") if side == "A" else ("y", "b")
-            raise BlockDecompositionError(
-                f"restricted element ({side}, {q}={x}, {a}={answers[k]}) of block {block} "
-                f"is not a projection: residual {idem[k]:.3e} (kept rank {basis.shape[1]} "
-                f"of {len(rho)}, eigenvalues above {threshold:.3e})"
-            )
+        _projections(idem, side, x, answers, block, residuals, tol,
+                     f"kept rank {basis.shape[1]} of {len(rho)}, eigenvalues above {threshold:.3e}")
     return basis, _frozen(out)
 
 
@@ -461,21 +488,34 @@ def _partition(
     spec_s: SchmidtSpectrum, tol: float,
 ) -> SchmidtPartition:
     """:func:`schmidt_partition` from a question-4 pass and the state spectrum."""
+    _licensed(y4, tol)
+    vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
+    # pieces of the same vector: cut where the state spectrum was cut
+    s0, s1, s2 = (_svd_spectrum(v, spec_s.cutoff) for v in (vec0, vec1, vec2))
+    _split(*_logs(spec_s, s0, s1, s2), tol)
+    return SchmidtPartition(s=spec_s, s0=s0, s1=s1, s2=s2)
+
+
+def _licensed(y4: Y4Report, tol: float) -> None:
+    """Raise unless the question-4 relations hold at ``tol``: they license the Schmidt split."""
     if not all(v <= tol for v in y4.residuals.values()):
         name, value = y4.worst()
         raise AnalysisError(
             f"question-4 relations fail ({name} residual {value:.3e} > {tol:.1e}); "
             f"the Schmidt split is not licensed"
         )
-    vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
-    # pieces of the same vector: cut where the state spectrum was cut
-    s0, s1, s2 = (_svd_spectrum(v, spec_s.cutoff) for v in (vec0, vec1, vec2))
 
-    merged = list(s0) + list(s1)
-    deviation = _max_pair_deviation(spec_s.as_list(), merged)
+
+def _logs(*spectra: SchmidtSpectrum) -> list[np.ndarray]:
+    return [np.log(np.array(sp.coefficients, dtype=float)) for sp in spectra]
+
+
+def _split(s: np.ndarray, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: float) -> None:
+    """Certify S = S0 u S1 and S2 <= S0 at relative ``tol``, given the spectra's logs."""
+    deviation = _log_deviation(s, np.concatenate([s0, s1]))
     if not deviation <= tol:
-        if len(merged) != len(spec_s):
-            why = f"S holds {len(spec_s)} coefficients, S0 and S1 {len(s0)} + {len(s1)}"
+        if len(s0) + len(s1) != len(s):
+            why = f"S holds {len(s)} coefficients, S0 and S1 {len(s0)} + {len(s1)}"
         else:
             why = f"worst relative pair deviation {deviation:.3e} > {tol:.1e}"
         raise AnalysisError(
@@ -483,10 +523,28 @@ def _partition(
             "are not orthogonal on both subsystems at the working tolerance"
         )
     try:
-        multiset_subtract(s0.as_list(), s2.as_list(), tol)
+        _log_subtract(s0, s2, tol)
     except AnalysisError as exc:
         raise AnalysisError(f"S2 is not contained in S0: {exc}") from exc
-    return SchmidtPartition(s=spec_s, s0=s0, s1=s1, s2=s2)
+
+
+def _log_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`_max_pair_deviation` of exp(a) and exp(b), from the logs: 1 - exp(-|a_k - b_k|)
+    largest-first, so no value underflows."""
+    if len(a) != len(b) or not len(a):
+        return float("inf") if len(a) or len(b) else 0.0
+    return float(np.max(-np.expm1(-np.abs(np.sort(a)[::-1] - np.sort(b)[::-1]))))
+
+
+def _log_subtract(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`multiset_subtract` on logs: ``a`` descending, less one match of each member of ``b``."""
+    rest = np.sort(a)[::-1]
+    for vb in b:
+        hit = np.flatnonzero(-np.expm1(-np.abs(rest - vb)) <= tol)
+        if not hit.size:
+            raise AnalysisError(f"element exp({vb!r}) has no match to subtract")
+        rest = np.delete(rest, hit[0])
+    return rest
 
 
 @dataclass(frozen=True)
@@ -508,7 +566,7 @@ class DescentChain:
 
 
 def descent_chain(
-    spectrum: SchmidtSpectrum, ratio: float, rel_tol: float = 1e-6
+    spectrum: SchmidtSpectrum, ratio: float, rel_tol: float = CHAIN_REL_TOL
 ) -> DescentChain:
     """Greedily link coefficients lam -> lam' with lam'/lam within rel_tol of ratio.
 
@@ -519,24 +577,9 @@ def descent_chain(
     cost is O(D x chains).  ``rel_tol`` must stay below (1 - ratio)/2 or chain
     membership would be ambiguous; a negative or NaN one admits no successor.
     """
-    if not (0.0 < ratio < 1.0):
-        raise AnalysisError(f"ratio must lie in (0, 1), got {ratio!r}")
-    if not (0.0 <= rel_tol < (1.0 - ratio) / 2.0):
-        raise AnalysisError(
-            f"rel_tol {rel_tol!r} must lie in [0, (1 - ratio)/2) for ratio {ratio!r}: "
-            "a negative or nan one admits no successor, one too large lets chains overlap"
-        )
+    lo, hi = _chain_window(ratio, rel_tol)
     values = list(spectrum.coefficients)
-    chains: list[list[int]] = []
-    lo, hi = ratio * (1.0 - rel_tol), ratio * (1.0 + rel_tol)
-    for j, value in enumerate(values):
-        for chain in chains:
-            tail = values[chain[-1]]
-            if lo * tail <= value <= hi * tail:
-                chain.append(j)
-                break
-        else:
-            chains.append([j])
+    chains = _link(values, lambda tail, value: lo * tail <= value <= hi * tail)
     return DescentChain(
         ratio=ratio,
         rel_tol=rel_tol,
@@ -544,6 +587,43 @@ def descent_chain(
         index_chains=tuple(tuple(chain) for chain in chains),
         max_length=max((len(c) for c in chains), default=0),
     )
+
+
+def log_descent_chain_length(
+    log_values: Sequence[float], ratio: float, rel_tol: float = CHAIN_REL_TOL
+) -> int:
+    """:func:`descent_chain`'s ``max_length`` for the coefficients exp(``log_values``), linked
+    in the log domain, so a spectrum spanning more than a double's range keeps every member."""
+    lo, hi = (math.log(v) for v in _chain_window(ratio, rel_tol))
+    chains = _link(sorted(map(float, log_values), reverse=True),
+                   lambda tail, value: lo + tail <= value <= hi + tail)
+    return max((len(c) for c in chains), default=0)
+
+
+def _chain_window(ratio: float, rel_tol: float) -> tuple[float, float]:
+    """The successor window [ratio (1 - rel_tol), ratio (1 + rel_tol)], refused where ambiguous."""
+    if not (0.0 < ratio < 1.0):
+        raise AnalysisError(f"ratio must lie in (0, 1), got {ratio!r}")
+    if not (0.0 <= rel_tol < (1.0 - ratio) / 2.0):
+        raise AnalysisError(
+            f"rel_tol {rel_tol!r} must lie in [0, (1 - ratio)/2) for ratio {ratio!r}: "
+            "a negative or nan one admits no successor, one too large lets chains overlap"
+        )
+    return ratio * (1.0 - rel_tol), ratio * (1.0 + rel_tol)
+
+
+def _link(values: Sequence[float], admits: Callable[[float, float], bool]) -> list[list[int]]:
+    """Index chains of one pass over descending ``values``: each continues the oldest
+    chain whose tail ``admits`` it, or else opens a new chain."""
+    chains: list[list[int]] = []
+    for j, value in enumerate(values):
+        for chain in chains:
+            if admits(values[chain[-1]], value):
+                chain.append(j)
+                break
+        else:
+            chains.append([j])
+    return chains
 
 
 @dataclass(frozen=True)
@@ -598,32 +678,38 @@ def _bijections(
     if clipped is not None:
         raise AnalysisError(clipped)
     part = _partition(s, y4, vec0, vec1, spectrum, tol)
-    dev_first = _max_pair_deviation(part.s1.as_list(), [alpha * c for c in part.s0])
+    return _log_bijections(*_logs(part.s0, part.s1, part.s2), alpha, tol)
 
-    boundary = min(part.s1) if len(part.s1) else float("nan")
-    rem0 = multiset_subtract(part.s0.as_list(), part.s2.as_list(), tol)
-    s1_trimmed = multiset_subtract(part.s1.as_list(), [boundary], tol) if len(part.s1) else []
-    dev_second = _max_pair_deviation(rem0, [alpha * c for c in s1_trimmed])
 
+def _log_bijections(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, alpha: float, tol: float) -> BijectionReport:
+    """Both alpha-scaling correspondences, given the logs of a certified split."""
+    log_alpha = math.log(alpha)
+    dev_first = _log_deviation(s1, s0 + log_alpha)
+    boundary = float(s1.min()) if len(s1) else float("nan")
+    rem0 = _log_subtract(s0, s2, tol)
+    s1_trimmed = _log_subtract(s1, [boundary], tol) if len(s1) else s1
+    dev_second = _log_deviation(rem0, s1_trimmed + log_alpha)
     return BijectionReport(
         ok_first=dev_first <= tol,
         ok_second=dev_second <= tol,
-        s2_size=len(part.s2),
-        boundary_coefficient=float(boundary),
+        s2_size=len(s2),
+        boundary_coefficient=math.exp(boundary),
         max_pair_deviation=float(max(dev_first, dev_second)),
         tol=tol,
     )
 
 
 def _row(name: str, residual: float, limit: float, detail: str | None = None) -> dict:
+    """One check row; a failing one without its own ``detail`` names its residual and limit."""
     row = {"name": name, "residual": residual, "tolerance": limit, "pass": residual <= limit}
+    if detail is None and not row["pass"]:
+        detail = f"residual {residual:.3e} > tolerance {limit:.3e}"
     if detail is not None:
         row["detail"] = detail
     return row
 
 
-def _validity_row(s: Strategy) -> dict:
-    report = strategy.validate(s)
+def _validity_row(report: strategy.ValidationReport) -> dict:
     row = _row("strategy_valid", report.max_residual, 1e-10, None if report.ok else report.summary())
     # validate holds the state norm to 1e-12, under this row's limit
     row["pass"] = report.ok
@@ -637,28 +723,65 @@ def _y4_rows(y4: Y4Report) -> list[dict]:
 def certify_strategy(s: Strategy, tol: float) -> list[dict]:
     """A ``strategy_valid`` row naming every broken invariant, and on 4x5 questions
     with 3x3 answers one ``y4_*`` row per question-4 relation at ``tol``."""
-    rows = [_validity_row(s)]
+    rows = [_validity_row(strategy.validate(s))]
     if (s.m, s.n, s.r, s.s) == _Y4_SHAPE:
         rows += _y4_rows(verify_y4_relations(s, tol))
     return rows
+
+
+# the shifted-pair questions {2, 3} split into the CHSH block {0, 1} and the point block {2}
+_SHIFTED_QUESTIONS = [2, 3]
+_SHIFTED_SPLIT = BlockSpec(((0, 1), (2,)), ((0, 1), (2,)))
 
 
 def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     """Every certificate on a truncated pairing strategy, as ordered check rows.
 
     Each row is ``{"name", "residual", "tolerance", "pass"}``, plus a
-    ``detail`` where a certificate names why it failed.  The dimension D = 2m is read from
+    ``detail`` where a row fails.  The dimension D = 2m is read from
     ``s``.  Every ingredient is computed once: one validation, one induced
     table, one block decomposition of the shifted-pair questions, one
     question-4 pass (its residuals give the ``y4_*`` rows at ``tol``, its
     double projections the Schmidt split at 1e-9), and one state spectrum,
     shared by the split and the descent chain; if it holds fewer than D
-    coefficients, their rows fail and name the count and the cutoff.  A
-    failing chain row names the longest chain, D, the ratio and ``rel_tol``.
+    coefficients, their rows fail and name the count and the cutoff.  Any
+    strategy in any basis is read; :func:`certify_banded_truncation` gives
+    the same rows for the ideal truncation without a D x D array.
     """
-    dim = s.dA
+    block_tol = max(tol, 1e-9)
+    table = induce(s, check=False)
+    try:
+        deco = _decompose(strategy.restrict_questions(s, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS),
+                          restrict(table, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS), _SHIFTED_SPLIT, block_tol)
+        assert deco.restricted[0] is not None
+        blocks = (deco.weights, deco.residuals["restricted_idempotence"],
+                  induce(deco.restricted[0], check=False).table)
+    except BlockDecompositionError as exc:
+        blocks = exc
+    y4, vec0, vec1 = _y4_relations(s, tol)
+    spectrum = schmidt(s.state, s.dA, s.dB).spectrum
+    try:
+        split = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
+    except AnalysisError as exc:
+        split = exc
+    return _truncation_rows(alpha, s.dA, tol, strategy.validate(s), table, blocks, y4, split,
+                            descent_chain(spectrum, alpha).max_length, _clipped(spectrum, s.dA))
+
+
+def _truncation_rows(
+    alpha: float, dim: int, tol: float, validity: strategy.ValidationReport, table: Correlation,
+    blocks: tuple | BlockDecompositionError, y4: Y4Report, split: BijectionReport | AnalysisError,
+    chain_length: int, clipped: str | None,
+) -> list[dict]:
+    """The rows of :func:`certify_truncation`, in order, from its ingredients.
+
+    ``blocks`` is (weights, restricted idempotence, table of the CHSH block)
+    of the shifted-pair decomposition, or why it failed; ``split`` is the
+    bijection report, or why the Schmidt split failed; ``clipped`` says why
+    the state spectrum holds fewer than D coefficients.
+    """
     tail = alpha ** (2 * dim)
-    rows = [_validity_row(s)]
+    rows = [_validity_row(validity)]
 
     exact = separating.exact_pstar(alpha)
     printed = {xy: separating.printed_table(alpha, *xy).entries for xy in separating.PRINTED_PAIRS}
@@ -667,53 +790,233 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
 
     # the cut block reassigned by the dangling-vector policy carries mass
     # ~alpha^(2(D-1)), which dominates the tail for small alpha
-    table = induce(s, check=False)
     rows.append(_row(
         "truncation_bound",
         distance(exact, table, "max_tv"),
         max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
     ))
 
-    block_tol = max(tol, 1e-9)
-    sub = strategy.restrict_questions(s, [2, 3], [2, 3])
-    try:
-        deco = _decompose(sub, restrict(table, [2, 3], [2, 3]),
-                          BlockSpec(((0, 1), (2,)), ((0, 1), (2,))), block_tol)
+    if isinstance(blocks, BlockDecompositionError):
+        rows.append(_row("block_decomposition", float("inf"), max(tol, 1e-9), str(blocks)))
+    else:
+        weights, idempotence, block_table = blocks
         c = 1.0 / (1.0 - alpha**2)
-        weight_gap = max(abs(deco.weights[0] - (c - 1.0) / c), abs(deco.weights[1] - 1.0 / c))
+        weight_gap = max(abs(weights[0] - (c - 1.0) / c), abs(weights[1] - 1.0 / c))
         rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
-        rows.append(_row("block_idempotence", deco.residuals["restricted_idempotence"], 1e-9))
-        assert deco.restricted[0] is not None
-        block_corr = induce(deco.restricted[0], check=False)
+        rows.append(_row("block_idempotence", idempotence, 1e-9))
         worst_block = max(
-            float(np.abs(block_corr.table[x, y] - printed[x + 2, y + 2][:2, :2] * c / (c - 1.0)).max())
+            float(np.abs(block_table[x, y] - printed[x + 2, y + 2][:2, :2] * c / (c - 1.0)).max())
             for x in range(2) for y in range(2))
         rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
-    except BlockDecompositionError as exc:
-        rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
 
-    y4, vec0, vec1 = _y4_relations(s, tol)
     rows += _y4_rows(y4)
 
-    spectrum = schmidt(s.state, s.dA, s.dB).spectrum
-    try:
-        bij = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
-        broken = [name for ok, name in ((bij.ok_first, "S1 = alpha S0"),
-                                        (bij.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
-        rows.append(_row("schmidt_partition_bijections", bij.max_pair_deviation, 1e-9,
-                         f"worst relative pair deviation {bij.max_pair_deviation:.3e} > 1.0e-09 "
+    if isinstance(split, AnalysisError):
+        rows.append(_row("schmidt_partition", float("inf"), 1e-9, str(split)))
+    else:
+        broken = [name for ok, name in ((split.ok_first, "S1 = alpha S0"),
+                                        (split.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
+        rows.append(_row("schmidt_partition_bijections", split.max_pair_deviation, 1e-9,
+                         f"worst relative pair deviation {split.max_pair_deviation:.3e} > 1.0e-09 "
                          f"(broken: {', '.join(broken)})" if broken else None))
-        rows.append(_row("schmidt_point_block_single", float(abs(bij.s2_size - 1)), 0.0))
-    except AnalysisError as exc:
-        rows.append(_row("schmidt_partition", float("inf"), 1e-9, str(exc)))
+        rows.append(_row("schmidt_point_block_single", float(abs(split.s2_size - 1)), 0.0))
 
-    chains = descent_chain(spectrum, alpha)
     detail = None
-    if chains.max_length != dim:
+    if chain_length != dim:
         detail = "; ".join(filter(None, (
-            f"longest chain {chains.max_length} of D = {dim} at ratio {chains.ratio!r}, "
-            f"rel_tol {chains.rel_tol:.1e}",
-            _clipped(spectrum, dim),
+            f"longest chain {chain_length} of D = {dim} at ratio {alpha!r}, rel_tol {CHAIN_REL_TOL:.1e}",
+            clipped,
         )))
-    rows.append(_row("descent_chain_length", float(abs(chains.max_length - dim)), 0.0, detail))
+    rows.append(_row("descent_chain_length", float(abs(chain_length - dim)), 0.0, detail))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The ideal truncation by its bands.  Every element is real, symmetric and
+# tridiagonal, and the state is the diagonal c_i = exp(log c_i), so every row
+# of certify_truncation follows from O(D) arithmetic on bands.
+# ---------------------------------------------------------------------------
+
+
+def _shift(v: np.ndarray, p: int) -> np.ndarray:
+    """w[..., i] = v[..., i + p], zero where i + p falls outside."""
+    if not p:
+        return v
+    out = np.zeros_like(v)
+    n = v.shape[-1]
+    if p >= 0:
+        out[..., : n - p] = v[..., p:]
+    else:
+        out[..., -p:] = v[..., : n + p]
+    return out
+
+
+class _Banded(dict):
+    """A real matrix by its diagonals {offset: v}, v[..., i] = M[i, i + offset] (zero
+    where i + offset falls outside); leading axes of v stack matrices.
+
+    A vector on the diagonal state c is kept row-scaled: its entry [i, j] is
+    c_i * v[j - i][i], so no band underflows where c_i does.  Multiplying it
+    on the right by a matrix keeps the row scale; the state itself is the
+    identity, and diag(c) @ B^T is B^T.
+    """
+
+    @classmethod
+    def of(cls, bands: np.ndarray) -> "_Banded":
+        """The symmetric tridiagonal elements stored as (..., 2, D) diagonal and off-diagonal."""
+        diag, off = bands[..., 0, :], bands[..., 1, :]
+        return cls({-1: _shift(off, -1), 0: diag, 1: off})
+
+    def __add__(self, other: "_Banded") -> "_Banded":
+        out = _Banded(self)
+        for o, v in other.items():
+            out[o] = out[o] + v if o in out else v
+        return out
+
+    def __sub__(self, other: "_Banded") -> "_Banded":
+        return self + _Banded({o: -v for o, v in other.items()})
+
+    def __matmul__(self, other: "_Banded") -> "_Banded":
+        out = _Banded()
+        for p, u in self.items():
+            for q, v in other.items():
+                out += _Banded({p + q: u * _shift(v, p)})
+        return out
+
+    def on_state(self, ratios: dict[int, np.ndarray]) -> "_Banded":
+        """self @ diag(c), row-scaled, for a tridiagonal self and the :func:`_row_ratios` of c."""
+        return _Banded({p: ratios[p] * u for p, u in self.items()})
+
+    @property
+    def T(self) -> "_Banded":
+        return _Banded({-p: _shift(v, -p) for p, v in self.items()})
+
+    def diagonal(self) -> bool:
+        return not any(v.any() for o, v in self.items() if o != 0)
+
+    def at(self, index) -> "_Banded":
+        return _Banded({o: v[index] for o, v in self.items()})
+
+    def norm(self, scale: np.ndarray | float = 1.0) -> np.ndarray:
+        """Frobenius norms, of the row-scaled matrix when ``scale`` holds c."""
+        return np.sqrt(sum(((scale * v) ** 2).sum(-1) for v in self.values()))
+
+
+def _row_ratios(log_coeffs: np.ndarray) -> dict[int, np.ndarray]:
+    """c_(i+p) / c_i for p = -1, 0, 1, from the logs; 1 where i + p falls outside."""
+    step = np.append(np.diff(log_coeffs), 0.0)
+    return {-1: np.exp(-_shift(step, -1)), 0: np.ones_like(step), 1: np.exp(step)}
+
+
+def _band_table(alice: np.ndarray, bob: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(questions, questions, answers, answers) table of tridiagonal elements on the diagonal
+    state ``coeffs``: sum_i c_i^2 A_ii B_ii + 2 sum_i c_i c_(i+1) A_i,i+1 B_i,i+1."""
+    (m, r), (n, t) = alice.shape[:2], bob.shape[:2]
+    weight = np.stack([coeffs**2, 2.0 * coeffs * _shift(coeffs, 1)])  # (2, D)
+    table = sum((alice[:, :, k] * weight[k]).reshape(m * r, -1) @ bob[:, :, k].reshape(n * t, -1).T
+                for k in range(2))
+    return table.reshape(m, r, n, t).transpose(0, 2, 1, 3)
+
+
+def _band_validity(alice: _Banded, bob: _Banded, coeffs: np.ndarray) -> strategy.ValidationReport:
+    """:func:`strategy.validate` of the elements ``alice`` and ``bob`` and the state ``coeffs``."""
+    sides = []
+    for side, elems in (("A", alice), ("B", bob)):
+        # answer pairs in itertools.combinations order, as validate lists them
+        first, second = np.triu_indices(elems[0].shape[1], 1)
+        complete = _Banded({o: v.sum(1) for o, v in elems.items()}) - _Banded({0: np.ones(coeffs.shape)})
+        pairs = elems.at((slice(None), first)) @ elems.at((slice(None), second))
+        sides.append((side, (elems - elems.T).norm(), (elems @ elems - elems).norm(),
+                      complete.norm(), pairs.norm()))
+    return strategy._report(abs(float(np.linalg.norm(coeffs)) - 1.0), sides)
+
+
+def _band_blocks(bands: separating.TruncationBands, table: Correlation, coeffs: np.ndarray,
+                 tol: float) -> tuple:
+    """(weights, restricted idempotence, CHSH-block table) of the shifted-pair questions, as
+    :func:`_decompose` finds them; the block subspaces are coordinate sets, so a sub-state
+    that is not diagonal raises."""
+    dim, ratios = bands.spec.dim, _row_ratios(bands.log_coeffs)
+    chk = _direct_sum(restrict(table, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS), _SHIFTED_SPLIT, tol)
+    residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
+    sides = (("A", bands.alice[_SHIFTED_QUESTIONS], _SHIFTED_SPLIT.alice_partition),
+             ("B", bands.bob[_SHIFTED_QUESTIONS], _SHIFTED_SPLIT.bob_partition))
+    sub_states = []
+    for i in range(_SHIFTED_SPLIT.num_blocks):
+        a_proj, b_proj = (_Banded.of(side[:, list(part[i])].sum(1)) for _, side, part in sides)
+        a_imgs, b_imgs = a_proj.on_state(ratios), b_proj.T
+        _question_dependence(i, [a_imgs.at(x) for x in range(2)], [b_imgs.at(y) for y in range(2)],
+                             lambda v: float(v.norm(coeffs)), residuals, tol)
+        sub_states.append(a_imgs.at(0))
+    weights = [float(v.norm(coeffs) ** 2) for v in sub_states]
+    _weight_consistency(weights, chk.weights, residuals, tol)
+
+    block_tables = []
+    for i, sub in enumerate(sub_states):
+        if not sub.diagonal():
+            raise BlockDecompositionError(f"block {i} sub-state is not diagonal: its subspace is no coordinate set")
+        support = np.flatnonzero(sub[0])
+        restricted = []
+        for side, elems, part in sides:
+            kept = elems[:, list(part[i])][..., support]
+            kept[..., 1, :] *= np.append(np.diff(support) == 1, False)  # couplings inside the support
+            proj = _Banded.of(kept)
+            for x, idem in enumerate((proj @ proj - proj).norm()):
+                _projections(idem, side, x, part[i], i, residuals, tol,
+                             f"support {len(support)} of {dim} coordinates")
+            restricted.append(kept)
+        sub_coeffs = coeffs[support] / np.linalg.norm(coeffs[support])
+        got = Correlation(_band_table(*restricted, sub_coeffs), norm_tol=INDUCED_NORM_TOL)
+        _induced_block(i, got, chk.blocks[i], residuals, tol)
+        block_tables.append(got.table)
+    return tuple(weights), residuals["restricted_idempotence"], block_tables[0]
+
+
+def _band_spectrum(vec: _Banded, log_coeffs: np.ndarray) -> np.ndarray:
+    """Logs of the Schmidt coefficients of a row-scaled, diagonal vector on the state."""
+    if not vec.diagonal():
+        raise AnalysisError("a double projection is not diagonal: its Schmidt basis is no coordinate set")
+    nonzero = np.flatnonzero(vec[0])
+    return log_coeffs[nonzero] + np.log(np.abs(vec[0][nonzero]))
+
+
+def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> list[dict]:
+    """:func:`certify_truncation` of the ideal truncation, read off its bands in O(D).
+
+    The same rows, order and tolerances, fed by band arithmetic instead of
+    D x D products, ``eigh`` and SVDs: the table is the banded sum, block
+    subspaces are coordinate sets, and the Schmidt spectra S, S0, S1, S2,
+    both bijections and the descent chain are taken from the log
+    coefficients, so no coefficient underflows and no spectrum is clipped.
+    """
+    alpha, dim = bands.spec.alpha, bands.spec.dim
+    coeffs = np.exp(bands.log_coeffs)
+    alice, bob = _Banded.of(bands.alice), _Banded.of(bands.bob)
+    table = Correlation(_band_table(bands.alice, bands.bob, coeffs), norm_tol=INDUCED_NORM_TOL)
+    try:
+        blocks = _band_blocks(bands, table, coeffs, max(tol, 1e-9))
+    except BlockDecompositionError as exc:
+        blocks = exc
+
+    psi, ratios = _Banded({0: np.ones(dim)}), _row_ratios(bands.log_coeffs)
+    a0 = [alice.at((0, a)).on_state(ratios) for a in range(2)]
+    b4 = [bob.at((4, a)).T for a in range(2)]
+    vec0, vec1 = (a0[a] @ b4[a] for a in range(2))
+    residuals = {
+        "a0_answer0_vs_b4": a0[0] - b4[0],
+        "a0_answer0_vs_a2_kernel_plus": a0[0] - (alice.at((2, 0)) + alice.at((2, 2))).on_state(ratios),
+        "a0_answer1_vs_b4": a0[1] - b4[1],
+        "a0_answer1_vs_a2": a0[1] - alice.at((2, 1)).on_state(ratios),
+        "state_reconstruction": vec0 + vec1 - psi,
+    }
+    y4 = Y4Report({name: float(diff.norm(coeffs)) for name, diff in residuals.items()}, tol)
+    try:
+        _licensed(y4, 1e-9)
+        vec2 = alice.at((2, 2)).on_state(ratios) @ bob.at((2, 2)).T
+        logs = [_band_spectrum(v, bands.log_coeffs) for v in (psi, vec0, vec1, vec2)]
+        _split(*logs, 1e-9)
+        split = _log_bijections(*logs[1:], alpha, 1e-9)
+    except AnalysisError as exc:
+        split = exc
+    return _truncation_rows(alpha, dim, tol, _band_validity(alice, bob, coeffs), table, blocks, y4, split,
+                            log_descent_chain_length(bands.log_coeffs, alpha), None)

@@ -6,8 +6,9 @@ float formatting, null for a non-finite number); ``tables``, ``induce``,
 for ``chain``.  ``--out`` writes to a file instead.  Exit codes: 0 success,
 1 usage error, 2 verification failure (the failing residual, and its reason
 where one is known, is named on stderr).  ``schmidt`` prints the cutoff its
-SVD resolves; ``chain`` exits 2 naming it rather than print a length it
-clipped.
+SVD resolves.  ``verify --alpha`` and ``chain`` read the truncation off its
+bands and log-coefficients, in O(D) and at any m; ``--strategy`` files take
+the dense path.
 """
 
 from __future__ import annotations
@@ -271,16 +272,8 @@ def _cmd_chain(args) -> int:
         raise UsageError("need 2 <= m-min <= m-max")
     rows = []
     for m in range(args.m_min, args.m_max + 1):
-        s = separating.ideal_truncated_strategy(
-            separating.TruncationSpec(alpha=args.alpha, m=m)
-        )
-        spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
-        clipped = analysis._clipped(spectrum, s.dA)
-        if clipped is not None:
-            sys.stderr.write(f"chain failed at m={m}: {clipped}\n")
-            return EXIT_VERIFY
-        chains = analysis.descent_chain(spectrum, args.alpha, rel_tol=args.rel_tol)
-        rows.append((m, chains.max_length))
+        log_coeffs = separating.TruncationSpec(alpha=args.alpha, m=m).log_coeffs()
+        rows.append((m, analysis.log_descent_chain_length(log_coeffs, args.alpha, args.rel_tol)))
     if args.format == "json":
         payload = [{"m": m, "max_chain_length": L} for m, L in rows]
         _emit(_dump_json(payload), args.out)
@@ -321,12 +314,12 @@ def _cmd_seesaw(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    s = _strategy_from_args(args)
     if args.strategy:
-        head, checks = {}, analysis.certify_strategy(s, args.tol)
+        head, checks = {}, analysis.certify_strategy(_strategy_from_args(args), args.tol)
     else:
         head = {"alpha": args.alpha, "m": args.m}
-        checks = analysis.certify_truncation(s, args.alpha, args.tol)
+        bands = separating.ideal_truncation_bands(separating.TruncationSpec(alpha=args.alpha, m=args.m))
+        checks = analysis.certify_banded_truncation(bands, args.tol)
     passed = all(c["pass"] for c in checks)
     _emit(_dump_json({**head, "checks": checks, "passed": passed}), args.out)
     if not passed:

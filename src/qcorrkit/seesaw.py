@@ -251,11 +251,12 @@ def _state_block(
         return vecs, _atom_image(vecs[:, None], alice, bob).real[:, 0]
 
     evals, evecs = np.linalg.eigh(_hermitize(rho))
-    # eigh sorts ascending: the top columns hold every restart's kept eigenvectors
-    rank = int(np.count_nonzero(evals > 1e-14, axis=1).max())
-    atoms, evals = evecs[:, :, -rank:].swapaxes(1, 2), evals[:, -rank:]
-    weights = np.where(evals > 1e-14, evals, 0.0)
-    images = _atom_image(atoms, alice, bob).real
+    # every eigenvector is an atom, so no row's layout depends on its batch mates; one at
+    # or below 1e-14 gets weight 0 and a zero image, which is never read
+    atoms, weights = evecs.swapaxes(1, 2), np.where(evals > 1e-14, evals, 0.0)
+    images = np.zeros(weights.shape + res.shape[1:])
+    for row, kept in enumerate(weights > 0.0):
+        images[row, kept] = _atom_image(atoms[row][kept][None], alice[row, None], bob[row, None]).real[0]
     atoms, weights, res = _pairwise_fw(atoms, weights, images, res, lmo, steps)
     return _hermitize((atoms.swapaxes(1, 2) * weights[:, None]) @ atoms.conj()), res
 

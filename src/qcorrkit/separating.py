@@ -38,8 +38,10 @@ from .tilted_chsh import (
 
 __all__ = [
     "TruncationSpec",
+    "TruncationBands",
     "SeparatingError",
     "ideal_truncated_strategy",
+    "ideal_truncation_bands",
     "exact_pstar",
     "printed_table",
     "truncation_distance",
@@ -90,6 +92,12 @@ class TruncationSpec:
     def dim(self) -> int:
         return 2 * int(self.m)
 
+    def log_coeffs(self) -> np.ndarray:
+        """log c_i of the truncated state: log N + i log alpha, N^2 = (1 - a^2) / (1 - a^(2D))."""
+        log_alpha = math.log(self.alpha)
+        log_norm = 0.5 * (math.log1p(-self.alpha**2) - math.log1p(-math.exp(2 * self.dim * log_alpha)))
+        return log_norm + log_alpha * np.arange(self.dim)
+
 
 def _question_layout(alpha: float) -> tuple[list[tuple[int, np.ndarray]], ...]:
     """(shift, observable) per question on each side: the one layout table.
@@ -105,29 +113,68 @@ def _question_layout(alpha: float) -> tuple[list[tuple[int, np.ndarray]], ...]:
     return alice, bob
 
 
-def _side_measurements(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.ndarray:
-    """One side's (questions, 3, D, D) elements, each written by strided assignments.
+def _side_bands(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.ndarray:
+    """One side's (questions, 3, 2, D) bands: each element's diagonal, then its first
+    off-diagonal (entry i is element[i, i+1] = element[i+1, i]; entry D-1 is 0).
 
-    Only the shifted pairs (2k+1, 2k+2) with 2k+2 < D fit; the dangling vector
-    |D-1> (the would-be first leg of the cut pair, i.e. the +1 slot of its
-    pairing) is assigned to answer 1 so that the measurement stays complete
-    and the answer-1 element equals the full odd-index projector when the
-    observable is diagonal.
+    Every element is real, symmetric and tridiagonal, written pair by pair with
+    strided assignments.  Only the shifted pairs (2k+1, 2k+2) with 2k+2 < D
+    fit; the dangling vector |D-1> (the would-be first leg of the cut pair,
+    i.e. the +1 slot of its pairing) is assigned to answer 1 so that the
+    measurement stays complete and the answer-1 element equals the full
+    odd-index projector when the observable is diagonal.
     """
     dim = 2 * num_blocks
-    out = np.zeros((len(questions), NUM_ANSWERS, dim, dim))
+    out = np.zeros((len(questions), NUM_ANSWERS, 2, dim))
     for x, (shift, obs) in enumerate(questions):
         first = 2 * np.arange(num_blocks - shift) + shift
         for a, op in zip((shift, 1 - shift), _pm_projectors(obs)):
-            elem = out[x, a]
-            elem[first, first] = op[0, 0]
-            elem[first, first + 1] = op[0, 1]
-            elem[first + 1, first] = op[1, 0]
-            elem[first + 1, first + 1] = op[1, 1]
+            diag, off = out[x, a]
+            diag[first] = op[0, 0]
+            diag[first + 1] = op[1, 1]
+            off[first] = op[0, 1]  # the 2x2 projectors are symmetric
         if shift:
-            out[x, 1, dim - 1, dim - 1] += 1.0
+            out[x, 1, 0, dim - 1] += 1.0
             out[x, 2, 0, 0] = 1.0
+    return out
+
+
+def _side_measurements(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.ndarray:
+    """One side's (questions, 3, D, D) elements: the :func:`_side_bands` scattered."""
+    bands = _side_bands(questions, num_blocks)
+    dim = bands.shape[-1]
+    out = np.zeros(bands.shape[:2] + (dim, dim))
+    i = np.arange(dim)
+    out[:, :, i, i] = bands[:, :, 0]
+    out[:, :, i[:-1], i[1:]] = out[:, :, i[1:], i[:-1]] = bands[:, :, 1, :-1]
     return _frozen(out)
+
+
+@dataclass(frozen=True, eq=False)
+class TruncationBands:
+    """The dimension-2m cut of the ideal strategy without a D x D array.
+
+    ``alice`` and ``bob`` hold each side's :func:`_side_bands`, shape
+    (questions, 3, 2, D); ``log_coeffs`` holds the diagonal state's
+    :meth:`TruncationSpec.log_coeffs`, so no coefficient underflows at any m.
+    :func:`ideal_truncated_strategy` scatters the same bands into its arrays.
+    """
+
+    spec: TruncationSpec
+    alice: np.ndarray
+    bob: np.ndarray
+    log_coeffs: np.ndarray
+
+
+def ideal_truncation_bands(spec: TruncationSpec) -> TruncationBands:
+    """The bands and log-coefficients of :func:`ideal_truncated_strategy`, in O(D) memory."""
+    alice, bob = _question_layout(spec.alpha)
+    return TruncationBands(
+        spec=spec,
+        alice=_frozen(_side_bands(alice, int(spec.m))),
+        bob=_frozen(_side_bands(bob, int(spec.m))),
+        log_coeffs=_frozen(spec.log_coeffs()),
+    )
 
 
 def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
@@ -160,8 +207,8 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
 # Exact correlation via closed-form geometric sums.
 #
 # Every ideal measurement element P is banded (P[i][j] = 0 for |i - j| > 1)
-# and 2-periodic away from the origin, so six numbers, read off the D = 4 cut
-# of _side_measurements, determine it: the (0,0) entry, the diagonal at 2 (even
+# and 2-periodic away from the origin, so six numbers, read off the D = 4 bands
+# of _side_bands, determine it: the (0,0) entry, the diagonal at 2 (even
 # indices >= 2) and at 1 (odd), the parity s of the pair starts, and the
 # couplings (s, s+1) and (s+1, s); the dangling |3> touches none.  The series
 # (1 - a^2) * sum_{i,j} a^(i+j) P[i][j] Q[i][j] then collapses to a handful
@@ -172,12 +219,12 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
 def _descriptors(questions: list[tuple[int, np.ndarray]]) -> np.ndarray:
     """Banded descriptors, shape (6, questions, answers), in the order above; answer 2 of
     a shifted question reads parity 1 with zero couplings, so its coupling term adds +0.0."""
-    meas = _side_measurements(questions, 2)
+    diag, off = _side_bands(questions, 2).transpose(2, 0, 1, 3)
     shift = np.array([s for s, _ in questions])
     x = np.arange(len(questions))
-    parity = np.broadcast_to(shift[:, None], meas.shape[:2])
-    return np.stack([meas[:, :, 0, 0], meas[:, :, 2, 2], meas[:, :, 1, 1], parity,
-                     meas[x, :, shift, shift + 1], meas[x, :, shift + 1, shift]])
+    parity = np.broadcast_to(shift[:, None], diag.shape[:2])
+    coupling = off[x, :, shift]
+    return np.stack([diag[:, :, 0], diag[:, :, 2], diag[:, :, 1], parity, coupling, coupling])
 
 
 def exact_pstar(alpha: float) -> Correlation:

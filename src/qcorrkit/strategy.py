@@ -392,25 +392,48 @@ def validate(s: Strategy) -> ValidationReport:
     ``STATE_NORM_TOL`` and ``PROJECTOR_TOL``.  A residual that is not
     ``<=`` its tolerance is an issue, so a NaN residual is one.
     """
-    issues: list[ValidationIssue] = []
-
-    def check(kind, side, x, answers, residual, tol=PROJECTOR_TOL):
-        if not residual <= tol:
-            issues.append(ValidationIssue(kind, side, x, answers, residual))
-
-    check("state_norm", None, None, None, abs(float(np.linalg.norm(s.state)) - 1.0), STATE_NORM_TOL)
+    sides = []
     for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
         eye = np.eye(meas.shape[-1])
+        pairs = list(itertools.combinations(range(meas.shape[1]), 2))
+        herm, idem = np.empty(meas.shape[:2]), np.empty(meas.shape[:2])
+        complete, ortho = np.empty(len(meas)), np.empty((len(meas), len(pairs)))
         # products element by element: the stacked forms (a transpose over the
         # stack, fancy-indexed pairs) copy more and measured slower at D = 256
         for x, elements in enumerate(meas):
             for a, proj in enumerate(elements):
-                check("hermitian", side, x, (a,), float(np.linalg.norm(proj - proj.conj().T)))
-                check("idempotent", side, x, (a,), float(np.linalg.norm(proj @ proj - proj)))
-            check("completeness", side, x, None, float(np.linalg.norm(elements.sum(axis=0) - eye)))
-            for a, a2 in itertools.combinations(range(len(elements)), 2):
-                ortho = float(np.linalg.norm(elements[a] @ elements[a2]))
-                check("orthogonality", side, x, (a, a2), ortho)
+                herm[x, a] = np.linalg.norm(proj - proj.conj().T)
+                idem[x, a] = np.linalg.norm(proj @ proj - proj)
+            complete[x] = np.linalg.norm(elements.sum(axis=0) - eye)
+            for k, (a, a2) in enumerate(pairs):
+                ortho[x, k] = np.linalg.norm(elements[a] @ elements[a2])
+        sides.append((side, herm, idem, complete, ortho))
+    return _report(abs(float(np.linalg.norm(s.state)) - 1.0), sides)
+
+
+def _report(state_norm: float, sides) -> ValidationReport:
+    """The issues among the residuals :func:`validate` measures, in its order.
+
+    ``sides`` holds (side, hermitian, idempotent, completeness, orthogonality)
+    per party: residuals per (question, answer), per question, and per
+    (question, answer pair in ``itertools.combinations`` order).
+    """
+    issues: list[ValidationIssue] = []
+
+    def check(kind, side, x, answers, residual, tol=PROJECTOR_TOL):
+        if not residual <= tol:
+            issues.append(ValidationIssue(kind, side, x, answers, float(residual)))
+
+    check("state_norm", None, None, None, state_norm, STATE_NORM_TOL)
+    for side, herm, idem, complete, ortho in sides:
+        pairs = list(itertools.combinations(range(herm.shape[1]), 2))
+        for x in range(len(herm)):
+            for a in range(herm.shape[1]):
+                check("hermitian", side, x, (a,), herm[x, a])
+                check("idempotent", side, x, (a,), idem[x, a])
+            check("completeness", side, x, None, complete[x])
+            for k, pair in enumerate(pairs):
+                check("orthogonality", side, x, pair, ortho[x, k])
     return ValidationReport(tuple(issues))
 
 

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcorrkit.analysis import (
@@ -13,8 +13,10 @@ from qcorrkit.analysis import (
     BlockDecompositionError,
     SchmidtSpectrum,
     Y4Report,
+    certify_banded_truncation,
     certify_truncation,
     descent_chain,
+    log_descent_chain_length,
     multiset_equal,
     multiset_subtract,
     schmidt,
@@ -23,7 +25,7 @@ from qcorrkit.analysis import (
     verify_schmidt_bijections,
     verify_y4_relations,
 )
-from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
+from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy, ideal_truncation_bands
 from qcorrkit.strategy import (
     Strategy,
     haar_unitary,
@@ -513,3 +515,59 @@ class TestRealAndComplexAgree:
         np.testing.assert_allclose(
             [r["residual"] for r in rows[1]], [r["residual"] for r in rows[0]], rtol=0, atol=1e-12
         )
+
+
+class TestBandedRows:
+    @given(st.sampled_from([0.1, 0.3, 0.5, 0.9, 0.95, 0.99999]), st.integers(2, 20))
+    def test_rows_equal_the_dense_rows(self, alpha, m):
+        spec = TruncationSpec(alpha=alpha, m=m)
+        s = ideal_truncated_strategy(spec)
+        # where the dense spectrum is clipped, the dense rows fail and the banded ones do not
+        assume(len(schmidt(s.state, s.dA, s.dB).spectrum) == 2 * m)
+        dense = certify_truncation(s, alpha, 1e-12)
+        banded = certify_banded_truncation(ideal_truncation_bands(spec), 1e-12)
+        for key in ("name", "tolerance", "pass"):
+            assert [r[key] for r in banded] == [r[key] for r in dense]
+        np.testing.assert_allclose([r["residual"] for r in banded], [r["residual"] for r in dense],
+                                   rtol=0, atol=1e-13)
+
+    def test_bands_scatter_to_the_dense_arrays(self):
+        spec = TruncationSpec(alpha=0.3, m=5)
+        bands, s = ideal_truncation_bands(spec), ideal_truncated_strategy(spec)
+        for side, meas in ((bands.alice, s.alice_meas), (bands.bob, s.bob_meas)):
+            np.testing.assert_array_equal(np.diagonal(meas, axis1=2, axis2=3), side[:, :, 0])
+            np.testing.assert_array_equal(np.diagonal(meas, 1, 2, 3), side[:, :, 1, :-1])
+            np.testing.assert_array_equal(np.diagonal(meas, -1, 2, 3), side[:, :, 1, :-1])
+        np.testing.assert_allclose(np.exp(bands.log_coeffs), np.diag(s.state_matrix()), rtol=1e-14, atol=0)
+
+    def test_broken_state_fails_the_spectrum_rows(self):
+        bands = ideal_truncation_bands(TruncationSpec(alpha=0.5, m=6))
+        # one coefficient scaled by 1 + 1e-5, then the state renormalized
+        log_coeffs = bands.log_coeffs.copy()
+        log_coeffs[5] += math.log1p(1e-5)
+        log_coeffs -= 0.5 * math.log(np.exp(2.0 * log_coeffs).sum())
+        broken = type(bands)(bands.spec, bands.alice, bands.bob, log_coeffs)
+        rows = {r["name"]: r for r in certify_banded_truncation(broken, 1e-12)}
+        assert not rows["schmidt_partition_bijections"]["pass"]
+        assert "broken: S1 = alpha S0" in rows["schmidt_partition_bijections"]["detail"]
+        assert rows["descent_chain_length"]["detail"].startswith("longest chain 6 of D = 12 at ratio 0.5")
+
+
+class TestLogDescentChain:
+    def test_underflowing_spectrum_is_one_chain(self):
+        log_coeffs = TruncationSpec(alpha=0.5, m=10**4).log_coeffs()
+        assert np.exp(log_coeffs[-1]) == 0.0
+        assert log_descent_chain_length(log_coeffs, 0.5) == 2 * 10**4
+
+    @pytest.mark.parametrize("values, length", [
+        ((0.6, 0.6, 0.3, 0.3), 2), ((1 / math.sqrt(2), 1 / math.sqrt(2)), 1),
+        (tuple(0.5 ** (k + 1) for k in range(7)), 7), ((0.8, 0.4, 0.18, 0.09), 2),
+    ])
+    def test_matches_the_linear_chain(self, values, length):
+        assert descent_chain(SchmidtSpectrum(values), 0.5).max_length == length
+        assert log_descent_chain_length(np.log(values), 0.5) == length
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), -0.1, 0.3])
+    def test_window_refused_as_in_the_linear_chain(self, rel_tol):
+        with pytest.raises(AnalysisError, match="rel_tol"):
+            log_descent_chain_length([0.0, math.log(0.5)], 0.5, rel_tol)

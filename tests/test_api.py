@@ -1,8 +1,10 @@
-"""The package exports every library name, and every exported or benchmark-traced name resolves."""
+"""The package exports every library name, every exported or benchmark-traced name resolves,
+and every committed BENCH file names the machine, method and metric it measured."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -76,3 +78,12 @@ def test_benchmark_names_resolve(script):
     assert reached
     missing = sorted(f"{name}.{attr}" for name, attr in reached if not hasattr(modules[name], attr))
     assert not missing, f"perfbench/{script} reaches missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json")),
+                         ids=lambda path: path.name)
+def test_bench_files_stay_comparable(path):
+    # a speed claim is only comparable with the machine, method and metric it was measured on
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert {"nproc", "cpu", "blas", "numpy"} <= set(bench["machine"]), path.name
+    assert "method" in bench and "claimed_metric" in bench, path.name

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -212,12 +213,13 @@ class TestVerifiers:
         assert code == 0
         assert out.strip().split("\n")[1:] == ["15,30", "16,32", "17,34"]
 
-    def test_chain_refuses_a_clipped_spectrum(self, capsys):
+    def test_chain_resolves_past_the_dense_cutoff(self, capsys):
+        # the dense spectrum held 63 of D = 64 coefficients here, and chain exited 2
         code, out, err = run_capture(
             capsys, ["chain", "--alpha", "0.5", "--m-min", "32", "--m-max", "32"]
         )
-        assert code == 2 and out == ""
-        assert "m=32" in err and "of D = 64 coefficients above its cutoff" in err
+        assert (code, err) == (0, "")
+        assert out.strip().split("\n")[1:] == ["32,64"]
 
     @pytest.mark.parametrize("alpha, m", [(0.5, 16), (0.05, 4)])
     def test_verify_passes_where_the_old_cutoff_failed(self, capsys, alpha, m):
@@ -225,12 +227,13 @@ class TestVerifiers:
         assert code == 0 and err == ""
         assert json.loads(out)["passed"] is True
 
-    def test_verify_names_the_rank_threshold(self, capsys):
-        code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "32"])
-        assert code == 2
-        assert "block_decomposition" in err and "not a projection" in err
-        assert re.search(r"kept rank \d+ of 64, eigenvalues above \d\.\d{3}e-\d+", err)
-        rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    def test_verify_names_the_rank_threshold(self):
+        # the dense rows of the m = 32 truncation that verify --alpha now reads off its bands
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=32))
+        rows = {c["name"]: c for c in analysis.certify_truncation(s, 0.5, 1e-12)}
+        detail = rows["block_decomposition"]["detail"]
+        assert "not a projection" in detail
+        assert re.search(r"kept rank \d+ of 64, eigenvalues above \d\.\d{3}e-\d+", detail)
         for name in ("schmidt_partition", "descent_chain_length"):
             assert not rows[name]["pass"] and "above its cutoff" in rows[name]["detail"]
 
@@ -272,22 +275,20 @@ class TestVerifiers:
             raise analysis.BlockDecompositionError("marker")
 
         monkeypatch.setattr(analysis, "_decompose", fail)
+        rows = analysis.certify_truncation(ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4)), 0.5, 1e-12)
+        marked = {"name": "block_decomposition", "residual": float("inf"), "tolerance": 1e-9,
+                  "pass": False, "detail": "marker"}
+        assert [c for c in rows if not c["pass"]] == [marked]
+
+        monkeypatch.setattr(analysis, "_band_blocks", fail)
         code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
         assert code == 2
         assert "block_decomposition" in err and "marker" in err
-        failed = [c for c in strict_loads(out)["checks"] if not c["pass"]]
-        assert failed == [
-            {"name": "block_decomposition", "residual": None, "tolerance": 1e-9,
-             "pass": False, "detail": "marker"}
-        ]
+        assert [c for c in strict_loads(out)["checks"] if not c["pass"]] == [{**marked, "residual": None}]
 
-    def test_verify_builds_validates_and_decomposes_once(self, capsys, monkeypatch):
-        calls = {"build": 0, "validate": [], "induce": [], "svd": 0}
-        build, validate, svd = separating.ideal_truncated_strategy, strategy.validate, np.linalg.svd
-
-        def counted_build(*args, **kwargs):
-            calls["build"] += 1
-            return build(*args, **kwargs)
+    def test_verify_builds_validates_and_decomposes_once(self, monkeypatch):
+        calls = {"validate": [], "induce": [], "svd": 0}
+        validate, svd = strategy.validate, np.linalg.svd
 
         def counted_validate(s, *args, **kwargs):
             calls["validate"].append((s.m, s.n))
@@ -301,20 +302,18 @@ class TestVerifiers:
             calls["svd"] += 1
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(separating, "ideal_truncated_strategy", counted_build)
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
         monkeypatch.setattr(strategy, "validate", counted_validate)
         monkeypatch.setattr(analysis, "induce", counted_induce)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        code, _, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
-        assert code == 0
-        assert calls["build"] == 1
+        assert all(row["pass"] for row in analysis.certify_truncation(s, 0.5, 1e-12))
         # the 2x2-question restriction is neither validated nor induced again
         assert calls["validate"] == [(4, 5)]
         assert [c for c in calls["induce"] if c[2] == 8] == [(4, 5, 8)]
         # the state spectrum S plus the split spectra S0, S1 and S2
         assert calls["svd"] == 4
 
-    def test_verify_runs_one_question4_pass(self, capsys, monkeypatch):
+    def test_verify_runs_one_question4_pass(self, monkeypatch):
         calls = 0
         substate = analysis.projected_substate
 
@@ -324,10 +323,48 @@ class TestVerifiers:
             return substate(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "projected_substate", counted_substate)
-        code, _, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
-        assert code == 0
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
+        assert all(row["pass"] for row in analysis.certify_truncation(s, 0.5, 1e-12))
         # 8 for the two blocks on 2x2 questions, 6 for the single question-4 pass
         assert calls == 14
+
+    def test_verify_and_chain_build_no_dense_strategy(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense strategy or decomposition was built")
+
+        for owner, name in ((separating, "ideal_truncated_strategy"), (np.linalg, "svd"),
+                            (np.linalg, "eigh"), (strategy, "validate"), (analysis, "induce")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "8"])[0] == 0
+        code, out, _ = run_capture(capsys, ["chain", "--alpha", "0.5", "--m-min", "2", "--m-max", "4"])
+        assert code == 0 and out.split() == ["m,max_chain_length", "2,4", "3,6", "4,8"]
+
+    @pytest.mark.parametrize("m", [16, 64, 1024, 10**4])
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95])
+    def test_structured_path_certifies_any_m(self, capsys, alpha, m):
+        flags = ["--alpha", str(alpha)]
+        start = perf_counter()
+        code, out, err = run_capture(capsys, ["verify", *flags, "--m", str(m)])
+        elapsed = perf_counter() - start
+        assert (code, err) == (0, "")
+        rows = {c["name"]: c for c in strict_loads(out)["checks"]}
+        assert rows["schmidt_partition_bijections"]["pass"] and rows["descent_chain_length"]["residual"] == 0.0
+        if (alpha, m) == (0.5, 10**4):
+            assert elapsed < 1.0
+        code, out, _ = run_capture(capsys, ["chain", *flags, "--m-min", str(m), "--m-max", str(m)])
+        assert code == 0 and out.split()[1:] == [f"{m},{2 * m}"]
+
+    # the two alpha-edge rows that fail the ideal truncation (their bounds are still envelopes)
+    @pytest.mark.parametrize("alpha, name, numbers", [
+        ("0.1", "block_chsh_match", "residual 5.140e-05 > tolerance 8.000e-06"),
+        ("0.99999", "tables_printed_match", "residual 2.597e-12 > tolerance 1.000e-12"),
+    ])
+    def test_failing_row_names_its_numbers(self, capsys, alpha, name, numbers):
+        code, out, err = run_capture(capsys, ["verify", "--alpha", alpha, "--m", "2"])
+        assert code == 2
+        failed = [c for c in strict_loads(out)["checks"] if not c["pass"]]
+        assert [(c["name"], c["detail"]) for c in failed] == [(name, numbers)]
+        assert err.startswith(f"verification failed: {name} residual ") and err.endswith(f": {numbers}\n")
 
     def test_y4_fails_on_corrupted_file(self, capsys, tmp_path):
         code, out, err = run_capture(capsys, ["verify", "--strategy", str(wrong_q4_file(tmp_path))])
@@ -513,7 +550,7 @@ class TestStrategyFiles:
         "blocks --alpha 0.5 --m 6":
             "ab3caf53d997967ea5c4d505c466b213166f79409362ff55e0fdec3071dc0c84",
         "verify --alpha 0.95 --m 8":
-            "2fba2b8dee138446e62e8334dbfcdf873b45ccf734fd5f0920c72f35bf274c7f",
+            "332a75c1b2c47cf3ca33b751d54a500ad40f6d4dd83d806175a2190e5d1b0464",
     }
 
     @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -95,6 +95,16 @@ class TestOptimize:
         assert max(len(t.objectives) for t in b.traces) > max(
             len(t.objectives) for t in a.traces
         )
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([1, 2, 3, 4, 8]), seeds, st.integers(1, 10))
+    def test_restart_ignores_its_batch_mates(self, dim, seed, iters):
+        # restart k's trace is bitwise the same whether 1, 2, ... or 4 restarts run in the lockstep
+        runs = [optimize(exact_pstar(0.5), SeesawConfig(
+            local_dim=dim, restarts=restarts, max_outer_iters=iters, seed=seed, state_steps=10, meas_steps=4,
+        )).traces for restarts in range(1, 5)]
+        for traces in runs[:-1]:
+            assert [t.objectives for t in traces] == [t.objectives for t in runs[-1][: len(traces)]]
 
     def test_lockstep_restarts_stop_on_their_own(self, monkeypatch):
         # at this tolerance the restarts converge after 7, 10 and 6 outer
