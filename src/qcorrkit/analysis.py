@@ -54,7 +54,6 @@ __all__ = [
     "certify_banded_truncation",
     "log_descent_chain_length",
     "multiset_equal",
-    "multiset_subtract",
 ]
 
 MULTISET_REL_TOL = 1e-8
@@ -151,21 +150,6 @@ def multiset_equal(
     """Whether two positive multisets have equal sizes and pair up within relative
     tolerance: their :func:`_max_pair_deviation` is at most ``rel_tol``."""
     return len(a) == len(b) and _max_pair_deviation(a, b) <= rel_tol
-
-
-def multiset_subtract(
-    a: Sequence[float], b: Sequence[float], rel_tol: float = MULTISET_REL_TOL
-) -> list[float]:
-    """Remove one matching occurrence of every element of ``b`` from ``a``."""
-    remaining = sorted(a, reverse=True)
-    for vb in b:
-        for i, va in enumerate(remaining):
-            if _max_pair_deviation((va,), (vb,)) <= rel_tol:
-                remaining.pop(i)
-                break
-        else:
-            raise AnalysisError(f"element {vb!r} has no match to subtract")
-    return remaining
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,7 +331,8 @@ def _projections(idem: np.ndarray, side: str, x: int, answers: Sequence[int], bl
 def _induced_block(i: int, got: Correlation, expected: Correlation | None,
                    residuals: dict[str, float], tol: float) -> None:
     """Record how far block ``i``'s restricted strategy induces from its sub-correlation; raise past ``tol``."""
-    assert expected is not None
+    if expected is None:
+        raise BlockDecompositionError(f"block {i} has no sub-correlation: weight at or below tol {tol:.1e}")
     gap = distance(got, expected, "max_tv")
     residuals["induced_block_mismatch"] = max(residuals["induced_block_mismatch"], gap)
     if not gap <= tol:
@@ -425,33 +410,39 @@ def verify_y4_relations(s: Strategy, tol: float = 1e-12) -> Y4Report:
     return _y4_relations(s, tol)[0]
 
 
+# the question-4 relations (name, left, right): two projections (side, question, answers) whose
+# images of the state agree; "state_reconstruction" then sums the double projections to the state
+_Y4_RELATIONS = (
+    ("a0_answer0_vs_b4", ("A", 0, (0,)), ("B", 4, (0,))),
+    ("a0_answer0_vs_a2_kernel_plus", ("A", 0, (0,)), ("A", 2, (0, 2))),
+    ("a0_answer1_vs_b4", ("A", 0, (1,)), ("B", 4, (1,))),
+    ("a0_answer1_vs_a2", ("A", 0, (1,)), ("A", 2, (1,))),
+)
+
+
+def _y4_pass(project: Callable, norm: Callable, times_b4: Callable, psi, tol: float) -> tuple:
+    """The :data:`_Y4_RELATIONS` residuals at ``tol`` and the two double projections, given a
+    path's ``project(side, x, answers)`` image of the state ``psi``, the ``norm`` of a
+    difference of images, and ``times_b4(v, a)``, the image v times B_4^a^T.  Each
+    projection is formed once; the double projections reuse the images A_0^a psi."""
+    images = {key: project(*key) for key in dict.fromkeys(k for _, *pair in _Y4_RELATIONS for k in pair)}
+    residuals = {name: norm(images[left] - images[right]) for name, left, right in _Y4_RELATIONS}
+    vec0, vec1 = (times_b4(images["A", 0, (a,)], a) for a in range(2))
+    # vec0 + vec1 - psi negates psi - (vec0 + vec1) exactly; numpy reuses
+    # the sum's buffer for it, so no fourth D x D array is live here
+    residuals["state_reconstruction"] = norm(vec0 + vec1 - psi)
+    return Y4Report(residuals=residuals, tol=tol), vec0, vec1
+
+
 def _y4_relations(s: Strategy, tol: float) -> tuple[Y4Report, np.ndarray, np.ndarray]:
     """:func:`verify_y4_relations` plus its two diagonal double projections."""
     if (s.m, s.n, s.r, s.s) != _Y4_SHAPE:
         raise AnalysisError(
             f"expected a 4x5-question, 3-answer strategy, got ({s.m},{s.n},{s.r},{s.s})"
         )
-    a0_0 = projected_substate(s, "A", 0, (0,))
-    a0_1 = projected_substate(s, "A", 0, (1,))
-    b4_0 = projected_substate(s, "B", 4, (0,))
-    b4_1 = projected_substate(s, "B", 4, (1,))
-    a2_02 = projected_substate(s, "A", 2, (0, 2))
-    a2_1 = projected_substate(s, "A", 2, (1,))
-
-    psi = s.state_matrix()
-    # the double projections (A_0^a psi) B_4^a^T reuse the substates A_0^a psi
-    vec0 = a0_0.reshape(s.dA, s.dB) @ s.bob_meas[4][0].T
-    vec1 = a0_1.reshape(s.dA, s.dB) @ s.bob_meas[4][1].T
-    residuals = {
-        "a0_answer0_vs_b4": float(np.linalg.norm(a0_0 - b4_0)),
-        "a0_answer0_vs_a2_kernel_plus": float(np.linalg.norm(a0_0 - a2_02)),
-        "a0_answer1_vs_b4": float(np.linalg.norm(a0_1 - b4_1)),
-        "a0_answer1_vs_a2": float(np.linalg.norm(a0_1 - a2_1)),
-        # vec0 + vec1 - psi negates psi - (vec0 + vec1) exactly; numpy reuses
-        # the sum's buffer for it, so no fourth D x D array is live here
-        "state_reconstruction": float(np.linalg.norm(vec0 + vec1 - psi)),
-    }
-    return Y4Report(residuals=residuals, tol=tol), vec0, vec1
+    return _y4_pass(lambda side, x, answers: projected_substate(s, side, x, answers),
+                    lambda v: float(np.linalg.norm(v)),
+                    lambda v, a: v.reshape(s.dA, s.dB) @ s.bob_meas[4][a].T, s.state_matrix(), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,7 +528,8 @@ def _log_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _log_subtract(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`multiset_subtract` on logs: ``a`` descending, less one match of each member of ``b``."""
+    """``a`` descending, less one match of each member of ``b``: the first left whose
+    exponential is within relative ``tol`` of its exponential, as :func:`_log_deviation` reads it."""
     rest = np.sort(a)[::-1]
     for vb in b:
         hit = np.flatnonzero(-np.expm1(-np.abs(rest - vb)) <= tol)
@@ -742,44 +734,44 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     ``s``.  Every ingredient is computed once: one validation, one induced
     table, one block decomposition of the shifted-pair questions, one
     question-4 pass (its residuals give the ``y4_*`` rows at ``tol``, its
-    double projections the Schmidt split at 1e-9), and one state spectrum,
+    double projections the Schmidt split), and one state spectrum,
     shared by the split and the descent chain; if it holds fewer than D
     coefficients, their rows fail and name the count and the cutoff.  Any
     strategy in any basis is read; :func:`certify_banded_truncation` gives
     the same rows for the ideal truncation without a D x D array.
     """
-    block_tol = max(tol, 1e-9)
     table = induce(s, check=False)
-    try:
+
+    def blocks(block_tol: float) -> tuple:
         deco = _decompose(strategy.restrict_questions(s, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS),
                           restrict(table, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS), _SHIFTED_SPLIT, block_tol)
-        assert deco.restricted[0] is not None
-        blocks = (deco.weights, deco.residuals["restricted_idempotence"],
-                  induce(deco.restricted[0], check=False).table)
-    except BlockDecompositionError as exc:
-        blocks = exc
+        if deco.restricted[0] is None:
+            raise BlockDecompositionError(f"block 0 has no sub-correlation: weight at or below tol {block_tol:.1e}")
+        chsh_table = induce(deco.restricted[0], check=False).table
+        return deco.weights, deco.residuals["restricted_idempotence"], chsh_table
+
     y4, vec0, vec1 = _y4_relations(s, tol)
     spectrum = schmidt(s.state, s.dA, s.dB).spectrum
-    try:
-        split = _bijections(s, y4, vec0, vec1, spectrum, alpha, 1e-9)
-    except AnalysisError as exc:
-        split = exc
-    return _truncation_rows(alpha, s.dA, tol, strategy.validate(s), table, blocks, y4, split,
+    return _truncation_rows(alpha, s.dA, tol, strategy.validate(s), table, blocks, y4,
+                            lambda split_tol: _bijections(s, y4, vec0, vec1, spectrum, alpha, split_tol),
                             descent_chain(spectrum, alpha).max_length, _clipped(spectrum, s.dA))
 
 
 def _truncation_rows(
     alpha: float, dim: int, tol: float, validity: strategy.ValidationReport, table: Correlation,
-    blocks: tuple | BlockDecompositionError, y4: Y4Report, split: BijectionReport | AnalysisError,
+    blocks: Callable[[float], tuple], y4: Y4Report, bijections: Callable[[float], BijectionReport],
     chain_length: int, clipped: str | None,
 ) -> list[dict]:
     """The rows of :func:`certify_truncation`, in order, from its ingredients.
 
-    ``blocks`` is (weights, restricted idempotence, table of the CHSH block)
-    of the shifted-pair decomposition, or why it failed; ``split`` is the
-    bijection report, or why the Schmidt split failed; ``clipped`` says why
-    the state spectrum holds fewer than D coefficients.
+    ``blocks(block_tol)`` gives (weights, restricted idempotence, table of the
+    CHSH block) of the shifted-pair decomposition and ``bijections(split_tol)``
+    the bijection report of the Schmidt split; where either raises, its row
+    fails and says why.  ``clipped`` says why the state spectrum holds fewer
+    than D coefficients.
     """
+    split_tol = 1e-9  # relative, on the Schmidt split; it also floors the block tolerance
+    block_tol = max(tol, split_tol)
     tail = alpha ** (2 * dim)
     rows = [_validity_row(validity)]
 
@@ -796,10 +788,11 @@ def _truncation_rows(
         max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
     ))
 
-    if isinstance(blocks, BlockDecompositionError):
-        rows.append(_row("block_decomposition", float("inf"), max(tol, 1e-9), str(blocks)))
+    try:
+        weights, idempotence, block_table = blocks(block_tol)
+    except BlockDecompositionError as exc:
+        rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
     else:
-        weights, idempotence, block_table = blocks
         c = 1.0 / (1.0 - alpha**2)
         weight_gap = max(abs(weights[0] - (c - 1.0) / c), abs(weights[1] - 1.0 / c))
         rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
@@ -811,13 +804,15 @@ def _truncation_rows(
 
     rows += _y4_rows(y4)
 
-    if isinstance(split, AnalysisError):
-        rows.append(_row("schmidt_partition", float("inf"), 1e-9, str(split)))
+    try:
+        split = bijections(split_tol)
+    except AnalysisError as exc:
+        rows.append(_row("schmidt_partition", float("inf"), split_tol, str(exc)))
     else:
         broken = [name for ok, name in ((split.ok_first, "S1 = alpha S0"),
                                         (split.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
-        rows.append(_row("schmidt_partition_bijections", split.max_pair_deviation, 1e-9,
-                         f"worst relative pair deviation {split.max_pair_deviation:.3e} > 1.0e-09 "
+        rows.append(_row("schmidt_partition_bijections", split.max_pair_deviation, split_tol,
+                         f"worst relative pair deviation {split.max_pair_deviation:.3e} > {split_tol:.1e} "
                          f"(broken: {', '.join(broken)})" if broken else None))
         rows.append(_row("schmidt_point_block_single", float(abs(split.s2_size - 1)), 0.0))
 
@@ -993,30 +988,23 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
     coeffs = np.exp(bands.log_coeffs)
     alice, bob = _Banded.of(bands.alice), _Banded.of(bands.bob)
     table = Correlation(_band_table(bands.alice, bands.bob, coeffs), norm_tol=INDUCED_NORM_TOL)
-    try:
-        blocks = _band_blocks(bands, table, coeffs, max(tol, 1e-9))
-    except BlockDecompositionError as exc:
-        blocks = exc
-
     psi, ratios = _Banded({0: np.ones(dim)}), _row_ratios(bands.log_coeffs)
-    a0 = [alice.at((0, a)).on_state(ratios) for a in range(2)]
-    b4 = [bob.at((4, a)).T for a in range(2)]
-    vec0, vec1 = (a0[a] @ b4[a] for a in range(2))
-    residuals = {
-        "a0_answer0_vs_b4": a0[0] - b4[0],
-        "a0_answer0_vs_a2_kernel_plus": a0[0] - (alice.at((2, 0)) + alice.at((2, 2))).on_state(ratios),
-        "a0_answer1_vs_b4": a0[1] - b4[1],
-        "a0_answer1_vs_a2": a0[1] - alice.at((2, 1)).on_state(ratios),
-        "state_reconstruction": vec0 + vec1 - psi,
-    }
-    y4 = Y4Report({name: float(diff.norm(coeffs)) for name, diff in residuals.items()}, tol)
-    try:
-        _licensed(y4, 1e-9)
-        vec2 = alice.at((2, 2)).on_state(ratios) @ bob.at((2, 2)).T
+
+    def project(side: str, x: int, answers: tuple[int, ...]) -> _Banded:
+        # the state is the identity row-scaled: A psi is A on it, psi B^T is B^T
+        proj = _Banded.of((bands.alice if side == "A" else bands.bob)[x, list(answers)].sum(0))
+        return proj.on_state(ratios) if side == "A" else proj.T
+
+    y4, vec0, vec1 = _y4_pass(project, lambda v: float(v.norm(coeffs)),
+                              lambda v, a: v @ project("B", 4, (a,)), psi, tol)
+
+    def bijections(split_tol: float) -> BijectionReport:
+        _licensed(y4, split_tol)
+        vec2 = project("A", 2, (2,)) @ project("B", 2, (2,))
         logs = [_band_spectrum(v, bands.log_coeffs) for v in (psi, vec0, vec1, vec2)]
-        _split(*logs, 1e-9)
-        split = _log_bijections(*logs[1:], alpha, 1e-9)
-    except AnalysisError as exc:
-        split = exc
-    return _truncation_rows(alpha, dim, tol, _band_validity(alice, bob, coeffs), table, blocks, y4, split,
+        _split(*logs, split_tol)
+        return _log_bijections(*logs[1:], alpha, split_tol)
+
+    return _truncation_rows(alpha, dim, tol, _band_validity(alice, bob, coeffs), table,
+                            lambda block_tol: _band_blocks(bands, table, coeffs, block_tol), y4, bijections,
                             log_descent_chain_length(bands.log_coeffs, alpha), None)

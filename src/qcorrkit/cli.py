@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -40,9 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use; each subcommand binds its handler."""
     parser = _Parser(prog="qcorrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
     # None, so that _truncation_flags tells a given --alpha or --m from its default
     def common(p, formats=False, m=True):
@@ -53,29 +61,29 @@ def _build_parser() -> _Parser:
         if formats:
             p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
 
-    p = sub.add_parser("tables", help="closed-form or exact correlation tables")
+    p = command("tables", _cmd_tables, help="closed-form or exact correlation tables")
     common(p, formats=True, m=False)
     p.add_argument("--pair", type=int, nargs=2, metavar=("X", "Y"), default=None)
     p.add_argument("--source", choices=["printed", "exact"], default="printed")
 
-    p = sub.add_parser("truncate", help="emit the truncated ideal strategy as JSON")
+    p = command("truncate", _cmd_truncate, help="emit the truncated ideal strategy as JSON")
     common(p)
 
-    p = sub.add_parser("induce", help="correlation induced by a strategy")
+    p = command("induce", _cmd_induce, help="correlation induced by a strategy")
     common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None, help="strategy JSON file")
 
-    p = sub.add_parser("distance", help="distance between correlations")
+    p = command("distance", _cmd_distance, help="distance between correlations")
     common(p)
     p.add_argument("--metric", choices=["max_tv", "l2"], default="max_tv")
     p.add_argument("--p", dest="p_file", type=str, default=None, help="correlation JSON file")
     p.add_argument("--q", dest="q_file", type=str, default=None, help="correlation JSON file")
 
-    p = sub.add_parser("schmidt", help="Schmidt spectrum of a strategy's state")
+    p = command("schmidt", _cmd_schmidt, help="Schmidt spectrum of a strategy's state")
     common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None)
 
-    p = sub.add_parser("blocks", help="block decomposition of the truncated strategy")
+    p = command("blocks", _cmd_blocks, help="block decomposition of the truncated strategy")
     common(p)
     p.add_argument("--xs", type=int, nargs="+", default=[2, 3])
     p.add_argument("--ys", type=int, nargs="+", default=[2, 3])
@@ -83,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bob-partition", type=str, default="0,1|2")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("chain", help="descent-chain lengths across truncations")
+    p = command("chain", _cmd_chain, help="descent-chain lengths across truncations")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--m-min", type=int, default=2)
     p.add_argument("--m-max", type=int, default=8)
@@ -91,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
-    p = sub.add_parser("seesaw", help="see-saw search for a fixed-dimension fit")
+    p = command("seesaw", _cmd_seesaw, help="see-saw search for a fixed-dimension fit")
     p.add_argument("--target", choices=["pstar", "chsh"], default="pstar")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--dim", type=int, default=2)
@@ -103,7 +111,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace-out", type=str, default=None, help="write the iteration trace CSV here")
     p.add_argument("--out", type=str, default=None)
 
-    p = sub.add_parser("verify", help="check rows of the reference construction or a strategy file")
+    p = command("verify", _cmd_verify, help="check rows of the reference construction or a strategy file")
     common(p)
     p.add_argument("--strategy", type=str, default=None, help="check this strategy file instead")
     p.add_argument("--tol", type=float, default=1e-12)
@@ -202,10 +210,7 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_induce(args) -> int:
     corr = strategy.induce(_strategy_from_args(args))
-    if args.format == "csv":
-        _emit(corr.to_csv(), args.out)
-    else:
-        _emit(corr.to_json(), args.out)
+    _emit(corr.to_csv() if args.format == "csv" else corr.to_json(), args.out)
     return EXIT_OK
 
 
@@ -333,26 +338,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "tables": _cmd_tables,
-    "truncate": _cmd_truncate,
-    "induce": _cmd_induce,
-    "distance": _cmd_distance,
-    "schmidt": _cmd_schmidt,
-    "blocks": _cmd_blocks,
-    "chain": _cmd_chain,
-    "seesaw": _cmd_seesaw,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse and execute one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         _truncation_flags(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

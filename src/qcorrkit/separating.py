@@ -265,8 +265,7 @@ def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
     c = 1.0 / (1.0 - alpha**2)
     entries = np.zeros((NUM_ANSWERS, NUM_ANSWERS))
     if x in (0, 1) and y in (0, 1):
-        chsh = ideal_table(params, x, y).entries
-        entries[:2, :2] = chsh
+        entries[:2, :2] = ideal_table(params, x, y).entries
     elif x in (2, 3) and y in (2, 3):
         chsh = ideal_table(params, x % 2, y % 2).entries
         entries[:2, :2] = (c - 1.0) / c * chsh[::-1, ::-1]

@@ -104,6 +104,15 @@ def _pm_projectors(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (eye + obs) / 2.0, (eye - obs) / 2.0
 
 
+def _ideal_arrays(params: TiltedChshParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`ideal_strategy`'s 2x2 state matrix and (question, answer, 2, 2) projectors."""
+    cos_t, mu = math.cos(params.theta), params.mu
+    psi = np.array([[cos_t, 0.0], [0.0, cos_t * params.alpha]])
+    alice = np.array([_pm_projectors(o) for o in (SIGMA_Z, SIGMA_X)])
+    bob = np.array([_pm_projectors(o) for o in (tilted_sigma_z(mu), tilted_sigma_x(mu))])
+    return psi, alice, bob
+
+
 def ideal_strategy(params: TiltedChshParams) -> Strategy:
     """The optimal two-qubit strategy for the given tilt.
 
@@ -111,12 +120,8 @@ def ideal_strategy(params: TiltedChshParams) -> Strategy:
     Bob the mu-tilted versions.  The +1 eigenspace answers 0, the -1
     eigenspace answers 1.
     """
-    cos_t = math.cos(params.theta)
-    state = np.array([cos_t, 0.0, 0.0, cos_t * params.alpha])
-    mu = params.mu
-    alice = np.array([_pm_projectors(o) for o in (SIGMA_Z, SIGMA_X)])
-    bob = np.array([_pm_projectors(o) for o in (tilted_sigma_z(mu), tilted_sigma_x(mu))])
-    return Strategy(dA=2, dB=2, state=state, alice_meas=alice, bob_meas=bob)
+    psi, alice, bob = _ideal_arrays(params)
+    return Strategy(dA=2, dB=2, state=psi.reshape(-1), alice_meas=alice, bob_meas=bob)
 
 
 def _expectation(psi: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
@@ -152,10 +157,7 @@ def ideal_table(params: TiltedChshParams, x: int, y: int) -> CorrelationTable:
     """The 2x2 probability table of the ideal strategy on question pair (x, y)."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"ideal tables exist for x, y in {{0, 1}}, got ({x},{y})")
-    s = ideal_strategy(params)
-    psi = s.state_matrix()
-    entries = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            entries[a, b] = _expectation(psi, s.alice_meas[x][a], s.bob_meas[y][b])
+    psi, alice, bob = _ideal_arrays(params)
+    # entry (a, b) is <psi, A_x^a psi B_y^b^T>, all four in one batched product
+    entries = (psi * (alice[x][:, None] @ psi @ bob[y].swapaxes(-1, -2)[None])).sum(axis=(-2, -1))
     return CorrelationTable(x=x, y=y, entries=entries)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcorrkit import analysis
 from qcorrkit.analysis import (
     AnalysisError,
     BlockDecompositionError,
@@ -18,7 +19,6 @@ from qcorrkit.analysis import (
     descent_chain,
     log_descent_chain_length,
     multiset_equal,
-    multiset_subtract,
     schmidt,
     schmidt_partition,
     strategy_block_decompose,
@@ -132,10 +132,11 @@ class TestMultisets:
         assert not multiset_equal([0.0, 1.0], [1e-300, 1.0])
         assert not multiset_equal([1.0, float("nan")], [1.0, 0.5])
 
-    def test_subtract(self):
-        assert multiset_subtract([0.5, 0.3, 0.3], [0.3]) == [0.5, 0.3]
+    def test_log_subtract(self):
+        rest = analysis._log_subtract(np.log([0.3, 0.5, 0.3]), np.log([0.3 * (1 + 1e-10)]), 1e-8)
+        np.testing.assert_allclose(np.exp(rest), [0.5, 0.3], rtol=1e-14)
         with pytest.raises(AnalysisError, match="no match"):
-            multiset_subtract([0.5], [0.4])
+            analysis._log_subtract(np.log([0.5]), np.log([0.4]), 1e-8)
 
 
 class TestBlockDecompose:
@@ -530,6 +531,17 @@ class TestBandedRows:
             assert [r[key] for r in banded] == [r[key] for r in dense]
         np.testing.assert_allclose([r["residual"] for r in banded], [r["residual"] for r in dense],
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e-5, 3e-5])
+    def test_weightless_chsh_block_fails_both_paths_alike(self, alpha):
+        # the CHSH block's weight alpha^2 is below the 1e-9 block tolerance: a row, not a crash
+        spec = TruncationSpec(alpha=alpha, m=2)
+        dense = certify_truncation(ideal_truncated_strategy(spec), alpha, 1e-12)
+        banded = certify_banded_truncation(ideal_truncation_bands(spec), 1e-12)
+        failing = [r for r in banded if not r["pass"]]
+        assert failing == [r for r in dense if not r["pass"]]
+        assert [(r["name"], r["detail"]) for r in failing] == [
+            ("block_decomposition", "block 0 has no sub-correlation: weight at or below tol 1.0e-09")]
 
     def test_bands_scatter_to_the_dense_arrays(self):
         spec = TruncationSpec(alpha=0.3, m=5)

@@ -491,6 +491,38 @@ class TestCliContract:
         assert json.loads(path.read_text())["x"] == 0
 
 
+class TestParserReuse:
+    """One parser serves every ``run`` of a process, so no call may leave state in it."""
+
+    def test_parser_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for argv in (["tables", "--alpha", "0.5"], ["chain", "--m-max", "3"], ["no-such-command"],
+                     ["verify", "--alpha", "0.5", "--m", "2"], ["blocks", "--m", "2"]):
+            run(argv)
+        capsys.readouterr()
+        assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 4)
+
+    def test_pinned_commands_repeat_in_one_process(self, capsys):
+        pins = TestStrategyFiles.STDOUT_SHA256
+        for command in [*sorted(pins), *sorted(pins, reverse=True)]:
+            code, out, _ = run_capture(capsys, command.split())
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == pins[command], command
+
+    def test_truncation_flag_defaults_survive_a_run(self, capsys, tmp_path):
+        path = tmp_path / "strategy.json"
+        assert run(["truncate", "--alpha", "0.5", "--m", "2", "--out", str(path)]) == 0
+        assert run_capture(capsys, ["verify", "--alpha", "0.9", "--m", "4"])[0] == 0
+        # a default --alpha or --m set by that run would be taken as given next to the file
+        assert run_capture(capsys, ["verify", "--strategy", str(path), "--alpha", "0.9"])[0] == 1
+        assert run_capture(capsys, ["verify", "--strategy", str(path)])[0] == 0
+
+    def test_list_defaults_survive_a_run(self, capsys):
+        # --xs and --ys default to lists, which a handler must not change
+        outputs = [run_capture(capsys, argv) for argv in (["blocks", "--xs", "2", "3"], ["blocks"]) * 2]
+        assert outputs[0][0] == 0 and outputs.count(outputs[0]) == 4
+
+
 class TestFormatFlag:
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorrkit.correlation import distance, restrict
+from qcorrkit.correlation import CorrelationTable, distance, restrict
 from qcorrkit.separating import (
     PRINTED_PAIRS,
     SeparatingError,
@@ -19,6 +19,8 @@ from qcorrkit.strategy import induce, validate
 from qcorrkit.tilted_chsh import (
     SIGMA_X,
     SIGMA_Z,
+    _expectation,
+    ideal_strategy,
     ideal_table,
     params_from_alpha,
     tilted_sigma_x,
@@ -193,6 +195,21 @@ class TestPrintedTables:
     def test_unprinted_pair_rejected(self):
         with pytest.raises(SeparatingError, match="closed-form"):
             printed_table(0.5, 0, 2)
+
+    def test_chsh_entries_bitwise_per_entry_form(self):
+        # the batched tables equal <psi, A_x^a psi B_y^b^T> taken entry by entry on ideal_strategy,
+        # as a CorrelationTable cleans them
+        for alpha in np.linspace(1e-5, 1 - 1e-5, 201).tolist():
+            params = params_from_alpha(alpha)
+            s = ideal_strategy(params)
+            psi, c = s.state_matrix(), 1.0 / (1.0 - alpha**2)
+            for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                chsh = CorrelationTable(x, y, [[_expectation(psi, s.alice_meas[x][a], s.bob_meas[y][b])
+                                                for b in range(2)] for a in range(2)]).entries
+                assert ideal_table(params, x, y).entries.tobytes() == chsh.tobytes()
+                assert printed_table(alpha, x, y).entries[:2, :2].tobytes() == chsh.tobytes()
+                shifted = printed_table(alpha, x + 2, y + 2).entries[:2, :2]
+                assert shifted.tobytes() == ((c - 1.0) / c * chsh[::-1, ::-1]).tobytes()
 
 
 class TestTruncationDistance:
