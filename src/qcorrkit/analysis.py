@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from . import separating, strategy
 from .correlation import (
     INDUCED_NORM_TOL, BlockCheckResult, BlockSpec, Correlation, block_structure_check, distance, restrict,
 )
+from .separating import SHIFTED_QUESTIONS, SHIFTED_SPLIT
 from .strategy import Strategy, _frozen, induce, projected_substate
 
 __all__ = [
@@ -148,8 +149,8 @@ def multiset_equal(
     a: Sequence[float], b: Sequence[float], rel_tol: float = MULTISET_REL_TOL
 ) -> bool:
     """Whether two positive multisets have equal sizes and pair up within relative
-    tolerance: their :func:`_max_pair_deviation` is at most ``rel_tol``."""
-    return len(a) == len(b) and _max_pair_deviation(a, b) <= rel_tol
+    tolerance: the :func:`_log_deviation` of their logs is at most ``rel_tol``."""
+    return len(a) == len(b) and _log_deviation(*_logs(a, b)) <= rel_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,7 +376,7 @@ def _restrict_side(
     return basis, _frozen(out)
 
 
-_Y4_SHAPE = (4, 5, 3, 3)
+_Y4_SHAPE = (separating.NUM_ALICE_QUESTIONS, separating.NUM_BOB_QUESTIONS) + 2 * (separating.NUM_ANSWERS,)
 
 
 @dataclass(frozen=True)
@@ -418,6 +419,8 @@ _Y4_RELATIONS = (
     ("a0_answer1_vs_b4", ("A", 0, (1,)), ("B", 4, (1,))),
     ("a0_answer1_vs_a2", ("A", 0, (1,)), ("A", 2, (1,))),
 )
+# (question, answers) of the point block's double projection, the same on both sides
+_POINT = (SHIFTED_QUESTIONS[0], SHIFTED_SPLIT.alice_partition[1])
 
 
 def _y4_pass(project: Callable, norm: Callable, times_b4: Callable, psi, tol: float) -> tuple:
@@ -438,7 +441,8 @@ def _y4_relations(s: Strategy, tol: float) -> tuple[Y4Report, np.ndarray, np.nda
     """:func:`verify_y4_relations` plus its two diagonal double projections."""
     if (s.m, s.n, s.r, s.s) != _Y4_SHAPE:
         raise AnalysisError(
-            f"expected a 4x5-question, 3-answer strategy, got ({s.m},{s.n},{s.r},{s.s})"
+            f"expected a {_Y4_SHAPE[0]}x{_Y4_SHAPE[1]}-question, {_Y4_SHAPE[2]}-answer strategy, "
+            f"got ({s.m},{s.n},{s.r},{s.s})"
         )
     return _y4_pass(lambda side, x, answers: projected_substate(s, side, x, answers),
                     lambda v: float(np.linalg.norm(v)),
@@ -471,20 +475,22 @@ def schmidt_partition(s: Strategy, tol: float = 1e-9) -> SchmidtPartition:
     S = S0 u S1 and the containment S2 <= S0 at relative tolerance ``tol``.
     """
     y4, vec0, vec1 = _y4_relations(s, tol)
-    return _partition(s, y4, vec0, vec1, schmidt(s.state, s.dA, s.dB).spectrum, tol)
+    return _partition(s, y4, vec0, vec1, schmidt(s.state, s.dA, s.dB).spectrum, tol)[0]
 
 
 def _partition(
     s: Strategy, y4: Y4Report, vec0: np.ndarray, vec1: np.ndarray,
     spec_s: SchmidtSpectrum, tol: float,
-) -> SchmidtPartition:
-    """:func:`schmidt_partition` from a question-4 pass and the state spectrum."""
+) -> tuple[SchmidtPartition, list[np.ndarray]]:
+    """:func:`schmidt_partition` and the logs of S, S0, S1 and S2, from a question-4 pass and the state spectrum."""
     _licensed(y4, tol)
-    vec2 = s.alice_meas[2][2] @ s.state_matrix() @ s.bob_meas[2][2].T
+    x, point = _POINT
+    vec2 = s.alice_meas[x, point].sum(0) @ s.state_matrix() @ s.bob_meas[x, point].sum(0).T
     # pieces of the same vector: cut where the state spectrum was cut
     s0, s1, s2 = (_svd_spectrum(v, spec_s.cutoff) for v in (vec0, vec1, vec2))
-    _split(*_logs(spec_s, s0, s1, s2), tol)
-    return SchmidtPartition(s=spec_s, s0=s0, s1=s1, s2=s2)
+    logs = _logs(spec_s, s0, s1, s2)
+    _split(*logs, tol)
+    return SchmidtPartition(s=spec_s, s0=s0, s1=s1, s2=s2), logs
 
 
 def _licensed(y4: Y4Report, tol: float) -> None:
@@ -497,8 +503,9 @@ def _licensed(y4: Y4Report, tol: float) -> None:
         )
 
 
-def _logs(*spectra: SchmidtSpectrum) -> list[np.ndarray]:
-    return [np.log(np.array(sp.coefficients, dtype=float)) for sp in spectra]
+def _logs(*multisets: Iterable[float]) -> list[np.ndarray]:
+    with np.errstate(divide="ignore"):  # log 0 is -inf, which _log_deviation pairs only with itself
+        return [np.log(np.fromiter(v, dtype=float)) for v in multisets]
 
 
 def _split(s: np.ndarray, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: float) -> None:
@@ -520,11 +527,13 @@ def _split(s: np.ndarray, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, tol: f
 
 
 def _log_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """:func:`_max_pair_deviation` of exp(a) and exp(b), from the logs: 1 - exp(-|a_k - b_k|)
-    largest-first, so no value underflows."""
+    """Largest |x - y| / max(x, y) = 1 - exp(-|a_k - b_k|) over x = exp(a), y = exp(b) paired largest-first,
+    from the logs so nothing underflows: 0 for equal members; inf for unequal sizes, NaN for a NaN member."""
     if len(a) != len(b) or not len(a):
         return float("inf") if len(a) or len(b) else 0.0
-    return float(np.max(-np.expm1(-np.abs(np.sort(a)[::-1] - np.sort(b)[::-1]))))
+    sa, sb = np.sort(a)[::-1], np.sort(b)[::-1]
+    gap = np.subtract(sa, sb, out=np.zeros_like(sa), where=sa != sb)
+    return float(np.max(-np.expm1(-np.abs(gap))))
 
 
 def _log_subtract(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -641,17 +650,6 @@ class BijectionReport:
         return self.ok_first and self.ok_second and self.s2_size == 1
 
 
-def _max_pair_deviation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Largest |x - y| / max(|x|, |y|) over ``a`` and ``b`` paired largest-first (0 for
-    x == y); inf for unequal sizes, NaN when a member is NaN."""
-    if len(a) != len(b) or not a:
-        return float("inf") if a or b else 0.0
-    sa = sorted(a, reverse=True)
-    sb = sorted(b, reverse=True)
-    return float(np.max([0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
-                         for x, y in zip(sa, sb)]))
-
-
 def verify_schmidt_bijections(
     s: Strategy, alpha: float, tol: float = 1e-9
 ) -> BijectionReport:
@@ -669,8 +667,7 @@ def _bijections(
     clipped = _clipped(spectrum, s.dA)
     if clipped is not None:
         raise AnalysisError(clipped)
-    part = _partition(s, y4, vec0, vec1, spectrum, tol)
-    return _log_bijections(*_logs(part.s0, part.s1, part.s2), alpha, tol)
+    return _log_bijections(*_partition(s, y4, vec0, vec1, spectrum, tol)[1][1:], alpha, tol)
 
 
 def _log_bijections(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray, alpha: float, tol: float) -> BijectionReport:
@@ -721,11 +718,6 @@ def certify_strategy(s: Strategy, tol: float) -> list[dict]:
     return rows
 
 
-# the shifted-pair questions {2, 3} split into the CHSH block {0, 1} and the point block {2}
-_SHIFTED_QUESTIONS = [2, 3]
-_SHIFTED_SPLIT = BlockSpec(((0, 1), (2,)), ((0, 1), (2,)))
-
-
 def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     """Every certificate on a truncated pairing strategy, as ordered check rows.
 
@@ -743,8 +735,8 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
     table = induce(s, check=False)
 
     def blocks(block_tol: float) -> tuple:
-        deco = _decompose(strategy.restrict_questions(s, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS),
-                          restrict(table, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS), _SHIFTED_SPLIT, block_tol)
+        deco = _decompose(strategy.restrict_questions(s, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS),
+                          restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, block_tol)
         if deco.restricted[0] is None:
             raise BlockDecompositionError(f"block 0 has no sub-correlation: weight at or below tol {block_tol:.1e}")
         chsh_table = induce(deco.restricted[0], check=False).table
@@ -775,8 +767,7 @@ def _truncation_rows(
     tail = alpha ** (2 * dim)
     rows = [_validity_row(validity)]
 
-    exact = separating.exact_pstar(alpha)
-    printed = {xy: separating.printed_table(alpha, *xy).entries for xy in separating.PRINTED_PAIRS}
+    exact, printed, c = separating._closed_forms(alpha)
     rows.append(_row("tables_printed_match", max(
         float(np.abs(exact.table[xy] - entries).max()) for xy, entries in printed.items()), 1e-12))
 
@@ -793,13 +784,12 @@ def _truncation_rows(
     except BlockDecompositionError as exc:
         rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
     else:
-        c = 1.0 / (1.0 - alpha**2)
         weight_gap = max(abs(weights[0] - (c - 1.0) / c), abs(weights[1] - 1.0 / c))
         rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
         rows.append(_row("block_idempotence", idempotence, 1e-9))
         worst_block = max(
-            float(np.abs(block_table[x, y] - printed[x + 2, y + 2][:2, :2] * c / (c - 1.0)).max())
-            for x in range(2) for y in range(2))
+            float(np.abs(block_table[x, y] - printed[sx, sy][:2, :2] * c / (c - 1.0)).max())
+            for x, sx in enumerate(SHIFTED_QUESTIONS) for y, sy in enumerate(SHIFTED_QUESTIONS))
         rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
 
     rows += _y4_rows(y4)
@@ -932,12 +922,12 @@ def _band_blocks(bands: separating.TruncationBands, table: Correlation, coeffs: 
     :func:`_decompose` finds them; the block subspaces are coordinate sets, so a sub-state
     that is not diagonal raises."""
     dim, ratios = bands.spec.dim, _row_ratios(bands.log_coeffs)
-    chk = _direct_sum(restrict(table, _SHIFTED_QUESTIONS, _SHIFTED_QUESTIONS), _SHIFTED_SPLIT, tol)
+    chk = _direct_sum(restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, tol)
     residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
-    sides = (("A", bands.alice[_SHIFTED_QUESTIONS], _SHIFTED_SPLIT.alice_partition),
-             ("B", bands.bob[_SHIFTED_QUESTIONS], _SHIFTED_SPLIT.bob_partition))
+    sides = (("A", bands.alice[list(SHIFTED_QUESTIONS)], SHIFTED_SPLIT.alice_partition),
+             ("B", bands.bob[list(SHIFTED_QUESTIONS)], SHIFTED_SPLIT.bob_partition))
     sub_states = []
-    for i in range(_SHIFTED_SPLIT.num_blocks):
+    for i in range(SHIFTED_SPLIT.num_blocks):
         a_proj, b_proj = (_Banded.of(side[:, list(part[i])].sum(1)) for _, side, part in sides)
         a_imgs, b_imgs = a_proj.on_state(ratios), b_proj.T
         _question_dependence(i, [a_imgs.at(x) for x in range(2)], [b_imgs.at(y) for y in range(2)],
@@ -1000,7 +990,7 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
 
     def bijections(split_tol: float) -> BijectionReport:
         _licensed(y4, split_tol)
-        vec2 = project("A", 2, (2,)) @ project("B", 2, (2,))
+        vec2 = project("A", *_POINT) @ project("B", *_POINT)
         logs = [_band_spectrum(v, bands.log_coeffs) for v in (psi, vec0, vec1, vec2)]
         _split(*logs, split_tol)
         return _log_bijections(*logs[1:], alpha, split_tol)

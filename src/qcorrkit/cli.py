@@ -30,6 +30,7 @@ __all__ = ["run", "main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+_DEFAULTS = {"alpha": 0.5, "m": 8}  # of --alpha and --m wherever a command takes them
 
 
 class UsageError(Exception):
@@ -52,11 +53,11 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         return p
 
-    # None, so that _truncation_flags tells a given --alpha or --m from its default
+    # default None, so that _truncation_flags tells a given --alpha or --m from its default
     def common(p, formats=False, m=True):
-        p.add_argument("--alpha", type=float, default=None, help="state ratio in (0,1) (default 0.5)")
+        p.add_argument("--alpha", type=float, help=f"state ratio in (0,1) (default {_DEFAULTS['alpha']})")
         if m:
-            p.add_argument("--m", type=int, default=None, help="number of pairing blocks (default 8)")
+            p.add_argument("--m", type=int, help=f"number of pairing blocks (default {_DEFAULTS['m']})")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
         if formats:
             p.add_argument("--format", choices=["json", "csv"], default="json", help="output format")
@@ -85,29 +86,30 @@ def _build_parser() -> _Parser:
 
     p = command("blocks", _cmd_blocks, help="block decomposition of the truncated strategy")
     common(p)
-    p.add_argument("--xs", type=int, nargs="+", default=[2, 3])
-    p.add_argument("--ys", type=int, nargs="+", default=[2, 3])
-    p.add_argument("--alice-partition", type=str, default="0,1|2")
-    p.add_argument("--bob-partition", type=str, default="0,1|2")
+    p.add_argument("--xs", type=int, nargs="+", default=list(separating.SHIFTED_QUESTIONS))
+    p.add_argument("--ys", type=int, nargs="+", default=list(separating.SHIFTED_QUESTIONS))
+    p.add_argument("--alice-partition", type=_parse_partition, default=separating.SHIFTED_SPLIT.alice_partition)
+    p.add_argument("--bob-partition", type=_parse_partition, default=separating.SHIFTED_SPLIT.bob_partition)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = command("chain", _cmd_chain, help="descent-chain lengths across truncations")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
     p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--m-max", type=int, default=_DEFAULTS["m"])
+    p.add_argument("--rel-tol", type=float, default=analysis.CHAIN_REL_TOL)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = command("seesaw", _cmd_seesaw, help="see-saw search for a fixed-dimension fit")
     p.add_argument("--target", choices=["pstar", "chsh"], default="pstar")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--iters", type=int, default=80)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--rounding", choices=["none", "projective"], default="none")
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
+    config = seesaw.SeesawConfig(local_dim=2)  # the defaults, at d = 2
+    p.add_argument("--dim", type=int, default=config.local_dim)
+    p.add_argument("--restarts", type=int, default=config.restarts)
+    p.add_argument("--iters", type=int, default=config.max_outer_iters)
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--tol", type=float, default=config.convergence_tol)
+    p.add_argument("--rounding", choices=seesaw._ROUNDINGS, default=config.rounding)
     p.add_argument("--trace-out", type=str, default=None, help="write the iteration trace CSV here")
     p.add_argument("--out", type=str, default=None)
 
@@ -160,7 +162,7 @@ def _strategy_from_args(args) -> strategy.Strategy:
 def _truncation_flags(args) -> None:
     """Default ``--alpha`` and ``--m``, or refuse them next to a file they would not describe."""
     from_file = getattr(args, "strategy", None) or getattr(args, "p_file", None)
-    for dest, default in (("alpha", 0.5), ("m", 8)):
+    for dest, default in _DEFAULTS.items():
         if getattr(args, dest, default) is None:
             setattr(args, dest, default)
         elif from_file:
@@ -259,12 +261,7 @@ def _cmd_blocks(args) -> int:
     s = _strategy_from_args(args)
     sub = strategy.restrict_questions(s, args.xs, args.ys)
     try:
-        deco = analysis.strategy_block_decompose(
-            sub,
-            _parse_partition(args.alice_partition),
-            _parse_partition(args.bob_partition),
-            tol=args.tol,
-        )
+        deco = analysis.strategy_block_decompose(sub, args.alice_partition, args.bob_partition, tol=args.tol)
     except analysis.BlockDecompositionError as exc:
         sys.stderr.write(f"block decomposition failed: {exc}\n")
         return EXIT_VERIFY

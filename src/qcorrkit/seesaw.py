@@ -41,6 +41,8 @@ __all__ = [
     "optimize",
 ]
 
+_ROUNDINGS = ("none", "projective")  # SeesawConfig.rounding's modes
+
 
 class SeesawError(ValueError):
     """Invalid configuration or target for the see-saw search."""
@@ -71,7 +73,7 @@ class SeesawConfig:
             raise SeesawError(f"local_dim must be >= 1, got {self.local_dim}")
         if self.max_outer_iters < 1 or self.restarts < 1:
             raise SeesawError("max_outer_iters and restarts must be >= 1")
-        if self.rounding not in ("none", "projective"):
+        if self.rounding not in _ROUNDINGS:
             raise SeesawError(f"unknown rounding mode {self.rounding!r}")
         if self.state_steps < 1 or self.meas_steps < 1:
             raise SeesawError("state_steps and meas_steps must be >= 1")

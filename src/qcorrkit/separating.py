@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import Correlation, CorrelationTable, distance
+from .correlation import DEFAULT_NORM_TOL, BlockSpec, Correlation, CorrelationTable, _clean_probabilities, distance
 from .strategy import Strategy, _frozen, induce
 from .tilted_chsh import (
     SIGMA_X,
     SIGMA_Z,
+    TiltedChshParams,
+    _ideal_entries,
     _pm_projectors,
-    ideal_table,
     params_from_alpha,
     tilted_sigma_x,
     tilted_sigma_z,
@@ -48,11 +49,16 @@ __all__ = [
     "PRINTED_PAIRS",
     "NUM_ALICE_QUESTIONS",
     "NUM_BOB_QUESTIONS",
+    "SHIFTED_QUESTIONS",
+    "SHIFTED_SPLIT",
 ]
 
 NUM_ALICE_QUESTIONS = 4
 NUM_BOB_QUESTIONS = 5
 NUM_ANSWERS = 3
+# the shifted-pair questions, either side, and their answers' split: CHSH block {0, 1}, point block {2}
+SHIFTED_QUESTIONS = (2, 3)
+SHIFTED_SPLIT = BlockSpec(((0, 1), (2,)), ((0, 1), (2,)))
 
 # Question pairs whose closed-form tables are available via printed_table.
 PRINTED_PAIRS: tuple[tuple[int, int], ...] = (
@@ -99,15 +105,14 @@ class TruncationSpec:
         return log_norm + log_alpha * np.arange(self.dim)
 
 
-def _question_layout(alpha: float) -> tuple[list[tuple[int, np.ndarray]], ...]:
+def _question_layout(params: TiltedChshParams) -> tuple[list[tuple[int, np.ndarray]], ...]:
     """(shift, observable) per question on each side: the one layout table.
 
     Shift 0 plays the 2x2 observable on the aligned pairs (2k, 2k+1), answering
-    +1 -> 0 and -1 -> 1 with answer 2 unused.  Shift 1 plays it on the shifted
-    pairs (2k+1, 2k+2), answering -1 -> 0 and +1 -> 1, with |0><0| -> 2.
+    +1 -> 0 and -1 -> 1 with answer 2 unused.  Shift 1 (:data:`SHIFTED_QUESTIONS`) plays
+    it on the shifted pairs (2k+1, 2k+2), answering -1 -> 0 and +1 -> 1, with |0><0| -> 2.
     """
-    mu = params_from_alpha(alpha).mu
-    tz, tx = tilted_sigma_z(mu), tilted_sigma_x(mu)
+    tz, tx = tilted_sigma_z(params.mu), tilted_sigma_x(params.mu)
     alice = [(0, SIGMA_Z), (0, SIGMA_X), (1, SIGMA_Z), (1, SIGMA_X)]
     bob = [(0, tz), (0, tx), (1, tz), (1, tx), (0, SIGMA_Z)]
     return alice, bob
@@ -139,9 +144,8 @@ def _side_bands(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.
     return out
 
 
-def _side_measurements(questions: list[tuple[int, np.ndarray]], num_blocks: int) -> np.ndarray:
-    """One side's (questions, 3, D, D) elements: the :func:`_side_bands` scattered."""
-    bands = _side_bands(questions, num_blocks)
+def _scatter(bands: np.ndarray) -> np.ndarray:
+    """One side's (questions, 3, D, D) elements from its :func:`_side_bands`."""
     dim = bands.shape[-1]
     out = np.zeros(bands.shape[:2] + (dim, dim))
     i = np.arange(dim)
@@ -168,7 +172,7 @@ class TruncationBands:
 
 def ideal_truncation_bands(spec: TruncationSpec) -> TruncationBands:
     """The bands and log-coefficients of :func:`ideal_truncated_strategy`, in O(D) memory."""
-    alice, bob = _question_layout(spec.alpha)
+    alice, bob = _question_layout(params_from_alpha(spec.alpha))
     return TruncationBands(
         spec=spec,
         alice=_frozen(_side_bands(alice, int(spec.m))),
@@ -184,23 +188,15 @@ def ideal_truncated_strategy(spec: TruncationSpec) -> Strategy:
     sqrt((1 - alpha^2) / (1 - alpha^(2D))).  Aligned-pair questions tile the
     truncated space completely, so their tables match the untruncated ones
     exactly; all truncation error enters through the shifted-pair questions.
-    Every array is real and written as float64, which the strategy keeps
-    without a copy.
+    The elements are :func:`ideal_truncation_bands` scattered.  Every array
+    is real and written as float64, which the strategy keeps without a copy.
     """
-    dim = spec.dim
-    alpha = spec.alpha
-    alice, bob = _question_layout(alpha)
+    dim, alpha, bands = spec.dim, spec.alpha, ideal_truncation_bands(spec)
     norm = math.sqrt((1.0 - alpha**2) / (1.0 - alpha ** (2 * dim)))
-    coeffs = norm * alpha ** np.arange(dim)
     state = np.zeros(dim * dim)
-    state[np.arange(dim) * dim + np.arange(dim)] = coeffs
-    return Strategy(
-        dA=dim,
-        dB=dim,
-        state=_frozen(state),
-        alice_meas=_side_measurements(alice, int(spec.m)),
-        bob_meas=_side_measurements(bob, int(spec.m)),
-    )
+    state[np.arange(dim) * (dim + 1)] = norm * alpha ** np.arange(dim)
+    return Strategy(dA=dim, dB=dim, state=_frozen(state),
+                    alice_meas=_scatter(bands.alice), bob_meas=_scatter(bands.bob))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +231,7 @@ def exact_pstar(alpha: float) -> Correlation:
     elements times 1/(1 - alpha^4), boundary terms added separately), so no
     truncation is involved.
     """
-    _check_alpha(alpha)
-    alice, bob = _question_layout(alpha)
-    p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
-    p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
-    geo = 1.0 / (1.0 - alpha**4)
-    val = p00a * p00b
-    val = val + alpha**2 * geo * odda * oddb
-    val = val + alpha**4 * geo * evena * evenb
-    # couplings pair up only between questions on the same pair parity
-    coupled = val + np.where(shifta == 1, alpha**3, alpha) * geo * (upa * upb + lowa * lowb)
-    table = (1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val)
-    return Correlation(table)
+    return _closed_forms(alpha)[0]
 
 
 def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
@@ -258,26 +243,41 @@ def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
     other.  Shifted-pair questions carry the CHSH block with the 0/1 answer
     labels flipped.
     """
-    _check_alpha(alpha)
-    if (x, y) not in PRINTED_PAIRS:
+    tables = _closed_forms(alpha)[1]
+    if (x, y) not in tables:
         raise SeparatingError(f"no closed-form table for question pair ({x},{y})")
+    return CorrelationTable(x=x, y=y, entries=tables[x, y])
+
+
+def _closed_forms(alpha: float) -> tuple[Correlation, dict[tuple[int, int], np.ndarray], float]:
+    """:func:`exact_pstar`, every :func:`printed_table`'s entries by pair, and C, from one params_from_alpha;
+    the four CHSH tables are one batched product, cleaned as a :class:`CorrelationTable` cleans them."""
+    _check_alpha(alpha)
     params = params_from_alpha(alpha)
+    alice, bob = _question_layout(params)
+    p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
+    p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
+    geo = 1.0 / (1.0 - alpha**4)
+    val = p00a * p00b
+    val = val + alpha**2 * geo * odda * oddb
+    val = val + alpha**4 * geo * evena * evenb
+    # couplings pair up only between questions on the same pair parity
+    coupled = val + np.where(shifta == 1, alpha**3, alpha) * geo * (upa * upb + lowa * lowb)
+    exact = Correlation((1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val))
+
     c = 1.0 / (1.0 - alpha**2)
-    entries = np.zeros((NUM_ANSWERS, NUM_ANSWERS))
-    if x in (0, 1) and y in (0, 1):
-        entries[:2, :2] = ideal_table(params, x, y).entries
-    elif x in (2, 3) and y in (2, 3):
-        chsh = ideal_table(params, x % 2, y % 2).entries
-        entries[:2, :2] = (c - 1.0) / c * chsh[::-1, ::-1]
-        entries[2, 2] = 1.0 / c
-    elif (x, y) == (0, 4):
-        entries[0, 0] = (1.0 / c) / (1.0 - alpha**4)
-        entries[1, 1] = (1.0 / c) * alpha**2 / (1.0 - alpha**4)
-    elif (x, y) == (2, 4):
-        entries[0, 0] = (1.0 / c) * (1.0 / (1.0 - alpha**4) - 1.0)
-        entries[1, 1] = (1.0 / c) * alpha**2 / (1.0 - alpha**4)
-        entries[2, 0] = 1.0 / c
-    return CorrelationTable(x=x, y=y, entries=entries)
+    chsh = _clean_probabilities(_ideal_entries(params), DEFAULT_NORM_TOL, "ideal CHSH tables")
+    tables = dict(zip(PRINTED_PAIRS, np.zeros((len(PRINTED_PAIRS), NUM_ANSWERS, NUM_ANSWERS))))
+    for x, y in np.ndindex(chsh.shape[:2]):
+        tables[x, y][:2, :2] = chsh[x, y]
+        shifted = tables[SHIFTED_QUESTIONS[x], SHIFTED_QUESTIONS[y]]
+        shifted[:2, :2] = (c - 1.0) / c * chsh[x, y, ::-1, ::-1]
+        shifted[2, 2] = 1.0 / c
+    tables[0, 4][0, 0] = (1.0 / c) / (1.0 - alpha**4)
+    tables[0, 4][1, 1] = tables[2, 4][1, 1] = (1.0 / c) * alpha**2 / (1.0 - alpha**4)
+    tables[2, 4][0, 0] = (1.0 / c) * (1.0 / (1.0 - alpha**4) - 1.0)
+    tables[2, 4][2, 0] = 1.0 / c
+    return exact, tables, c
 
 
 def truncation_distance(alpha: float, m: int, metric: str = "max_tv") -> float:

@@ -153,11 +153,14 @@ def bell_value(s: Strategy, beta: float) -> float:
     )
 
 
+def _ideal_entries(params: TiltedChshParams) -> np.ndarray:
+    """(x, y, a, b) entries <psi, A_x^a psi B_y^b^T> of the ideal strategy, in one batched product."""
+    psi, alice, bob = _ideal_arrays(params)
+    return (psi * (alice[:, None, :, None] @ psi @ bob.swapaxes(-1, -2)[None, :, None])).sum(axis=(-2, -1))
+
+
 def ideal_table(params: TiltedChshParams, x: int, y: int) -> CorrelationTable:
     """The 2x2 probability table of the ideal strategy on question pair (x, y)."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"ideal tables exist for x, y in {{0, 1}}, got ({x},{y})")
-    psi, alice, bob = _ideal_arrays(params)
-    # entry (a, b) is <psi, A_x^a psi B_y^b^T>, all four in one batched product
-    entries = (psi * (alice[x][:, None] @ psi @ bob[y].swapaxes(-1, -2)[None])).sum(axis=(-2, -1))
-    return CorrelationTable(x=x, y=y, entries=entries)
+    return CorrelationTable(x=x, y=y, entries=_ideal_entries(params)[x, y])

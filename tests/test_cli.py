@@ -1,8 +1,10 @@
 """CLI surface: subcommands, formats, exit codes, reproducibility."""
 
 import hashlib
+import importlib
 import json
 import re
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcorrkit import analysis, separating, strategy
+from qcorrkit import analysis, separating, strategy, tilted_chsh
 from qcorrkit.cli import _build_parser, run
 from qcorrkit.correlation import Correlation, restrict
 from qcorrkit.seesaw import SeesawConfig, optimize
@@ -328,6 +330,20 @@ class TestVerifiers:
         # 8 for the two blocks on 2x2 questions, 6 for the single question-4 pass
         assert calls == 14
 
+    def test_verify_derives_the_tilt_parameters_twice(self, capsys, monkeypatch):
+        calls = 0
+        params_from_beta = tilted_chsh.params_from_beta
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return params_from_beta(*args, **kwargs)
+
+        monkeypatch.setattr(tilted_chsh, "params_from_beta", counted)
+        assert run_capture(capsys, ["verify", "--alpha", "0.95", "--m", "8"])[0] == 0
+        # once for the bands, once for the exact table and the ten printed tables together
+        assert calls == 2
+
     def test_verify_and_chain_build_no_dense_strategy(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a dense strategy or decomposition was built")
@@ -447,6 +463,34 @@ class TestCliContract:
         capsys.readouterr()
         assert run(["distance", "--p", "only-one.json"]) == 1
         capsys.readouterr()
+
+    def test_console_script_resolves_to_main(self, capsys, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["qcorrkit"]
+        assert entry == "qcorrkit.cli:main"
+        module, attr = entry.split(":")
+        monkeypatch.setattr(sys, "argv", ["qcorrkit", "verify", "--alpha", "0.95", "--m", "8"])
+        with pytest.raises(SystemExit) as exit_info:
+            getattr(importlib.import_module(module), attr)()
+        assert exit_info.value.code == 0
+        assert strict_loads(capsys.readouterr().out)["passed"]
+
+    def test_defaults_are_the_library_defaults(self):
+        parse = _build_parser().parse_args
+        config, chain, seesaw = SeesawConfig(local_dim=2), parse(["chain"]), parse(["seesaw"])
+        assert chain.rel_tol == analysis.CHAIN_REL_TOL
+        assert (seesaw.restarts, seesaw.iters, seesaw.seed, seesaw.tol, seesaw.rounding) == (
+            config.restarts, config.max_outer_iters, config.seed, config.convergence_tol, config.rounding)
+        blocks = parse(["blocks"])
+        assert blocks.xs == blocks.ys == list(separating.SHIFTED_QUESTIONS)
+        assert (blocks.alice_partition, blocks.bob_partition) == (
+            separating.SHIFTED_SPLIT.alice_partition, separating.SHIFTED_SPLIT.bob_partition)
+
+    def test_bad_partition_is_a_usage_error(self, capsys):
+        code, out, err = run_capture(capsys, ["blocks", "--m", "2", "--alice-partition", "0,x|2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: bad partition syntax '0,x|2'")
 
     @pytest.mark.parametrize("flag", [["--alpha", "0.9"], ["--m", "99"]], ids=lambda f: f[0])
     @pytest.mark.parametrize(

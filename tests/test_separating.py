@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorrkit import separating
 from qcorrkit.correlation import CorrelationTable, distance, restrict
 from qcorrkit.separating import (
     PRINTED_PAIRS,
@@ -94,6 +95,18 @@ class TestTruncatedStrategy:
         assert (s.m, s.n, s.r, s.s) == (4, 5, 3, 3)
         assert s.dA == s.dB == 8
         assert validate(s).ok
+
+    def test_layout_constants_name_the_shifted_questions(self):
+        # the point-block answer is |0><0| on exactly the SHIFTED_QUESTIONS, on either side
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=3))
+        (point,) = separating.SHIFTED_SPLIT.alice_partition[1]
+        assert separating.SHIFTED_SPLIT.bob_partition == separating.SHIFTED_SPLIT.alice_partition
+        kernel = np.zeros((s.dA, s.dA))
+        kernel[0, 0] = 1.0
+        for meas in (s.alice_meas, s.bob_meas):
+            assert [x for x, q in enumerate(meas) if q[point].any()] == list(separating.SHIFTED_QUESTIONS)
+            for x in separating.SHIFTED_QUESTIONS:
+                assert np.array_equal(meas[x][point], kernel)
 
     def test_aligned_questions_reproduce_two_qubit_tables(self):
         # the aligned pairs tile the cut space completely, so no truncation
@@ -191,6 +204,16 @@ class TestPrintedTables:
             for b in range(2):
                 assert t.entries[a, b] == pytest.approx(0.25 * chsh[1 - a, 1 - b], abs=1e-14)
         assert t.entries[2, 2] == pytest.approx(0.75, abs=1e-14)
+
+    def test_one_pass_gives_the_public_tables(self):
+        for alpha in (1e-5, 0.3, 0.95, 1 - 1e-5):
+            _, printed, c = separating._closed_forms(alpha)
+            assert list(printed) == list(PRINTED_PAIRS)
+            for (x, y), entries in printed.items():
+                assert entries.tobytes() == printed_table(alpha, x, y).entries.tobytes()
+            assert c == 1.0 / (1.0 - alpha**2)
+        with pytest.raises(SeparatingError, match="alpha"):
+            separating._closed_forms(1.0)
 
     def test_unprinted_pair_rejected(self):
         with pytest.raises(SeparatingError, match="closed-form"):
