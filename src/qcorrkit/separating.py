@@ -231,7 +231,8 @@ def exact_pstar(alpha: float) -> Correlation:
     elements times 1/(1 - alpha^4), boundary terms added separately), so no
     truncation is involved.
     """
-    return _closed_forms(alpha)[0]
+    _check_alpha(alpha)
+    return _exact_table(alpha, params_from_alpha(alpha))
 
 
 def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
@@ -243,17 +244,22 @@ def printed_table(alpha: float, x: int, y: int) -> CorrelationTable:
     other.  Shifted-pair questions carry the CHSH block with the 0/1 answer
     labels flipped.
     """
-    tables = _closed_forms(alpha)[1]
+    _check_alpha(alpha)
+    tables, _ = _printed_tables(alpha, params_from_alpha(alpha))
     if (x, y) not in tables:
         raise SeparatingError(f"no closed-form table for question pair ({x},{y})")
     return CorrelationTable(x=x, y=y, entries=tables[x, y])
 
 
 def _closed_forms(alpha: float) -> tuple[Correlation, dict[tuple[int, int], np.ndarray], float]:
-    """:func:`exact_pstar`, every :func:`printed_table`'s entries by pair, and C, from one params_from_alpha;
-    the four CHSH tables are one batched product, cleaned as a :class:`CorrelationTable` cleans them."""
+    """:func:`exact_pstar`, every :func:`printed_table`'s entries by pair, and C, from one params_from_alpha."""
     _check_alpha(alpha)
     params = params_from_alpha(alpha)
+    return (_exact_table(alpha, params), *_printed_tables(alpha, params))
+
+
+def _exact_table(alpha: float, params: TiltedChshParams) -> Correlation:
+    """:func:`exact_pstar` from the tilt parameters of ``alpha``."""
     alice, bob = _question_layout(params)
     p00a, evena, odda, shifta, upa, lowa = _descriptors(alice)[:, :, None, :, None]
     p00b, evenb, oddb, shiftb, upb, lowb = _descriptors(bob)[:, None, :, None, :]
@@ -263,8 +269,12 @@ def _closed_forms(alpha: float) -> tuple[Correlation, dict[tuple[int, int], np.n
     val = val + alpha**4 * geo * evena * evenb
     # couplings pair up only between questions on the same pair parity
     coupled = val + np.where(shifta == 1, alpha**3, alpha) * geo * (upa * upb + lowa * lowb)
-    exact = Correlation((1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val))
+    return Correlation((1.0 - alpha**2) * np.where(shifta == shiftb, coupled, val))
 
+
+def _printed_tables(alpha: float, params: TiltedChshParams) -> tuple[dict[tuple[int, int], np.ndarray], float]:
+    """Every :func:`printed_table`'s entries by pair, and C; the four CHSH tables are one
+    batched product, cleaned as a :class:`CorrelationTable` cleans them."""
     c = 1.0 / (1.0 - alpha**2)
     chsh = _clean_probabilities(_ideal_entries(params), DEFAULT_NORM_TOL, "ideal CHSH tables")
     tables = dict(zip(PRINTED_PAIRS, np.zeros((len(PRINTED_PAIRS), NUM_ANSWERS, NUM_ANSWERS))))
@@ -277,7 +287,7 @@ def _closed_forms(alpha: float) -> tuple[Correlation, dict[tuple[int, int], np.n
     tables[0, 4][1, 1] = tables[2, 4][1, 1] = (1.0 / c) * alpha**2 / (1.0 - alpha**4)
     tables[2, 4][0, 0] = (1.0 / c) * (1.0 / (1.0 - alpha**4) - 1.0)
     tables[2, 4][2, 0] = 1.0 / c
-    return exact, tables, c
+    return tables, c
 
 
 def truncation_distance(alpha: float, m: int, metric: str = "max_tv") -> float:

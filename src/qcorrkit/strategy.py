@@ -159,9 +159,9 @@ class Strategy:
         """Read what :meth:`to_json` writes, or any JSON object with the same fields.
 
         The object around the arrays is parsed by ``json``; each array's
-        shape is read from its skeleton and its numbers by ``json`` into one
-        float array (:func:`_parse_array`), so every array in the text must be
-        a regular array of numbers.  Malformed input, an integer beyond float
+        shape is read from its skeleton and its numbers into one float array,
+        by ``json`` except the entries spelled ``0.0`` (:func:`_parse_array`),
+        so every array in the text must be a regular array of numbers.  Malformed input, an integer beyond float
         range included, raises :class:`StrategyError`, a ``ValueError``.
         """
         head, spans = _split_arrays(text)
@@ -257,6 +257,7 @@ _NEXT_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[', re.DOTALL)
 _IRREGULAR = "strategy data must be uniform nested [re, im] pairs"
 _NOT_ONE_NUMBER = "strategy arrays must hold one JSON number per entry"
 _PIECE = 1 << 15  # bytes per json.loads: each list stays under glibc's mmap threshold
+_ZERO_ENTRY = int.from_bytes(b",0.0", "little")  # as the "<u4" words _spelled_zeros reads
 
 
 def _split_arrays(text: str) -> tuple[str, list[tuple[int, int]] | None]:
@@ -305,36 +306,70 @@ def _is_regular(skeleton: bytes, shape: tuple[int, ...]) -> bool:
     return regular == skeleton
 
 
+def _spelled_zeros(piece: bytes) -> np.ndarray:
+    """Which comma-separated entries of ``piece`` are ``0.0`` with JSON whitespace around it.
+
+    ``json`` reads that spelling as +0.0.  The piece holds only number
+    characters, JSON whitespace and commas, as its skeleton check ensures,
+    so whitespace is the bytes up to ``" "``.  No entry is marked, and
+    ``json`` reads them all, where fewer than a quarter of the entries end
+    in ``.0``, or where whitespace touches a ``.``: json never allows that,
+    and deleting the whitespace could make a ``0.0`` (as from ``0 .0``).
+    """
+    text = np.frombuffer(piece, dtype=np.uint8)
+    dot, blank = text == ord("."), text <= ord(" ")
+    entries = np.count_nonzero(text == ord(",")) + 1
+    if (4 * np.count_nonzero(dot[:-2] & (text[1:-1] == ord("0")) & (text[2:] <= ord(","))) < entries
+            or (dot[1:] & blank[:-1]).any() or (dot[:-1] & blank[1:]).any()):
+        return np.zeros(entries, dtype=bool)
+    squeezed = b",%b,   " % piece.translate(None, b" \t\n\r")  # padded: each entry's first four bytes exist
+    commas = np.flatnonzero(np.frombuffer(squeezed, dtype=np.uint8) == ord(","))
+    words = np.ndarray(len(squeezed) - 3, dtype="<u4", buffer=squeezed, strides=(1,))
+    # an entry is 0.0 when the next comma is four bytes on and its comma reads ",0.0"
+    return (np.diff(commas) == 4) & (words[commas[:-1]] == _ZERO_ENTRY)
+
+
+def _unmarked_text(piece: bytes, marked: np.ndarray) -> bytes:
+    """The entries of ``piece`` not ``marked``, each run of consecutive ones one slice of it, joined by commas."""
+    if not marked.any():
+        return piece
+    edges = np.flatnonzero(np.diff(marked, prepend=True, append=True))
+    commas = np.flatnonzero(np.frombuffer(piece, dtype=np.uint8) == ord(","))
+    bounds = np.concatenate(([-1], commas, [len(piece)]))[edges].tolist()
+    return b",".join(piece[a + 1 : b] for a, b in zip(bounds[::2], bounds[1::2]))
+
+
 def _parse_array(raw: bytes) -> np.ndarray:
     """A JSON array of numbers, regular at every depth, as a float array.
 
     The shape comes from the first path through the array and is proved by
-    comparing skeletons.  ``json`` reads the text with its brackets blanked,
-    in pieces cut at commas, into one preallocated array; the entries filled
-    are counted, since a trailing comma on a cut leaves an empty piece.
-    Values are bitwise those of ``np.asarray(json.loads(raw), dtype=float)``.
+    comparing skeletons.  The text, brackets blanked, is read in pieces cut
+    at commas into one array of zeros: the entries spelled ``0.0`` stay
+    +0.0 (:func:`_spelled_zeros`), and one ``json`` call per piece reads the
+    others.  The masked assignment refuses a piece whose count is off, as is
+    the empty piece that a trailing comma on a cut leaves.  Values are
+    bitwise those of ``np.asarray(json.loads(raw), dtype=float)``.
     """
     skeleton = raw.translate(None, _SKELETON_DROP)
     shape = _first_path_shape(skeleton)
     if not _is_regular(skeleton, shape):
         raise StrategyError(_IRREGULAR)
     flat = raw.translate(_BLANK_BRACKETS)
-    values = np.empty(int(np.prod(shape)))
+    values = np.zeros(int(np.prod(shape)))
     filled = start = 0
     try:
         while start <= len(flat):
             cut = flat.find(b",", start + _PIECE)
             cut = len(flat) if cut < 0 else cut
-            piece = json.loads(b"[%b]" % flat[start:cut])
-            values[filled : filled + len(piece)] = piece
-            filled += len(piece)
+            piece = flat[start:cut]
+            zero = _spelled_zeros(piece)
+            values[filled : filled + len(zero)][~zero] = json.loads(b"[%b]" % _unmarked_text(piece, zero))
+            filled += len(zero)
             start = cut + 1
     except ValueError:
         raise StrategyError(_NOT_ONE_NUMBER) from None
     except OverflowError:
         raise StrategyError("strategy arrays hold an integer beyond float range") from None
-    if filled != values.size:
-        raise StrategyError(_NOT_ONE_NUMBER)
     return values.reshape(shape)
 
 

@@ -215,6 +215,16 @@ class TestPrintedTables:
         with pytest.raises(SeparatingError, match="alpha"):
             separating._closed_forms(1.0)
 
+    def test_each_public_form_computes_only_its_half(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other half of the closed forms was computed")
+
+        monkeypatch.setattr(separating, "_printed_tables", refuse)
+        exact_pstar(0.95)
+        monkeypatch.undo()
+        monkeypatch.setattr(separating, "_exact_table", refuse)
+        printed_table(0.95, 2, 3)
+
     def test_unprinted_pair_rejected(self):
         with pytest.raises(SeparatingError, match="closed-form"):
             printed_table(0.5, 0, 2)

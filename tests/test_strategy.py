@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qcorrkit import strategy
 from qcorrkit.correlation import CorrelationError, distance, restrict
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
@@ -92,16 +93,31 @@ NUMBER_SPELLINGS = st.one_of(
 )
 
 
+# what a truncated strategy's file mostly holds, json's other spellings of zero, and 0.0 in whitespace
+ZERO_SPELLINGS = st.sampled_from(
+    ["0.0"] * 6 + ["-0.0", "0", "-0", "0.00", "0e0", " 0.0 ", "\t0.0", "0.0\n", "\r\n 0.0\t"]
+)
+
+
 @st.composite
 def strategy_texts(draw):
-    """Strategy JSON in layouts, key orders and number spellings to_json never writes."""
+    """Strategy JSON in layouts, key orders and number spellings to_json never writes.
+
+    Half the texts are sparse: about two entries in three are zeros from
+    ``ZERO_SPELLINGS``.  Each of their arrays ends in the imaginary part 0.5,
+    so the strategy keeps it complex and every signed zero is compared.
+    """
+    sparse = draw(st.booleans())
     dA, dB = draw(unequal_dims())
     m, n, r, s = (draw(st.integers(1, 2)) for _ in range(4))
     spellings: list[str] = []
+    numbers = st.one_of(ZERO_SPELLINGS, ZERO_SPELLINGS, NUMBER_SPELLINGS) if sparse else NUMBER_SPELLINGS
 
     def entries(shape):
         size = int(np.prod(shape)) * 2
-        spellings.extend(draw(st.lists(NUMBER_SPELLINGS, min_size=size, max_size=size)))
+        spellings.extend(draw(st.lists(numbers, min_size=size, max_size=size)))
+        if sparse:
+            spellings[-1] = "0.5"
         marks = [f"@{k}@" for k in range(len(spellings) - size, len(spellings))]
         return np.array(marks, dtype=object).reshape(shape + (2,)).tolist()
 
@@ -175,6 +191,21 @@ MUTATIONS = {
 def cut_text() -> str:
     """A strategy file whose measurement arrays each span four reader pieces."""
     return random_strategy(np.random.default_rng(3), dA=24, dB=24).to_json()
+
+
+@functools.lru_cache(maxsize=None)
+def zeros_text(m: int = 2) -> str:
+    """A truncated strategy's file, mostly ``0.0``; at m = 12 each measurement array spans three pieces or more."""
+    return ideal_truncated_strategy(TruncationSpec(0.9, m)).to_json()
+
+
+def expect_as_json(text: str) -> type[Exception]:
+    """What the reader must raise on a mutated ``text``: ValueError where json refuses it, else StrategyError."""
+    try:
+        json.loads(text)
+    except ValueError:
+        return ValueError
+    return StrategyError
 
 
 def cut_commas(text: str) -> list[list[int]]:
@@ -645,6 +676,49 @@ class TestSerialization:
         else:
             expected = StrategyError
         with pytest.raises(expected):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    @given(k=st.integers(0, 10**6))
+    def test_reader_rejects_mutations_of_zeros(self, name, k):
+        text = MUTATIONS[name](zeros_text(), k)
+        with pytest.raises(expect_as_json(text)):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("bad", ["0 .0", "0. 0", "0.0 0.0", "0\t.0", "0.\n0", "0 0", "0.0-0"])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_reader_rejects_split_zeros(self, bad, where):
+        # deleting the whitespace, or reading only what looks like 0.0, would accept these
+        text = zeros_text()
+        spots = [spot.start() for spot in re.finditer(r"(?<= )0\.0(?=[,\]])", text)]
+        spot = spots[round(where * (len(spots) - 1))]
+        text = text[:spot] + bad + text[spot + 3 :]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(StrategyError):
+            Strategy.from_json(text)
+
+    def test_json_reads_only_what_is_not_spelled_zero(self, monkeypatch):
+        s = ideal_truncated_strategy(TruncationSpec(0.95, 64))
+        text, loads, read = s.to_json(), json.loads, []
+
+        def counted(doc, *args, **kwargs):
+            read.append(len(doc))
+            return loads(doc, *args, **kwargs)
+
+        monkeypatch.setattr(strategy.json, "loads", counted)
+        t = Strategy.from_json(text)
+        assert sum(read) < 0.02 * len(text)
+        for field in FIELDS:
+            assert_bitwise(getattr(t, field), getattr(s, field))
+
+    @pytest.mark.parametrize("place", ["before", "at", "after"])
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_reader_rejects_mutations_of_zeros_at_cuts(self, name, place):
+        cuts = [comma for commas in cut_commas(zeros_text(12)) for comma in commas]
+        comma = cuts[sorted(MUTATIONS).index(name) % len(cuts)]
+        text = mutate_near(MUTATIONS[name], zeros_text(12), comma, place)
+        with pytest.raises(expect_as_json(text)):
             Strategy.from_json(text)
 
     @given(cut_strategy_texts())
