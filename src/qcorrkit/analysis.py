@@ -22,7 +22,9 @@ strategy in one pass, and :func:`certify_strategy` those any strategy gets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,9 +76,9 @@ class SchmidtSpectrum:
     """Nonzero Schmidt coefficients in descending order.
 
     ``cutoff`` records the value the coefficients were cut at: singular values
-    at or below it were discarded.  The stored values are strictly positive,
-    sorted descending, and their squares sum to at most 1 (subnormalized
-    spectra come from projected, unnormalized vectors).
+    at or below it were discarded.  The stored values are positive normal
+    doubles (none prints as 0), sorted descending, and their squares sum to at
+    most 1 (subnormalized spectra come from projected, unnormalized vectors).
     """
 
     coefficients: tuple[float, ...]
@@ -84,8 +86,10 @@ class SchmidtSpectrum:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
-        if any(not c > 0.0 for c in coeffs):
-            raise AnalysisError("Schmidt coefficients must be strictly positive")
+        low = [i for i, c in enumerate(coeffs) if not c >= sys.float_info.min]  # NaN, <= 0 or subnormal
+        if low:
+            raise AnalysisError(f"Schmidt coefficients must be strictly positive normal doubles; "
+                                f"coefficient {low[0]} of {len(coeffs)} is {coeffs[low[0]]!r}")
         if any(not coeffs[i] >= coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise AnalysisError("Schmidt coefficients must be sorted descending")
         if not sum(c * c for c in coeffs) <= 1.0 + 1e-10:
@@ -225,12 +229,7 @@ def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> Bloc
 
     weights = [float(np.linalg.norm(v) ** 2) for v in sub_states]
     _weight_consistency(weights, chk.weights, residuals, tol)
-    for i in range(num_blocks):
-        for j in range(i + 1, num_blocks):
-            ov = abs(complex(np.vdot(sub_states[i], sub_states[j])))
-            residuals["substate_orthogonality"] = max(
-                residuals["substate_orthogonality"], ov
-            )
+    _orthogonality(sub_states, lambda u, v: complex(np.vdot(u, v)), residuals)
 
     alice_bases: list[np.ndarray] = []
     bob_bases: list[np.ndarray] = []
@@ -315,10 +314,16 @@ def _weight_consistency(weights: Sequence[float], expected: Sequence[float],
             )
 
 
-def _projections(idem: np.ndarray, side: str, x: int, answers: Sequence[int], block: int,
+def _orthogonality(sub_states: Sequence, inner: Callable, residuals: dict[str, float]) -> None:
+    """Record the largest overlap |``inner``(u, v)| of two block sub-states."""
+    residuals["substate_orthogonality"] = max([0.0] + [abs(inner(u, v)) for u, v in combinations(sub_states, 2)])
+
+
+def _projections(idem: np.ndarray, leak: np.ndarray, side: str, x: int, answers: Sequence[int], block: int,
                  residuals: dict[str, float], tol: float, limit: str) -> None:
-    """Record question ``x``'s restricted idempotence residuals, one per answer; past
-    ``tol``, raise naming the element and the ``limit`` of its subspace."""
+    """Record question ``x``'s restricted idempotence residuals and leakages out of the subspace,
+    one per answer; past ``tol``, an idempotence raises naming the element and the ``limit`` of its subspace."""
+    residuals["subspace_leakage"] = max(residuals["subspace_leakage"], float(leak.max()))
     residuals["restricted_idempotence"] = max(residuals["restricted_idempotence"], float(idem.max()))
     if not idem.max() <= tol:
         k = int(np.argmax(~(idem <= tol)))
@@ -370,8 +375,7 @@ def _restrict_side(
         out[x] = basis.conj().T @ elements @ basis
         leak = np.linalg.norm(elements @ basis - basis @ out[x], axis=(-2, -1))
         idem = np.linalg.norm(out[x] @ out[x] - out[x], axis=(-2, -1))
-        residuals["subspace_leakage"] = max(residuals["subspace_leakage"], float(leak.max()))
-        _projections(idem, side, x, answers, block, residuals, tol,
+        _projections(idem, leak, side, x, answers, block, residuals, tol,
                      f"kept rank {basis.shape[1]} of {len(rho)}, eigenvalues above {threshold:.3e}")
     return basis, _frozen(out)
 
@@ -412,15 +416,18 @@ def verify_y4_relations(s: Strategy, tol: float = 1e-12) -> Y4Report:
 
 
 # the question-4 relations (name, left, right): two projections (side, question, answers) whose
-# images of the state agree; "state_reconstruction" then sums the double projections to the state
+# images of the state agree; "state_reconstruction" then sums the double projections to the state.
+# Bob's question 4 repeats Alice's question 0; its answer a is CHSH answer a of question 2, plus the point if a = 0.
+_X0, _Y4 = separating.REPEATED_PAIR
+(_CHSH0, _CHSH1), _POINT_ANSWERS = SHIFTED_SPLIT.alice_partition
 _Y4_RELATIONS = (
-    ("a0_answer0_vs_b4", ("A", 0, (0,)), ("B", 4, (0,))),
-    ("a0_answer0_vs_a2_kernel_plus", ("A", 0, (0,)), ("A", 2, (0, 2))),
-    ("a0_answer1_vs_b4", ("A", 0, (1,)), ("B", 4, (1,))),
-    ("a0_answer1_vs_a2", ("A", 0, (1,)), ("A", 2, (1,))),
+    ("a0_answer0_vs_b4", ("A", _X0, (0,)), ("B", _Y4, (0,))),
+    ("a0_answer0_vs_a2_kernel_plus", ("A", _X0, (0,)), ("A", SHIFTED_QUESTIONS[0], (_CHSH0, *_POINT_ANSWERS))),
+    ("a0_answer1_vs_b4", ("A", _X0, (1,)), ("B", _Y4, (1,))),
+    ("a0_answer1_vs_a2", ("A", _X0, (1,)), ("A", SHIFTED_QUESTIONS[0], (_CHSH1,))),
 )
 # (question, answers) of the point block's double projection, the same on both sides
-_POINT = (SHIFTED_QUESTIONS[0], SHIFTED_SPLIT.alice_partition[1])
+_POINT = (SHIFTED_QUESTIONS[0], _POINT_ANSWERS)
 
 
 def _y4_pass(project: Callable, norm: Callable, times_b4: Callable, psi, tol: float) -> tuple:
@@ -430,7 +437,7 @@ def _y4_pass(project: Callable, norm: Callable, times_b4: Callable, psi, tol: fl
     projection is formed once; the double projections reuse the images A_0^a psi."""
     images = {key: project(*key) for key in dict.fromkeys(k for _, *pair in _Y4_RELATIONS for k in pair)}
     residuals = {name: norm(images[left] - images[right]) for name, left, right in _Y4_RELATIONS}
-    vec0, vec1 = (times_b4(images["A", 0, (a,)], a) for a in range(2))
+    vec0, vec1 = (times_b4(images["A", _X0, (a,)], a) for a in range(2))
     # vec0 + vec1 - psi negates psi - (vec0 + vec1) exactly; numpy reuses
     # the sum's buffer for it, so no fourth D x D array is live here
     residuals["state_reconstruction"] = norm(vec0 + vec1 - psi)
@@ -446,7 +453,7 @@ def _y4_relations(s: Strategy, tol: float) -> tuple[Y4Report, np.ndarray, np.nda
         )
     return _y4_pass(lambda side, x, answers: projected_substate(s, side, x, answers),
                     lambda v: float(np.linalg.norm(v)),
-                    lambda v, a: v.reshape(s.dA, s.dB) @ s.bob_meas[4][a].T, s.state_matrix(), tol)
+                    lambda v, a: v.reshape(s.dA, s.dB) @ s.bob_meas[_Y4][a].T, s.state_matrix(), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,8 +746,7 @@ def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
                           restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, block_tol)
         if deco.restricted[0] is None:
             raise BlockDecompositionError(f"block 0 has no sub-correlation: weight at or below tol {block_tol:.1e}")
-        chsh_table = induce(deco.restricted[0], check=False).table
-        return deco.weights, deco.residuals["restricted_idempotence"], chsh_table
+        return deco.as_dict(), induce(deco.restricted[0], check=False).table
 
     y4, vec0, vec1 = _y4_relations(s, tol)
     spectrum = schmidt(s.state, s.dA, s.dB).spectrum
@@ -756,8 +762,8 @@ def _truncation_rows(
 ) -> list[dict]:
     """The rows of :func:`certify_truncation`, in order, from its ingredients.
 
-    ``blocks(block_tol)`` gives (weights, restricted idempotence, table of the
-    CHSH block) of the shifted-pair decomposition and ``bijections(split_tol)``
+    ``blocks(block_tol)`` gives the :meth:`BlockDecomposition.as_dict` summary of
+    the shifted-pair decomposition and the table of its CHSH block, and ``bijections(split_tol)``
     the bijection report of the Schmidt split; where either raises, its row
     fails and says why.  ``clipped`` says why the state spectrum holds fewer
     than D coefficients.
@@ -780,13 +786,13 @@ def _truncation_rows(
     ))
 
     try:
-        weights, idempotence, block_table = blocks(block_tol)
+        summary, block_table = blocks(block_tol)
     except BlockDecompositionError as exc:
         rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
     else:
-        weight_gap = max(abs(weights[0] - (c - 1.0) / c), abs(weights[1] - 1.0 / c))
+        weight_gap = max(abs(summary["weights"][0] - (c - 1.0) / c), abs(summary["weights"][1] - 1.0 / c))
         rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
-        rows.append(_row("block_idempotence", idempotence, 1e-9))
+        rows.append(_row("block_idempotence", summary["residuals"]["restricted_idempotence"], 1e-9))
         worst_block = max(
             float(np.abs(block_table[x, y] - printed[sx, sy][:2, :2] * c / (c - 1.0)).max())
             for x, sx in enumerate(SHIFTED_QUESTIONS) for y, sy in enumerate(SHIFTED_QUESTIONS))
@@ -893,16 +899,6 @@ def _row_ratios(log_coeffs: np.ndarray) -> dict[int, np.ndarray]:
     return {-1: np.exp(-_shift(step, -1)), 0: np.ones_like(step), 1: np.exp(step)}
 
 
-def _band_table(alice: np.ndarray, bob: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """(questions, questions, answers, answers) table of tridiagonal elements on the diagonal
-    state ``coeffs``: sum_i c_i^2 A_ii B_ii + 2 sum_i c_i c_(i+1) A_i,i+1 B_i,i+1."""
-    (m, r), (n, t) = alice.shape[:2], bob.shape[:2]
-    weight = np.stack([coeffs**2, 2.0 * coeffs * _shift(coeffs, 1)])  # (2, D)
-    table = sum((alice[:, :, k] * weight[k]).reshape(m * r, -1) @ bob[:, :, k].reshape(n * t, -1).T
-                for k in range(2))
-    return table.reshape(m, r, n, t).transpose(0, 2, 1, 3)
-
-
 def _band_validity(alice: _Banded, bob: _Banded, coeffs: np.ndarray) -> strategy.ValidationReport:
     """:func:`strategy.validate` of the elements ``alice`` and ``bob`` and the state ``coeffs``."""
     sides = []
@@ -916,12 +912,11 @@ def _band_validity(alice: _Banded, bob: _Banded, coeffs: np.ndarray) -> strategy
     return strategy._report(abs(float(np.linalg.norm(coeffs)) - 1.0), sides)
 
 
-def _band_blocks(bands: separating.TruncationBands, table: Correlation, coeffs: np.ndarray,
-                 tol: float) -> tuple:
-    """(weights, restricted idempotence, CHSH-block table) of the shifted-pair questions, as
-    :func:`_decompose` finds them; the block subspaces are coordinate sets, so a sub-state
-    that is not diagonal raises."""
-    dim, ratios = bands.spec.dim, _row_ratios(bands.log_coeffs)
+def _band_blocks(bands: separating.TruncationBands, table: Correlation, tol: float) -> tuple[dict, np.ndarray]:
+    """:meth:`BlockDecomposition.as_dict` of the shifted-pair questions, as :func:`_decompose` finds it, and the
+    CHSH block's table.  Block subspaces are coordinate sets: ``block_dims`` are support sizes, the leakage is
+    the couplings leaving a support, and a sub-state that is not diagonal raises, as does a weightless block."""
+    dim, ratios, coeffs = bands.spec.dim, _row_ratios(bands.log_coeffs), np.exp(bands.log_coeffs)
     chk = _direct_sum(restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, tol)
     residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
     sides = (("A", bands.alice[list(SHIFTED_QUESTIONS)], SHIFTED_SPLIT.alice_partition),
@@ -936,25 +931,27 @@ def _band_blocks(bands: separating.TruncationBands, table: Correlation, coeffs: 
     weights = [float(v.norm(coeffs) ** 2) for v in sub_states]
     _weight_consistency(weights, chk.weights, residuals, tol)
 
-    block_tables = []
+    blocks = []  # (table, support size) per block
     for i, sub in enumerate(sub_states):
         if not sub.diagonal():
             raise BlockDecompositionError(f"block {i} sub-state is not diagonal: its subspace is no coordinate set")
-        support = np.flatnonzero(sub[0])
+        support = np.flatnonzero(inside := sub[0] != 0)
         restricted = []
         for side, elems, part in sides:
+            leak = np.linalg.norm(elems[:, list(part[i]), 1, :-1] * (inside[:-1] != inside[1:]), axis=-1)
             kept = elems[:, list(part[i])][..., support]
             kept[..., 1, :] *= np.append(np.diff(support) == 1, False)  # couplings inside the support
             proj = _Banded.of(kept)
             for x, idem in enumerate((proj @ proj - proj).norm()):
-                _projections(idem, side, x, part[i], i, residuals, tol,
+                _projections(idem, leak[x], side, x, part[i], i, residuals, tol,
                              f"support {len(support)} of {dim} coordinates")
             restricted.append(kept)
         sub_coeffs = coeffs[support] / np.linalg.norm(coeffs[support])
-        got = Correlation(_band_table(*restricted, sub_coeffs), norm_tol=INDUCED_NORM_TOL)
+        got = Correlation(separating._band_table(*restricted, sub_coeffs), norm_tol=INDUCED_NORM_TOL)
         _induced_block(i, got, chk.blocks[i], residuals, tol)
-        block_tables.append(got.table)
-    return tuple(weights), residuals["restricted_idempotence"], block_tables[0]
+        blocks.append((got.table, len(support)))
+    _orthogonality(sub_states, lambda u, v: float(np.sum(coeffs**2 * u[0] * v[0])), residuals)  # all diagonal
+    return {"weights": weights, "block_dims": [[n, n] for _, n in blocks], "residuals": residuals}, blocks[0][0]
 
 
 def _band_spectrum(vec: _Banded, log_coeffs: np.ndarray) -> np.ndarray:
@@ -977,7 +974,7 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
     alpha, dim = bands.spec.alpha, bands.spec.dim
     coeffs = np.exp(bands.log_coeffs)
     alice, bob = _Banded.of(bands.alice), _Banded.of(bands.bob)
-    table = Correlation(_band_table(bands.alice, bands.bob, coeffs), norm_tol=INDUCED_NORM_TOL)
+    table = bands.induced()
     psi, ratios = _Banded({0: np.ones(dim)}), _row_ratios(bands.log_coeffs)
 
     def project(side: str, x: int, answers: tuple[int, ...]) -> _Banded:
@@ -986,7 +983,7 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
         return proj.on_state(ratios) if side == "A" else proj.T
 
     y4, vec0, vec1 = _y4_pass(project, lambda v: float(v.norm(coeffs)),
-                              lambda v, a: v @ project("B", 4, (a,)), psi, tol)
+                              lambda v, a: v @ project("B", _Y4, (a,)), psi, tol)
 
     def bijections(split_tol: float) -> BijectionReport:
         _licensed(y4, split_tol)
@@ -996,5 +993,5 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
         return _log_bijections(*logs[1:], alpha, split_tol)
 
     return _truncation_rows(alpha, dim, tol, _band_validity(alice, bob, coeffs), table,
-                            lambda block_tol: _band_blocks(bands, table, coeffs, block_tol), y4, bijections,
+                            lambda block_tol: _band_blocks(bands, table, block_tol), y4, bijections,
                             log_descent_chain_length(bands.log_coeffs, alpha), None)

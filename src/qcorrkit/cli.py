@@ -5,10 +5,11 @@ float formatting, null for a non-finite number); ``tables``, ``induce``,
 ``schmidt`` and ``chain`` also write CSV with ``--format csv``, the default
 for ``chain``.  ``--out`` writes to a file instead.  Exit codes: 0 success,
 1 usage error, 2 verification failure (the failing residual, and its reason
-where one is known, is named on stderr).  ``schmidt`` prints the cutoff its
-SVD resolves.  ``verify --alpha`` and ``chain`` read the truncation off its
-bands and log-coefficients, in O(D) and at any m; ``--strategy`` files take
-the dense path.
+where one is known, is named on stderr).  Every ``--alpha`` subcommand but
+``truncate`` reads the truncation off its bands and log-coefficients, in O(D)
+at any m; ``--strategy`` files take the dense path.  ``schmidt`` prints the
+cutoff its SVD resolves, or 0.0 for ``--alpha``, whose coefficients are exact
+(exit 1 names the first one below the smallest normal double).
 """
 
 from __future__ import annotations
@@ -84,12 +85,8 @@ def _build_parser() -> _Parser:
     common(p, formats=True)
     p.add_argument("--strategy", type=str, default=None)
 
-    p = command("blocks", _cmd_blocks, help="block decomposition of the truncated strategy")
+    p = command("blocks", _cmd_blocks, help="block decomposition of the truncation's shifted-pair questions")
     common(p)
-    p.add_argument("--xs", type=int, nargs="+", default=list(separating.SHIFTED_QUESTIONS))
-    p.add_argument("--ys", type=int, nargs="+", default=list(separating.SHIFTED_QUESTIONS))
-    p.add_argument("--alice-partition", type=_parse_partition, default=separating.SHIFTED_SPLIT.alice_partition)
-    p.add_argument("--bob-partition", type=_parse_partition, default=separating.SHIFTED_SPLIT.bob_partition)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = command("chain", _cmd_chain, help="descent-chain lengths across truncations")
@@ -152,11 +149,12 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
             stream.write("\n")
 
 
-def _strategy_from_args(args) -> strategy.Strategy:
-    if getattr(args, "strategy", None):
-        return strategy.Strategy.from_json(Path(args.strategy).read_text(encoding="utf-8"))
-    spec = separating.TruncationSpec(alpha=args.alpha, m=args.m)
-    return separating.ideal_truncated_strategy(spec)
+def _strategy_file(args) -> strategy.Strategy:
+    return strategy.Strategy.from_json(Path(args.strategy).read_text(encoding="utf-8"))
+
+
+def _bands(args) -> separating.TruncationBands:
+    return separating.ideal_truncation_bands(separating.TruncationSpec(alpha=args.alpha, m=args.m))
 
 
 def _truncation_flags(args) -> None:
@@ -206,12 +204,13 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    _emit(strategy._json_chunks(_strategy_from_args(args)), args.out)
+    s = separating.ideal_truncated_strategy(separating.TruncationSpec(alpha=args.alpha, m=args.m))
+    _emit(strategy._json_chunks(s), args.out)
     return EXIT_OK
 
 
 def _cmd_induce(args) -> int:
-    corr = strategy.induce(_strategy_from_args(args))
+    corr = strategy.induce(_strategy_file(args)) if args.strategy else _bands(args).induced()
     _emit(corr.to_csv() if args.format == "csv" else corr.to_json(), args.out)
     return EXIT_OK
 
@@ -220,25 +219,22 @@ def _cmd_distance(args) -> int:
     if (args.p_file is None) != (args.q_file is None):
         raise UsageError("--p and --q must be given together")
     if args.p_file:
-        p = correlation.Correlation.from_json(Path(args.p_file).read_text(encoding="utf-8"))
-        q = correlation.Correlation.from_json(Path(args.q_file).read_text(encoding="utf-8"))
-        value = correlation.distance(p, q, args.metric)
-        payload = {"metric": args.metric, "value": value}
+        p, q = (correlation.Correlation.from_json(Path(path).read_text(encoding="utf-8"))
+                for path in (args.p_file, args.q_file))
+        head, value = {}, correlation.distance(p, q, args.metric)
     else:
+        head = {"alpha": args.alpha, "m": args.m}
         value = separating.truncation_distance(args.alpha, args.m, args.metric)
-        payload = {
-            "alpha": args.alpha,
-            "m": args.m,
-            "metric": args.metric,
-            "value": value,
-        }
-    _emit(_dump_json(payload), args.out)
+    _emit(_dump_json({**head, "metric": args.metric, "value": value}), args.out)
     return EXIT_OK
 
 
 def _cmd_schmidt(args) -> int:
-    s = _strategy_from_args(args)
-    spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
+    if args.strategy:
+        s = _strategy_file(args)
+        spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
+    else:
+        spectrum = analysis.SchmidtSpectrum(tuple(map(math.exp, _bands(args).log_coeffs.tolist())))
     coeffs = spectrum.as_list()
     if args.format == "csv":
         rows = [[i, repr(float(c))] for i, c in enumerate(coeffs)]
@@ -248,24 +244,14 @@ def _cmd_schmidt(args) -> int:
     return EXIT_OK
 
 
-def _parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        return tuple(
-            tuple(int(v) for v in cls.split(",") if v != "") for cls in text.split("|")
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad partition syntax {text!r}: {exc}") from exc
-
-
 def _cmd_blocks(args) -> int:
-    s = _strategy_from_args(args)
-    sub = strategy.restrict_questions(s, args.xs, args.ys)
+    bands = _bands(args)
     try:
-        deco = analysis.strategy_block_decompose(sub, args.alice_partition, args.bob_partition, tol=args.tol)
+        summary = analysis._band_blocks(bands, bands.induced(), args.tol)[0]
     except analysis.BlockDecompositionError as exc:
         sys.stderr.write(f"block decomposition failed: {exc}\n")
         return EXIT_VERIFY
-    _emit(_dump_json(deco.as_dict()), args.out)
+    _emit(_dump_json(summary), args.out)
     return EXIT_OK
 
 
@@ -317,11 +303,10 @@ def _cmd_seesaw(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.strategy:
-        head, checks = {}, analysis.certify_strategy(_strategy_from_args(args), args.tol)
+        head, checks = {}, analysis.certify_strategy(_strategy_file(args), args.tol)
     else:
         head = {"alpha": args.alpha, "m": args.m}
-        bands = separating.ideal_truncation_bands(separating.TruncationSpec(alpha=args.alpha, m=args.m))
-        checks = analysis.certify_banded_truncation(bands, args.tol)
+        checks = analysis.certify_banded_truncation(_bands(args), args.tol)
     passed = all(c["pass"] for c in checks)
     _emit(_dump_json({**head, "checks": checks, "passed": passed}), args.out)
     if not passed:

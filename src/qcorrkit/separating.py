@@ -6,13 +6,14 @@ ways: questions 0/1 (and Bob's 0/1/4) act on the pairs (2m, 2m+1), questions
 2/3 act on the shifted pairs (2m+1, 2m+2) with the leftover basis vector |0>
 routed to answer 2.  On each pair the parties play tilted CHSH for ratio
 alpha, Bob with the mu-tilted observables; Bob's question 4 repeats Alice's
-question 0.  The shared state is the normalized geometric diagonal
-sqrt(1 - alpha^2) * sum_i alpha^i |ii>.
+question 0 (:data:`REPEATED_PAIR`).  The shared state is the normalized
+geometric diagonal sqrt(1 - alpha^2) * sum_i alpha^i |ii>.
 
 This module produces both sides of that picture at double precision:
 
 * ``ideal_truncated_strategy`` cuts everything to dimension D = 2M and
-  repairs the cut with the dangling-vector policy described below, and
+  repairs the cut with the dangling-vector policy described below
+  (``ideal_truncation_bands`` and its ``induced`` table keep it in O(D)), and
 * ``exact_pstar`` sums the full geometric series in closed form, which is
   possible because every measurement element is 2-periodic and banded.
 """
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import DEFAULT_NORM_TOL, BlockSpec, Correlation, CorrelationTable, _clean_probabilities, distance
-from .strategy import Strategy, _frozen, induce
+from .correlation import DEFAULT_NORM_TOL, INDUCED_NORM_TOL, BlockSpec, Correlation, CorrelationTable, distance
+from .correlation import _clean_probabilities
+from .strategy import Strategy, _frozen
 from .tilted_chsh import (
     SIGMA_X,
     SIGMA_Z,
@@ -51,6 +53,7 @@ __all__ = [
     "NUM_BOB_QUESTIONS",
     "SHIFTED_QUESTIONS",
     "SHIFTED_SPLIT",
+    "REPEATED_PAIR",
 ]
 
 NUM_ALICE_QUESTIONS = 4
@@ -59,6 +62,7 @@ NUM_ANSWERS = 3
 # the shifted-pair questions, either side, and their answers' split: CHSH block {0, 1}, point block {2}
 SHIFTED_QUESTIONS = (2, 3)
 SHIFTED_SPLIT = BlockSpec(((0, 1), (2,)), ((0, 1), (2,)))
+REPEATED_PAIR = (0, 4)  # the question pair (x, y) where Bob's question y plays Alice's question x
 
 # Question pairs whose closed-form tables are available via printed_table.
 PRINTED_PAIRS: tuple[tuple[int, int], ...] = (
@@ -114,7 +118,7 @@ def _question_layout(params: TiltedChshParams) -> tuple[list[tuple[int, np.ndarr
     """
     tz, tx = tilted_sigma_z(params.mu), tilted_sigma_x(params.mu)
     alice = [(0, SIGMA_Z), (0, SIGMA_X), (1, SIGMA_Z), (1, SIGMA_X)]
-    bob = [(0, tz), (0, tx), (1, tz), (1, tx), (0, SIGMA_Z)]
+    bob = [(0, tz), (0, tx), (1, tz), (1, tx), alice[REPEATED_PAIR[0]]]
     return alice, bob
 
 
@@ -168,6 +172,20 @@ class TruncationBands:
     alice: np.ndarray
     bob: np.ndarray
     log_coeffs: np.ndarray
+
+    def induced(self) -> Correlation:
+        """The correlation the truncation induces, by :func:`_band_table`, at ``INDUCED_NORM_TOL``."""
+        return Correlation(_band_table(self.alice, self.bob, np.exp(self.log_coeffs)), norm_tol=INDUCED_NORM_TOL)
+
+
+def _band_table(alice: np.ndarray, bob: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(questions, questions, answers, answers) table of tridiagonal elements, as :func:`_side_bands`
+    stores them, on the diagonal state ``coeffs``: sum_i c_i^2 A_ii B_ii + 2 sum_i c_i c_(i+1) A_i,i+1 B_i,i+1."""
+    (m, r), (n, t) = alice.shape[:2], bob.shape[:2]
+    weight = np.stack([coeffs**2, 2.0 * coeffs * np.append(coeffs[1:], 0.0)])  # (2, D)
+    table = sum((alice[:, :, k] * weight[k]).reshape(m * r, -1) @ bob[:, :, k].reshape(n * t, -1).T
+                for k in range(2))
+    return table.reshape(m, r, n, t).transpose(0, 2, 1, 3)
 
 
 def ideal_truncation_bands(spec: TruncationSpec) -> TruncationBands:
@@ -291,7 +309,6 @@ def _printed_tables(alpha: float, params: TiltedChshParams) -> tuple[dict[tuple[
 
 
 def truncation_distance(alpha: float, m: int, metric: str = "max_tv") -> float:
-    """Distance between the exact correlation and its dimension-2m truncation."""
-    exact = exact_pstar(alpha)
-    truncated = induce(ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m)))
-    return distance(exact, truncated, metric)  # type: ignore[arg-type]
+    """Distance between the exact correlation and its dimension-2m truncation, read off its bands in O(D)."""
+    truncated = ideal_truncation_bands(TruncationSpec(alpha=alpha, m=m)).induced()
+    return distance(exact_pstar(alpha), truncated, metric)  # type: ignore[arg-type]

@@ -10,12 +10,12 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcorrkit import analysis, separating, strategy, tilted_chsh
 from qcorrkit.cli import _build_parser, run
-from qcorrkit.correlation import Correlation, restrict
+from qcorrkit.correlation import Correlation, distance, restrict
 from qcorrkit.seesaw import SeesawConfig, optimize
 from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy
 from qcorrkit.strategy import Strategy, induce
@@ -162,13 +162,18 @@ class TestStrategyPipeline:
         assert len(coeffs) == 4
         assert coeffs[0] == pytest.approx(0.8677218312746246, abs=1e-12)
 
-    def test_schmidt_cutoff_is_derived_not_set(self, capsys):
-        code, out, _ = run_capture(capsys, ["schmidt", "--alpha", "0.5", "--m", "16"])
+    def test_schmidt_cutoff_is_derived_not_set(self, capsys, tmp_path):
+        path = tmp_path / "strategy.json"
+        assert run(["truncate", "--alpha", "0.5", "--m", "16", "--out", str(path)]) == 0
+        code, out, _ = run_capture(capsys, ["schmidt", "--strategy", str(path)])
         assert code == 0
         payload = json.loads(out)
         assert len(payload["coefficients"]) == 32
         # numpy matrix_rank's tolerance on the 32 x 32 state matrix
         assert payload["cutoff"] == payload["coefficients"][0] * 32 * np.finfo(float).eps
+        # the truncation's own coefficients are exp(log c_i): nothing is cut
+        code, out, _ = run_capture(capsys, ["schmidt", "--alpha", "0.5", "--m", "16"])
+        assert code == 0 and json.loads(out)["cutoff"] == 0.0
         code, out, err = run_capture(capsys, ["schmidt", "--cutoff", "1e-9"])
         assert code == 1
         assert err.startswith("usage error: ") and "--cutoff" in err and out == ""
@@ -180,11 +185,6 @@ class TestVerifiers:
         assert code == 0
         payload = json.loads(out)
         np.testing.assert_allclose(payload["weights"], [0.25, 0.75], atol=1e-6)
-
-    def test_blocks_refuses_duplicate_questions(self, capsys):
-        code, out, err = run_capture(capsys, ["blocks", "--alpha", "0.5", "--m", "4", "--xs", "2", "2"])
-        assert (code, out) == (1, "")
-        assert err == "error: alice question subset has duplicates: [2, 2]\n"
 
     def test_blocks_nan_tol_fails(self, capsys):
         code, out, err = run_capture(capsys, ["blocks", "--alpha", "0.5", "--m", "4", "--tol", "nan"])
@@ -349,11 +349,16 @@ class TestVerifiers:
             raise AssertionError("a dense strategy or decomposition was built")
 
         for owner, name in ((separating, "ideal_truncated_strategy"), (np.linalg, "svd"),
-                            (np.linalg, "eigh"), (strategy, "validate"), (analysis, "induce")):
+                            (np.linalg, "eigh"), (strategy, "validate"), (analysis, "induce"),
+                            (strategy, "induce"), (strategy, "restrict_questions"),
+                            (analysis, "strategy_block_decompose")):
             monkeypatch.setattr(owner, name, refuse)
         assert run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "8"])[0] == 0
         code, out, _ = run_capture(capsys, ["chain", "--alpha", "0.5", "--m-min", "2", "--m-max", "4"])
         assert code == 0 and out.split() == ["m,max_chain_length", "2,4", "3,6", "4,8"]
+        for command in ("induce", "schmidt", "blocks", "distance"):
+            code, out, err = run_capture(capsys, [command, "--alpha", "0.5", "--m", "8"])
+            assert (code, err) == (0, ""), command
 
     @pytest.mark.parametrize("m", [16, 64, 1024, 10**4])
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.95])
@@ -370,6 +375,32 @@ class TestVerifiers:
         code, out, _ = run_capture(capsys, ["chain", *flags, "--m-min", str(m), "--m-max", str(m)])
         assert code == 0 and out.split()[1:] == [f"{m},{2 * m}"]
 
+        def timed(command):
+            start = perf_counter()
+            code, out, err = run_capture(capsys, [command, *flags, "--m", str(m)])
+            assert perf_counter() - start < 1.0, command
+            return code, out, err
+
+        code, out, err = timed("induce")
+        assert (code, err) == (0, "") and Correlation.from_json(out).shape == (4, 5, 3, 3)
+        code, out, err = timed("distance")
+        # the truncation_bound row's limit
+        bound = max(4.0 * alpha ** (4 * m), 2.0 * alpha ** (2 * (2 * m - 1))) + 1e-13
+        assert (code, err) == (0, "") and 0.0 <= strict_loads(out)["value"] <= bound
+        code, out, err = timed("blocks")
+        assert (code, err) == (0, "")
+        assert strict_loads(out)["block_dims"] == [[2 * m - 1, 2 * m - 1], [1, 1]]
+        # every coefficient, or a failure naming the first one a double cannot hold as a normal number
+        code, out, err = timed("schmidt")
+        coeffs = np.exp(TruncationSpec(alpha=alpha, m=m).log_coeffs())
+        small = np.flatnonzero(coeffs < np.finfo(float).tiny)
+        if small.size:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: Schmidt coefficients must be strictly positive normal doubles; "
+                                  f"coefficient {small[0]} of {2 * m} is ")
+        else:
+            assert (code, err) == (0, "") and len(strict_loads(out)["coefficients"]) == 2 * m
+
     # the two alpha-edge rows that fail the ideal truncation (their bounds are still envelopes)
     @pytest.mark.parametrize("alpha, name, numbers", [
         ("0.1", "block_chsh_match", "residual 5.140e-05 > tolerance 8.000e-06"),
@@ -381,6 +412,51 @@ class TestVerifiers:
         failed = [c for c in strict_loads(out)["checks"] if not c["pass"]]
         assert [(c["name"], c["detail"]) for c in failed] == [(name, numbers)]
         assert err.startswith(f"verification failed: {name} residual ") and err.endswith(f": {numbers}\n")
+
+    @given(st.floats(0.2, 0.95), st.integers(2, 12))
+    @example(0.5, 3)
+    @example(0.5, 4)
+    @example(0.5, 6)
+    def test_banded_outputs_match_the_dense_path(self, tmp_path_factory, alpha, m):
+        # the dense strategy is the reference; the examples are the points whose output bytes are pinned
+        work = tmp_path_factory.mktemp("banded")
+
+        def banded(command, *flags):
+            path = work / f"{command}.json"
+            assert run([command, "--alpha", repr(alpha), "--m", str(m), *flags, "--out", str(path)]) == 0
+            return path.read_text()
+
+        s = ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m))
+        dense = induce(s)
+        np.testing.assert_allclose(Correlation.from_json(banded("induce")).table, dense.table, rtol=0, atol=1e-14)
+        for metric in ("max_tv", "l2"):
+            got = strict_loads(banded("distance", "--metric", metric))["value"]
+            assert abs(got - distance(separating.exact_pstar(alpha), dense, metric)) <= 1e-14
+
+        spectrum = analysis.schmidt(s.state, s.dA, s.dB).spectrum
+        coeffs = strict_loads(banded("schmidt"))["coefficients"]
+        assert len(coeffs) == 2 * m
+        # the SVD keeps a prefix: what it cuts lies at or below its cutoff
+        np.testing.assert_allclose(coeffs[: len(spectrum)], spectrum.coefficients, rtol=0, atol=1e-14)
+        assert max(coeffs[len(spectrum):], default=0.0) <= spectrum.cutoff + 1e-14
+
+        summary = strict_loads(banded("blocks"))
+        assert summary["block_dims"] == [[2 * m - 1, 2 * m - 1], [1, 1]]
+        split = separating.SHIFTED_SPLIT
+        sub = strategy.restrict_questions(s, separating.SHIFTED_QUESTIONS, separating.SHIFTED_QUESTIONS)
+        # eigh resolves block 0's reduced density, eigenvalues c_1^2 down to c_(D-1)^2, above
+        # lambda_max * D * eps; with a margin of 2 either way, the dense result is right or clipped
+        resolution = alpha ** (4 * m - 4) / (2 * m * np.finfo(float).eps)
+        try:
+            deco = analysis.strategy_block_decompose(sub, split.alice_partition, split.bob_partition)
+        except analysis.BlockDecompositionError:
+            assert resolution < 2
+            return
+        np.testing.assert_allclose(summary["weights"], deco.weights, rtol=0, atol=1e-14)
+        if resolution > 2:
+            assert deco.as_dict()["block_dims"] == summary["block_dims"]
+        elif resolution < 0.5:
+            assert deco.as_dict()["block_dims"][0][0] < 2 * m - 1
 
     def test_y4_fails_on_corrupted_file(self, capsys, tmp_path):
         code, out, err = run_capture(capsys, ["verify", "--strategy", str(wrong_q4_file(tmp_path))])
@@ -482,15 +558,6 @@ class TestCliContract:
         assert chain.rel_tol == analysis.CHAIN_REL_TOL
         assert (seesaw.restarts, seesaw.iters, seesaw.seed, seesaw.tol, seesaw.rounding) == (
             config.restarts, config.max_outer_iters, config.seed, config.convergence_tol, config.rounding)
-        blocks = parse(["blocks"])
-        assert blocks.xs == blocks.ys == list(separating.SHIFTED_QUESTIONS)
-        assert (blocks.alice_partition, blocks.bob_partition) == (
-            separating.SHIFTED_SPLIT.alice_partition, separating.SHIFTED_SPLIT.bob_partition)
-
-    def test_bad_partition_is_a_usage_error(self, capsys):
-        code, out, err = run_capture(capsys, ["blocks", "--m", "2", "--alice-partition", "0,x|2"])
-        assert (code, out) == (1, "")
-        assert err.startswith("usage error: bad partition syntax '0,x|2'")
 
     @pytest.mark.parametrize("flag", [["--alpha", "0.9"], ["--m", "99"]], ids=lambda f: f[0])
     @pytest.mark.parametrize(
@@ -561,11 +628,6 @@ class TestParserReuse:
         assert run_capture(capsys, ["verify", "--strategy", str(path), "--alpha", "0.9"])[0] == 1
         assert run_capture(capsys, ["verify", "--strategy", str(path)])[0] == 0
 
-    def test_list_defaults_survive_a_run(self, capsys):
-        # --xs and --ys default to lists, which a handler must not change
-        outputs = [run_capture(capsys, argv) for argv in (["blocks", "--xs", "2", "3"], ["blocks"]) * 2]
-        assert outputs[0][0] == 0 and outputs.count(outputs[0]) == 4
-
 
 class TestFormatFlag:
     @pytest.mark.parametrize(
@@ -610,21 +672,23 @@ class TestStrategyFiles:
         assert code == 0 and out == ""
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.M64_SHA256
 
-    # sha256 of each command's stdout; together they cover the pairing layout, the
-    # alpha check, the CSV writer, question subsets, the multiset pairing and the rank cutoff
+    # sha256 of each command's stdout; together they cover the pairing layout, the alpha
+    # check, the CSV writer, the closed forms and every banded --alpha path.  The dense
+    # strategy stays the reference for induce, schmidt and blocks at these points, in
+    # TestVerifiers.test_banded_outputs_match_the_dense_path
     STDOUT_SHA256 = {
         "tables --alpha 0.5":
             "bb640245140aee816eeb64f47066120d6549aa3826b11273036c2b2ef2c07052",
         "tables --alpha 0.3 --pair 2 4 --source exact --format csv":
             "66619cacc52b528694a7c5b9994dab6ef0f38929127aeef33ee293e971c68411",
         "induce --alpha 0.5 --m 4 --format csv":
-            "691e8fb994a826c3862b4699e5eef4e90893c8229dcfb3bf642289548af114c4",
+            "0407f2d30627546d8c554acd0ba1a0c6b69c57a99c0a22e5eb709fe02a37e546",
         "schmidt --alpha 0.5 --m 3 --format csv":
-            "bc054b35f08877df032f7ab63b60b1be0cc2ab17b01d1e3099f2afe1d71f1e09",
+            "4882dad1c1dd84266afc9f16ee1a1013aab9e1102df34a8a3751d016338b9160",
         "chain --alpha 0.5 --m-min 2 --m-max 6":
             "71cbaf486e27635998131c1082aeb267e227754eda3808ab078b679433ed93cb",
         "blocks --alpha 0.5 --m 6":
-            "ab3caf53d997967ea5c4d505c466b213166f79409362ff55e0fdec3071dc0c84",
+            "1011cc917c5bd2598b73d490f2658f3e9e2dc70bad1ff1d8064d9d0977269388",
         "verify --alpha 0.95 --m 8":
             "332a75c1b2c47cf3ca33b751d54a500ad40f6d4dd83d806175a2190e5d1b0464",
     }
@@ -778,7 +842,7 @@ class TestReadmeExamples:
         for value, prefix in zip(payload["coefficients"], prefixes):
             assert repr(value).startswith(prefix.removesuffix("..."))
         cutoff = re.search(r'"cutoff": ([0-9.e+-]+)', shown).group(1)
-        assert f"{payload['cutoff']:.1e}" == cutoff
+        assert payload["cutoff"] == float(cutoff)
 
     def test_chain(self, capsys):
         shown = self.shown("chain --alpha 0.5 --m-min 2 --m-max 6", after=False)
