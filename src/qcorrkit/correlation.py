@@ -119,11 +119,15 @@ class Correlation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Correlation":
-        """Read what :meth:`to_dict` writes, normalized to ``INDUCED_NORM_TOL``;
-        malformed data raises :class:`CorrelationError`."""
+        """Read what :meth:`to_dict` writes, normalized to ``INDUCED_NORM_TOL``; malformed data,
+        a header that is not a JSON integer or an entry that is not a number, raises :class:`CorrelationError`."""
         try:
-            arr = np.asarray(data["table"], dtype=float)
+            table = np.asarray(data["table"], dtype=object)
             expected = (data["m"], data["n"], data["r"], data["s"])
+            if any(type(k) is not int for k in expected) or any(
+                    type(v) is bool or not isinstance(v, (int, float)) for v in table.flat):
+                raise TypeError("m, n, r and s must be JSON integers and the entries JSON numbers")
+            arr = table.astype(float)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise CorrelationError(f"not a correlation: missing or malformed field ({exc!r})") from None
         if arr.shape != expected:

@@ -757,6 +757,16 @@ class TestStrategyFiles:
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
 
+    def test_dimension_not_an_integer_exits_1(self, capsys, tmp_path):
+        # int() would read "dA": "4" as 4, and verify would pass the file
+        text = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2)).to_json()
+        path = tmp_path / "strategy.json"
+        path.write_text(text.replace('"dA": 4', '"dA": "4"'))
+        code, out, err = run_capture(capsys, ["verify", "--strategy", str(path)])
+        assert code == 1
+        assert err.startswith("error: ") and "JSON integers" in err and "Traceback" not in err
+        assert out == ""
+
     def test_integer_beyond_float_range_exits_1(self, capsys, tmp_path):
         data = json.loads(ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2)).to_json())
         data["state"][0][0] = "@big@"
@@ -788,8 +798,9 @@ class TestCorrelationFiles:
             "null",
             "{" + HEADER + ', "table": "uniform"}',
             "{" + HEADER + ', "table": [[[[1' + "0" * 400 + "]]]]}",
+            "{" + HEADER + ', "table": [[[["1.0"]]]]}',
         ],
-        ids=["no table", "list", "null", "string table", "400-digit integer"],
+        ids=["no table", "list", "null", "string table", "400-digit integer", "string entry"],
     )
     def test_malformed_file_exits_1(self, capsys, tmp_path, text):
         ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"

@@ -289,6 +289,20 @@ class TestSerialization:
         with pytest.raises(CorrelationError, match="disagrees"):
             Correlation.from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [("m", 2.0), ("s", "2"), ("r", True)])
+    def test_header_must_be_json_integers(self, rng, key, value):
+        data = random_correlation(rng, 2, 2, 2, 2).to_dict()
+        data[key] = value
+        with pytest.raises(CorrelationError, match="JSON integers"):
+            Correlation.from_dict(data)
+
+    @pytest.mark.parametrize("entry", ["0.71", True, None, [0.5]])
+    def test_entries_must_be_json_numbers(self, entry):
+        data = json.loads(deterministic(1, 1, 2, 2).to_json())
+        data["table"][0][0][1][1] = entry
+        with pytest.raises(CorrelationError, match="JSON numbers"):
+            Correlation.from_dict(data)
+
     def test_csv_layout(self):
         p = deterministic(1, 2, 2, 2)
         lines = p.to_csv().strip().split("\n")

@@ -14,14 +14,13 @@ from qcorrkit import strategy
 from qcorrkit.correlation import CorrelationError, distance, restrict
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
-    _PIECE,
     InvalidStrategyError,
     Strategy,
     StrategyError,
     haar_unitary,
     induce,
     projected_substate,
-    _parse_array,
+    _read_array,
     _split_arrays,
     restrict_questions,
     validate,
@@ -142,7 +141,7 @@ def reader_arrays(text: str) -> list[np.ndarray]:
     a signed zero there is compared only here.
     """
     head, spans = _split_arrays(text)
-    arrays = [_parse_array(text[start:end].encode("ascii")) for start, end in spans]
+    arrays = [_read_array(text[start:end].encode("ascii")) for start, end in spans]
     return [arrays[json.loads(head)[key][0]] for key in FIELDS]
 
 
@@ -196,15 +195,20 @@ MUTATIONS = {
 }
 
 
+# bytes between the commas the "at cuts" tests edit next to, so that the edits spread
+# through a long array
+CUT_SPACING = 1 << 15
+
+
 @functools.lru_cache(maxsize=None)
 def cut_text() -> str:
-    """A strategy file whose measurement arrays each span four reader pieces."""
+    """A strategy file whose measurement arrays each span four ``CUT_SPACING`` cuts."""
     return random_strategy(np.random.default_rng(3), dA=24, dB=24).to_json()
 
 
 @functools.lru_cache(maxsize=None)
 def zeros_text(m: int = 2) -> str:
-    """A truncated strategy's file, mostly ``0.0``; at m = 12 each measurement array spans three pieces or more."""
+    """A truncated strategy's file, mostly ``0.0``; at m = 12 each measurement array spans three cuts or more."""
     return ideal_truncated_strategy(TruncationSpec(0.9, m)).to_json()
 
 
@@ -218,11 +222,11 @@ def expect_as_json(text: str) -> type[Exception]:
 
 
 def cut_commas(text: str) -> list[list[int]]:
-    """For each array of ``text``, the positions of the commas the reader cuts it at."""
+    """For each array of ``text``, the first comma at least ``CUT_SPACING`` on from the last, from its start."""
     cuts = []
     for start, end in _split_arrays(text)[1]:
         cuts.append([])
-        while (comma := text.find(",", start + _PIECE, end)) >= 0:
+        while (comma := text.find(",", start + CUT_SPACING, end)) >= 0:
             cuts[-1].append(comma)
             start = comma + 1
     return cuts
@@ -255,7 +259,7 @@ def mutate_near(mutate, text: str, comma: int, place: str) -> str:
 
 @st.composite
 def cut_strategy_texts(draw):
-    """Strategy JSON with dA = dB = 24 whose measurement arrays span at least three pieces.
+    """Strategy JSON with dA = dB = 24 whose measurement arrays span at least three cuts.
 
     Three entries in four keep their to_json spelling, which keeps those
     arrays long enough; the rest take spellings from a small drawn pool.
@@ -649,7 +653,7 @@ class TestSerialization:
         assert strat.to_json() == reference_json(strat)
 
     def test_writer_matches_json_dumps_across_blocks(self, rng):
-        # 70-entry rows: the writer's blocks of rows end inside elements and questions
+        # 70-entry rows: the writer's joined batches of pieces end inside rows, elements and questions
         s = random_strategy(rng, dA=70, dB=3, m=2, n=2, r=2, s=2)
         alice = np.array(s.alice_meas)
         alice[0, 1, 5:9, 3] = [-0.0, np.nan, np.inf, 5e-324]
@@ -754,16 +758,91 @@ class TestSerialization:
             Strategy.from_json(text)
 
     def test_trailing_comma_on_last_cut_rejected(self):
-        # the piece after the last cut is then empty, which json reads as no
-        # entries: only the count of entries filled refuses it
+        # the entries after the last cut are dropped, leaving a trailing comma
+        # and an array short of entries, which json refuses
         text = cut_text()
         (start, end), cuts = _split_arrays(text)[1][0], cut_commas(text)[0]
         last = text.rfind(",", start, end)
-        pad = max(0, max([start - 1] + [c for c in cuts if c < last]) + 1 + _PIECE - last)
+        pad = max(0, max([start - 1] + [c for c in cuts if c < last]) + 1 + CUT_SPACING - last)
         text = text[:last] + " " * pad + "," + re.sub(_NUMBER, "", text[last + 1 : end]) + text[end:]
         assert cut_commas(text)[0][-1] == last + pad
         with pytest.raises(StrategyError):
             Strategy.from_json(text)
+
+    def test_written_path_reads_edge_values_bitwise(self, monkeypatch):
+        # a truncation with a few nonzero slots set to values whose spelling or bits
+        # are easy to get wrong: the writer still writes json.dumps's bytes, and the
+        # reader takes every array by its nonzero pairs, never by json whole
+        s = ideal_truncated_strategy(TruncationSpec(0.9, 8))
+        state, alice, bob = (np.array(getattr(s, key), dtype=complex) for key in FIELDS)
+        state[3] = complex(-0.0, 0.25)
+        alice[0, 1, 2, 3] = complex(0.5, -0.0)
+        alice[3, 2, 15, 0] = complex(np.nan, 1e16)
+        bob[1, 0, 4, 9] = complex(np.inf, -np.inf)
+        bob[4, 2, 0, 0] = complex(5e-324, 0.0)
+        t = Strategy(s.dA, s.dB, state, alice, bob)
+        text = t.to_json()
+        assert text == reference_json(t)
+
+        def json_whole(raw):
+            raise AssertionError("read by json whole")
+
+        monkeypatch.setattr(strategy, "_json_array", json_whole)
+        for got, want in zip(reader_arrays(text), json_oracle(text)):
+            assert_bitwise(got, want)
+        u = Strategy.from_json(text)
+        for field in FIELDS:
+            assert_bitwise(getattr(u, field), getattr(t, field), nan_bits=False)
+
+    @pytest.mark.parametrize("old, new", [
+        ("[0.0, 0.0]", "[0, 0.0]"), ("[0.0, 0.0]", "[0.0,0.0]"), ("[0.5, 0.0]", "[5e-1, 0.0]"),
+    ])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_respelled_pair_reads_as_json(self, old, new, where):
+        # an equal value spelled another way is not what the writer writes, so json reads the array
+        text = zeros_text(8)
+        spots = [spot.start() for spot in re.finditer(re.escape(old), text)]
+        spot = spots[round(where * (len(spots) - 1))]
+        text = text[:spot] + new + text[spot + len(old) :]
+        for got, want in zip(reader_arrays(text), json_oracle(text)):
+            assert_bitwise(got, want)
+        t = Strategy.from_json(text)
+        for field, want in zip(FIELDS, json_oracle(text)):
+            assert_bitwise(as_pairs(getattr(t, field)), want)
+
+    @pytest.mark.parametrize("old, new", [
+        ("[0.0, 0.0]", "[0.0 0.0]"), ("0.0]", "0.0"), ("[0.0, 0.0]", "[0.0, ]0.0"),
+    ], ids=["missing comma", "dropped ]", "] moved over a number"])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_json_refused_edit_in_zeros_rejected(self, old, new, where):
+        # the last case keeps the brackets and commas of the unedited text:
+        # only where the ] stands tells it from a valid file
+        text = zeros_text(8)
+        spots = [spot.start() for spot in re.finditer(re.escape(old), text)]
+        spot = spots[round(where * (len(spots) - 1))]
+        text = text[:spot] + new + text[spot + len(old) :]
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(StrategyError):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_deep_nesting_rejected(self, field):
+        data = json.loads(base_text())
+        data[field] = "@deep@"
+        text = json.dumps(data).replace('"@deep@"', "[" * 10**5 + "]" * 10**5)
+        with pytest.raises(RecursionError):
+            json.loads(text)
+        with pytest.raises(StrategyError):
+            Strategy.from_json(text)
+
+    @pytest.mark.parametrize("key, value", [("dA", '"2"'), ("dB", "3.0"), ("dB", "2.9"), ("dA", "true")])
+    def test_dimensions_must_be_json_integers(self, key, value):
+        # int() would read "2" as 2 and 2.9 as 2, and True is an int to Python
+        data = json.loads(base_text())
+        data[key] = "@dim@"
+        with pytest.raises(StrategyError, match="JSON integers"):
+            Strategy.from_json(json.dumps(data).replace('"@dim@"', value))
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_integer_beyond_float_range_rejected(self, sign):
