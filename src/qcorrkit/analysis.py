@@ -15,8 +15,8 @@ Four mechanisms live here:
   chain has length exactly 2m, so its unbounded growth with m is the
   finite-dimension witness at desk scale.
 
-:func:`certify_truncation` runs all of these on a truncated pairing
-strategy in one pass, and :func:`certify_strategy` those any strategy gets.
+:func:`certify_banded_truncation` runs all of these on the bands of a truncated
+pairing strategy in one pass, and :func:`certify_strategy` those any strategy gets.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "descent_chain",
     "verify_schmidt_bijections",
     "certify_strategy",
-    "certify_truncation",
     "certify_banded_truncation",
     "log_descent_chain_length",
     "multiset_equal",
@@ -125,14 +124,6 @@ def _svd_spectrum(mat: np.ndarray, cutoff: float | None = None) -> SchmidtSpectr
     if cutoff is None:
         cutoff = _rank_cutoff(sing, max(mat.shape))
     return SchmidtSpectrum(tuple(sing[sing > cutoff].tolist()), cutoff)
-
-
-def _clipped(spectrum: SchmidtSpectrum, dim: int) -> str | None:
-    """Why ``spectrum`` cannot stand for a truncation's D = ``dim`` coefficients, or None."""
-    if len(spectrum) < dim:
-        return (f"the state spectrum holds {len(spectrum)} of D = {dim} coefficients "
-                f"above its cutoff {spectrum.cutoff:.3e}")
-    return None
 
 
 def schmidt(state: np.ndarray, dA: int, dB: int) -> SchmidtResult:
@@ -210,12 +201,7 @@ def strategy_block_decompose(
     block's sub-correlation.
     """
     spec = BlockSpec(tuple(tuple(c) for c in alice_partition), tuple(tuple(c) for c in bob_partition))
-    return _decompose(s, induce(s), spec, tol)
-
-
-def _decompose(s: Strategy, p: Correlation, spec: BlockSpec, tol: float) -> BlockDecomposition:
-    """:func:`strategy_block_decompose` of the valid ``s``, given the correlation ``p`` it induces."""
-    chk = _direct_sum(p, spec, tol)
+    chk = _direct_sum(induce(s), spec, tol)
 
     num_blocks = spec.num_blocks
     residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
@@ -663,17 +649,10 @@ def verify_schmidt_bijections(
     """Check the alpha-scaling correspondences on the partitioned spectrum;
     a spectrum clipped below the ``s.dA`` coefficients raises, naming its cutoff."""
     y4, vec0, vec1 = _y4_relations(s, tol)
-    return _bijections(s, y4, vec0, vec1, schmidt(s.state, s.dA, s.dB).spectrum, alpha, tol)
-
-
-def _bijections(
-    s: Strategy, y4: Y4Report, vec0: np.ndarray, vec1: np.ndarray,
-    spectrum: SchmidtSpectrum, alpha: float, tol: float,
-) -> BijectionReport:
-    """:func:`verify_schmidt_bijections` from a question-4 pass and the state spectrum."""
-    clipped = _clipped(spectrum, s.dA)
-    if clipped is not None:
-        raise AnalysisError(clipped)
+    spectrum = schmidt(s.state, s.dA, s.dB).spectrum
+    if len(spectrum) < s.dA:
+        raise AnalysisError(f"the state spectrum holds {len(spectrum)} of D = {s.dA} coefficients "
+                            f"above its cutoff {spectrum.cutoff:.3e}")
     return _log_bijections(*_partition(s, y4, vec0, vec1, spectrum, tol)[1][1:], alpha, tol)
 
 
@@ -705,6 +684,11 @@ def _row(name: str, residual: float, limit: float, detail: str | None = None) ->
     return row
 
 
+def _raised(name: str, limit: float, exc: Exception) -> dict:
+    """The row of a step that raised: it fails whatever its limit, and names the reason."""
+    return {**_row(name, float("inf"), limit, str(exc)), "pass": False}
+
+
 def _validity_row(report: strategy.ValidationReport) -> dict:
     row = _row("strategy_valid", report.max_residual, 1e-10, None if report.ok else report.summary())
     # validate holds the state norm to 1e-12, under this row's limit
@@ -725,107 +709,10 @@ def certify_strategy(s: Strategy, tol: float) -> list[dict]:
     return rows
 
 
-def certify_truncation(s: Strategy, alpha: float, tol: float) -> list[dict]:
-    """Every certificate on a truncated pairing strategy, as ordered check rows.
-
-    Each row is ``{"name", "residual", "tolerance", "pass"}``, plus a
-    ``detail`` where a row fails.  The dimension D = 2m is read from
-    ``s``.  Every ingredient is computed once: one validation, one induced
-    table, one block decomposition of the shifted-pair questions, one
-    question-4 pass (its residuals give the ``y4_*`` rows at ``tol``, its
-    double projections the Schmidt split), and one state spectrum,
-    shared by the split and the descent chain; if it holds fewer than D
-    coefficients, their rows fail and name the count and the cutoff.  Any
-    strategy in any basis is read; :func:`certify_banded_truncation` gives
-    the same rows for the ideal truncation without a D x D array.
-    """
-    table = induce(s, check=False)
-
-    def blocks(block_tol: float) -> tuple:
-        deco = _decompose(strategy.restrict_questions(s, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS),
-                          restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, block_tol)
-        if deco.restricted[0] is None:
-            raise BlockDecompositionError(f"block 0 has no sub-correlation: weight at or below tol {block_tol:.1e}")
-        return deco.as_dict(), induce(deco.restricted[0], check=False).table
-
-    y4, vec0, vec1 = _y4_relations(s, tol)
-    spectrum = schmidt(s.state, s.dA, s.dB).spectrum
-    return _truncation_rows(alpha, s.dA, tol, strategy.validate(s), table, blocks, y4,
-                            lambda split_tol: _bijections(s, y4, vec0, vec1, spectrum, alpha, split_tol),
-                            descent_chain(spectrum, alpha).max_length, _clipped(spectrum, s.dA))
-
-
-def _truncation_rows(
-    alpha: float, dim: int, tol: float, validity: strategy.ValidationReport, table: Correlation,
-    blocks: Callable[[float], tuple], y4: Y4Report, bijections: Callable[[float], BijectionReport],
-    chain_length: int, clipped: str | None,
-) -> list[dict]:
-    """The rows of :func:`certify_truncation`, in order, from its ingredients.
-
-    ``blocks(block_tol)`` gives the :meth:`BlockDecomposition.as_dict` summary of
-    the shifted-pair decomposition and the table of its CHSH block, and ``bijections(split_tol)``
-    the bijection report of the Schmidt split; where either raises, its row
-    fails and says why.  ``clipped`` says why the state spectrum holds fewer
-    than D coefficients.
-    """
-    split_tol = 1e-9  # relative, on the Schmidt split; it also floors the block tolerance
-    block_tol = max(tol, split_tol)
-    tail = alpha ** (2 * dim)
-    rows = [_validity_row(validity)]
-
-    exact, printed, c = separating._closed_forms(alpha)
-    rows.append(_row("tables_printed_match", max(
-        float(np.abs(exact.table[xy] - entries).max()) for xy, entries in printed.items()), 1e-12))
-
-    # the cut block reassigned by the dangling-vector policy carries mass
-    # ~alpha^(2(D-1)), which dominates the tail for small alpha
-    rows.append(_row(
-        "truncation_bound",
-        distance(exact, table, "max_tv"),
-        max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
-    ))
-
-    try:
-        summary, block_table = blocks(block_tol)
-    except BlockDecompositionError as exc:
-        rows.append(_row("block_decomposition", float("inf"), block_tol, str(exc)))
-    else:
-        weight_gap = max(abs(summary["weights"][0] - (c - 1.0) / c), abs(summary["weights"][1] - 1.0 / c))
-        rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
-        rows.append(_row("block_idempotence", summary["residuals"]["restricted_idempotence"], 1e-9))
-        worst_block = max(
-            float(np.abs(block_table[x, y] - printed[sx, sy][:2, :2] * c / (c - 1.0)).max())
-            for x, sx in enumerate(SHIFTED_QUESTIONS) for y, sy in enumerate(SHIFTED_QUESTIONS))
-        rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
-
-    rows += _y4_rows(y4)
-
-    try:
-        split = bijections(split_tol)
-    except AnalysisError as exc:
-        rows.append(_row("schmidt_partition", float("inf"), split_tol, str(exc)))
-    else:
-        broken = [name for ok, name in ((split.ok_first, "S1 = alpha S0"),
-                                        (split.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
-        rows.append(_row("schmidt_partition_bijections", split.max_pair_deviation, split_tol,
-                         f"worst relative pair deviation {split.max_pair_deviation:.3e} > {split_tol:.1e} "
-                         f"(broken: {', '.join(broken)})" if broken else None))
-        rows.append(_row("schmidt_point_block_single", float(abs(split.s2_size - 1)), 0.0))
-
-    detail = None
-    if chain_length != dim:
-        detail = "; ".join(filter(None, (
-            f"longest chain {chain_length} of D = {dim} at ratio {alpha!r}, rel_tol {CHAIN_REL_TOL:.1e}",
-            clipped,
-        )))
-    rows.append(_row("descent_chain_length", float(abs(chain_length - dim)), 0.0, detail))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # The ideal truncation by its bands.  Every element is real, symmetric and
-# tridiagonal, and the state is the diagonal c_i = exp(log c_i), so every row
-# of certify_truncation follows from O(D) arithmetic on bands.
+# tridiagonal, and the state is the diagonal c_i = exp(log c_i), so every
+# certificate on the truncation follows from O(D) arithmetic on bands.
 # ---------------------------------------------------------------------------
 
 
@@ -913,9 +800,10 @@ def _band_validity(alice: _Banded, bob: _Banded, coeffs: np.ndarray) -> strategy
 
 
 def _band_blocks(bands: separating.TruncationBands, table: Correlation, tol: float) -> tuple[dict, np.ndarray]:
-    """:meth:`BlockDecomposition.as_dict` of the shifted-pair questions, as :func:`_decompose` finds it, and the
-    CHSH block's table.  Block subspaces are coordinate sets: ``block_dims`` are support sizes, the leakage is
-    the couplings leaving a support, and a sub-state that is not diagonal raises, as does a weightless block."""
+    """:meth:`BlockDecomposition.as_dict` of the shifted-pair questions, as :func:`strategy_block_decompose` finds
+    it, and the CHSH block's table.  Block subspaces are coordinate sets: ``block_dims`` are support sizes, the
+    leakage is the couplings leaving a support, and a sub-state that is not diagonal raises, as does a weightless
+    block."""
     dim, ratios, coeffs = bands.spec.dim, _row_ratios(bands.log_coeffs), np.exp(bands.log_coeffs)
     chk = _direct_sum(restrict(table, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS), SHIFTED_SPLIT, tol)
     residuals = dict.fromkeys(_BLOCK_RESIDUALS, 0.0)
@@ -963,18 +851,51 @@ def _band_spectrum(vec: _Banded, log_coeffs: np.ndarray) -> np.ndarray:
 
 
 def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> list[dict]:
-    """:func:`certify_truncation` of the ideal truncation, read off its bands in O(D).
+    """Every certificate on the ideal truncation, as ordered check rows, read off its bands in O(D).
 
-    The same rows, order and tolerances, fed by band arithmetic instead of
-    D x D products, ``eigh`` and SVDs: the table is the banded sum, block
-    subspaces are coordinate sets, and the Schmidt spectra S, S0, S1, S2,
-    both bijections and the descent chain are taken from the log
-    coefficients, so no coefficient underflows and no spectrum is clipped.
+    Each row is ``{"name", "residual", "tolerance", "pass"}``, plus a
+    ``detail`` where it fails; a step that raises fails its one row, at any
+    limit, and says why.  Each ingredient is computed once, by band
+    arithmetic in place of D x D products, ``eigh`` and SVDs: one validation,
+    the banded table, one block decomposition of the shifted-pair questions
+    on coordinate subspaces, and one question-4 pass.  Its residuals give the
+    ``y4_*`` rows at ``tol``; its double projections give the Schmidt spectra
+    S, S0, S1 and S2, which with both bijections and the descent chain are
+    read from the log coefficients, so nothing underflows or is clipped.
     """
     alpha, dim = bands.spec.alpha, bands.spec.dim
+    split_tol = 1e-9  # relative, on the Schmidt split; it also floors the block tolerance
+    block_tol = max(tol, split_tol)
+    tail = alpha ** (2 * dim)
     coeffs = np.exp(bands.log_coeffs)
-    alice, bob = _Banded.of(bands.alice), _Banded.of(bands.bob)
     table = bands.induced()
+    rows = [_validity_row(_band_validity(_Banded.of(bands.alice), _Banded.of(bands.bob), coeffs))]
+
+    exact, printed, c = separating._closed_forms(alpha)
+    rows.append(_row("tables_printed_match", max(
+        float(np.abs(exact.table[xy] - entries).max()) for xy, entries in printed.items()), 1e-12))
+
+    # the cut block reassigned by the dangling-vector policy carries mass
+    # ~alpha^(2(D-1)), which dominates the tail for small alpha
+    rows.append(_row(
+        "truncation_bound",
+        distance(exact, table, "max_tv"),
+        max(4.0 * tail, 2.0 * alpha ** (2 * (dim - 1))) + 1e-13,
+    ))
+
+    try:
+        summary, block_table = _band_blocks(bands, table, block_tol)
+    except BlockDecompositionError as exc:
+        rows.append(_raised("block_decomposition", block_tol, exc))
+    else:
+        weight_gap = max(abs(summary["weights"][0] - (c - 1.0) / c), abs(summary["weights"][1] - 1.0 / c))
+        rows.append(_row("block_weights", weight_gap, max(1e-8, 8.0 * tail)))
+        rows.append(_row("block_idempotence", summary["residuals"]["restricted_idempotence"], 1e-9))
+        worst_block = max(
+            float(np.abs(block_table[x, y] - printed[sx, sy][:2, :2] * c / (c - 1.0)).max())
+            for x, sx in enumerate(SHIFTED_QUESTIONS) for y, sy in enumerate(SHIFTED_QUESTIONS))
+        rows.append(_row("block_chsh_match", worst_block, max(1e-8, 8.0 * alpha ** (2 * dim - 2))))
+
     psi, ratios = _Banded({0: np.ones(dim)}), _row_ratios(bands.log_coeffs)
 
     def project(side: str, x: int, answers: tuple[int, ...]) -> _Banded:
@@ -984,14 +905,26 @@ def certify_banded_truncation(bands: separating.TruncationBands, tol: float) -> 
 
     y4, vec0, vec1 = _y4_pass(project, lambda v: float(v.norm(coeffs)),
                               lambda v, a: v @ project("B", _Y4, (a,)), psi, tol)
+    rows += _y4_rows(y4)
 
-    def bijections(split_tol: float) -> BijectionReport:
+    try:
         _licensed(y4, split_tol)
         vec2 = project("A", *_POINT) @ project("B", *_POINT)
         logs = [_band_spectrum(v, bands.log_coeffs) for v in (psi, vec0, vec1, vec2)]
         _split(*logs, split_tol)
-        return _log_bijections(*logs[1:], alpha, split_tol)
+        split = _log_bijections(*logs[1:], alpha, split_tol)
+    except AnalysisError as exc:
+        rows.append(_raised("schmidt_partition", split_tol, exc))
+    else:
+        broken = [name for ok, name in ((split.ok_first, "S1 = alpha S0"),
+                                        (split.ok_second, "S0 \\ S2 = alpha S1")) if not ok]
+        rows.append(_row("schmidt_partition_bijections", split.max_pair_deviation, split_tol,
+                         f"worst relative pair deviation {split.max_pair_deviation:.3e} > {split_tol:.1e} "
+                         f"(broken: {', '.join(broken)})" if broken else None))
+        rows.append(_row("schmidt_point_block_single", float(abs(split.s2_size - 1)), 0.0))
 
-    return _truncation_rows(alpha, dim, tol, _band_validity(alice, bob, coeffs), table,
-                            lambda block_tol: _band_blocks(bands, table, block_tol), y4, bijections,
-                            log_descent_chain_length(bands.log_coeffs, alpha), None)
+    chain_length = log_descent_chain_length(bands.log_coeffs, alpha)
+    rows.append(_row("descent_chain_length", float(abs(chain_length - dim)), 0.0,
+                     f"longest chain {chain_length} of D = {dim} at ratio {alpha!r}, rel_tol {CHAIN_REL_TOL:.1e}"
+                     if chain_length != dim else None))
+    return rows

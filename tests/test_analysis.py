@@ -1,7 +1,6 @@
 """Schmidt machinery, block decomposition, question-4 relations, descent chains."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from qcorrkit.analysis import (
     SchmidtSpectrum,
     Y4Report,
     certify_banded_truncation,
-    certify_truncation,
     descent_chain,
     log_descent_chain_length,
     multiset_equal,
@@ -25,7 +23,17 @@ from qcorrkit.analysis import (
     verify_schmidt_bijections,
     verify_y4_relations,
 )
-from qcorrkit.separating import TruncationSpec, ideal_truncated_strategy, ideal_truncation_bands
+from qcorrkit.correlation import distance
+from qcorrkit.separating import (
+    PRINTED_PAIRS,
+    SHIFTED_QUESTIONS,
+    SHIFTED_SPLIT,
+    TruncationSpec,
+    exact_pstar,
+    ideal_truncated_strategy,
+    ideal_truncation_bands,
+    printed_table,
+)
 from qcorrkit.strategy import (
     Strategy,
     haar_unitary,
@@ -44,6 +52,55 @@ EPR = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 def geometric_spectrum(alpha: float, dim: int) -> np.ndarray:
     coeffs = alpha ** np.arange(dim)
     return coeffs / np.linalg.norm(coeffs)
+
+
+def shifted_block_decompose(s: Strategy, tol: float = 1e-9):
+    """:func:`strategy_block_decompose` of ``s`` on the shifted-pair questions along their split."""
+    sub = restrict_questions(s, SHIFTED_QUESTIONS, SHIFTED_QUESTIONS)
+    return strategy_block_decompose(sub, SHIFTED_SPLIT.alice_partition, SHIFTED_SPLIT.bob_partition, tol=tol)
+
+
+def dense_residuals(s: Strategy, alpha: float, tol: float = 1e-12) -> dict[str, float]:
+    """The residual of each row of :func:`certify_banded_truncation`, in its order, computed
+    by the dense primitives on ``s``.  A step that raises, or a CHSH block left without a
+    restricted strategy, gives its one row, named as the banded path names it, the residual inf."""
+    exact, c = exact_pstar(alpha), 1.0 / (1.0 - alpha**2)
+    printed = {xy: printed_table(alpha, *xy).entries for xy in PRINTED_PAIRS}
+    rows = {
+        "strategy_valid": validate(s).max_residual,
+        "tables_printed_match": max(float(np.abs(exact.table[xy] - t).max()) for xy, t in printed.items()),
+        "truncation_bound": distance(exact, induce(s), "max_tv"),
+    }
+    try:
+        deco = shifted_block_decompose(s, max(tol, 1e-9))
+    except BlockDecompositionError:
+        deco = None
+    if deco is None or deco.restricted[0] is None:
+        rows["block_decomposition"] = math.inf
+    else:
+        block = induce(deco.restricted[0], check=False).table
+        rows["block_weights"] = max(abs(w - want) for w, want in zip(deco.weights, ((c - 1.0) / c, 1.0 / c)))
+        rows["block_idempotence"] = deco.residuals["restricted_idempotence"]
+        rows["block_chsh_match"] = max(
+            float(np.abs(block[x, y] - printed[sx, sy][:2, :2] * c / (c - 1.0)).max())
+            for x, sx in enumerate(SHIFTED_QUESTIONS) for y, sy in enumerate(SHIFTED_QUESTIONS))
+    rows.update((f"y4_{name}", value) for name, value in verify_y4_relations(s, tol).residuals.items())
+    try:
+        bijections = verify_schmidt_bijections(s, alpha, tol=1e-9)
+    except AnalysisError:
+        rows["schmidt_partition"] = math.inf
+    else:
+        rows["schmidt_partition_bijections"] = bijections.max_pair_deviation
+        rows["schmidt_point_block_single"] = float(abs(bijections.s2_size - 1))
+    chain = descent_chain(schmidt(s.state, s.dA, s.dB).spectrum, alpha)
+    rows["descent_chain_length"] = float(abs(chain.max_length - s.dA))
+    return rows
+
+
+def failing(residuals: dict[str, float], rows: list[dict]) -> list[str]:
+    """The names of ``residuals`` past the tolerance of the banded row of that name; inf fails at any."""
+    limits = {row["name"]: row["tolerance"] for row in rows}
+    return [name for name, value in residuals.items() if not (value < math.inf and value <= limits[name])]
 
 
 def deterministic_answer0_strategy():
@@ -331,9 +388,6 @@ class TestBijections:
             verify_schmidt_bijections(s, 0.5, tol=1e-9)
 
 
-SPECTRUM_ROWS = ("schmidt_partition_bijections", "schmidt_point_block_single", "descent_chain_length")
-
-
 class TestDerivedCutoff:
     def test_cutoff_is_the_svd_resolution(self):
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=16))
@@ -345,35 +399,45 @@ class TestDerivedCutoff:
     @given(st.floats(0.05, 0.95), st.integers(2, 40))
     def test_spectrum_rows_certify_2m_or_name_the_cutoff(self, alpha, m):
         s = ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m))
-        held = len(schmidt(s.state, s.dA, s.dB).spectrum)
-        rows = {r["name"]: r for r in certify_truncation(s, alpha, 1e-12)}
-        chain = rows["descent_chain_length"]
+        spectrum = schmidt(s.state, s.dA, s.dB).spectrum
+        held, chain = len(spectrum), descent_chain(spectrum, alpha).max_length
         if held == 2 * m:
-            assert chain["pass"] and chain["residual"] == 0.0
-            assert all(rows[name]["pass"] for name in SPECTRUM_ROWS)
+            assert chain == 2 * m and verify_schmidt_bijections(s, alpha, tol=1e-9).ok
         else:
-            assert not any(rows.get(name, {"pass": False})["pass"] for name in SPECTRUM_ROWS)
-            for name in ("schmidt_partition", "descent_chain_length"):
-                assert f"holds {held} of D = {2 * m} coefficients above its cutoff" in rows[name]["detail"]
+            assert chain < 2 * m
+            with pytest.raises(AnalysisError, match=f"holds {held} of D = {2 * m} coefficients above its cutoff"):
+                verify_schmidt_bijections(s, alpha, tol=1e-9)
 
 
 class TestRotatedBasis:
-    # the points where the ideal truncation passes and one Haar-random basis fails
-    @pytest.mark.parametrize("alpha, m", [(0.3, 8), (0.3, 12), (0.5, 12), (0.5, 16), (0.7, 24)])
+    # the points where the ideal truncation passes and one Haar-random basis fails: the rows
+    # whose dense primitive fails there
+    FAILING = {
+        (0.3, 8): ["block_decomposition", "schmidt_partition_bijections"],
+        (0.3, 12): ["block_decomposition", "schmidt_partition", "descent_chain_length"],
+        (0.5, 12): ["block_decomposition"],
+        (0.5, 16): ["block_decomposition", "schmidt_partition"],
+        (0.7, 24): ["block_decomposition"],
+    }
+
+    @pytest.mark.parametrize("alpha, m", sorted(FAILING))
     def test_failing_rows_name_their_numbers(self, alpha, m):
-        s = rotated_strategy(ideal_truncated_strategy(TruncationSpec(alpha=alpha, m=m)))
-        failing = [row for row in certify_truncation(s, alpha, 1e-9) if not row["pass"]]
-        assert failing
-        for row in failing:
-            # a digit not glued to a letter: "S0" or "y4" name no number
-            assert re.search(r"(?<![A-Za-z_])\d", row.get("detail", "")), row
+        spec = TruncationSpec(alpha=alpha, m=m)
+        s = rotated_strategy(ideal_truncated_strategy(spec))
+        banded = certify_banded_truncation(ideal_truncation_bands(spec), 1e-9)
+        assert all(row["pass"] for row in banded)
+        assert failing(dense_residuals(s, alpha, 1e-9), banded) == self.FAILING[alpha, m]
+        # every rotated point fails the dense block decomposition first, naming the element,
+        # its residual and the rank cut of its subspace
+        with pytest.raises(BlockDecompositionError, match=r"is not a projection: residual \d\.\d{3}e-\d+ "
+                                                          r"\(kept rank \d+ of \d+, eigenvalues above \d\.\d{3}e-\d+\)"):
+            shifted_block_decompose(s)
 
     def test_chain_and_split_rows_name_their_limits(self):
         s = rotated_strategy(ideal_truncated_strategy(TruncationSpec(alpha=0.3, m=12)))
-        rows = {r["name"]: r for r in certify_truncation(s, 0.3, 1e-9)}
-        assert rows["descent_chain_length"]["detail"] == "longest chain 23 of D = 24 at ratio 0.3, rel_tol 1.0e-06"
-        assert re.search(r"worst relative pair deviation \d\.\d{3}e-\d+ > 1\.0e-09",
-                         rows["schmidt_partition"]["detail"])
+        assert descent_chain(schmidt(s.state, s.dA, s.dB).spectrum, 0.3).max_length == 23
+        with pytest.raises(AnalysisError, match=r"worst relative pair deviation \d\.\d{3}e-\d+ > 1\.0e-09"):
+            verify_schmidt_bijections(s, 0.3, tol=1e-9)
 
 
 def reference_descent_chain(values, ratio, rel_tol):
@@ -510,12 +574,11 @@ class TestRealAndComplexAgree:
         np.testing.assert_allclose(spectra[1], spectra[0], rtol=0, atol=1e-14)
         assert validate(twin).ok == validate(real).ok
 
-        rows = [certify_truncation(t, alpha, 1e-12) for t in (real, twin)]
-        assert [r["name"] for r in rows[1]] == [r["name"] for r in rows[0]]
-        assert [r["pass"] for r in rows[1]] == [r["pass"] for r in rows[0]]
-        np.testing.assert_allclose(
-            [r["residual"] for r in rows[1]], [r["residual"] for r in rows[0]], rtol=0, atol=1e-12
-        )
+        residuals = [dense_residuals(t, alpha) for t in (real, twin)]
+        assert list(residuals[1]) == list(residuals[0])
+        np.testing.assert_allclose(list(residuals[1].values()), list(residuals[0].values()), rtol=0, atol=1e-12)
+        banded = certify_banded_truncation(ideal_truncation_bands(TruncationSpec(alpha=alpha, m=m)), 1e-12)
+        assert failing(residuals[1], banded) == failing(residuals[0], banded)
 
 
 class TestBandedRows:
@@ -523,25 +586,25 @@ class TestBandedRows:
     def test_rows_equal_the_dense_rows(self, alpha, m):
         spec = TruncationSpec(alpha=alpha, m=m)
         s = ideal_truncated_strategy(spec)
-        # where the dense spectrum is clipped, the dense rows fail and the banded ones do not
+        # where the dense spectrum is clipped, the dense Schmidt rows fail and the banded ones do not
         assume(len(schmidt(s.state, s.dA, s.dB).spectrum) == 2 * m)
-        dense = certify_truncation(s, alpha, 1e-12)
+        dense = dense_residuals(s, alpha)
         banded = certify_banded_truncation(ideal_truncation_bands(spec), 1e-12)
-        for key in ("name", "tolerance", "pass"):
-            assert [r[key] for r in banded] == [r[key] for r in dense]
-        np.testing.assert_allclose([r["residual"] for r in banded], [r["residual"] for r in dense],
-                                   rtol=0, atol=1e-13)
+        assert [r["name"] for r in banded] == list(dense)
+        np.testing.assert_allclose([r["residual"] for r in banded], list(dense.values()), rtol=0, atol=1e-13)
+        assert failing(dense, banded) == [r["name"] for r in banded if not r["pass"]]
 
     @pytest.mark.parametrize("alpha", [1e-5, 3e-5])
     def test_weightless_chsh_block_fails_both_paths_alike(self, alpha):
         # the CHSH block's weight alpha^2 is below the 1e-9 block tolerance: a row, not a crash
         spec = TruncationSpec(alpha=alpha, m=2)
-        dense = certify_truncation(ideal_truncated_strategy(spec), alpha, 1e-12)
+        s = ideal_truncated_strategy(spec)
+        deco = shifted_block_decompose(s)
+        assert deco.weights[0] <= 1e-9 and deco.restricted[0] is None and deco.blocks[0] is None
         banded = certify_banded_truncation(ideal_truncation_bands(spec), 1e-12)
-        failing = [r for r in banded if not r["pass"]]
-        assert failing == [r for r in dense if not r["pass"]]
-        assert [(r["name"], r["detail"]) for r in failing] == [
+        assert [(r["name"], r["detail"]) for r in banded if not r["pass"]] == [
             ("block_decomposition", "block 0 has no sub-correlation: weight at or below tol 1.0e-09")]
+        assert failing(dense_residuals(s, alpha), banded) == ["block_decomposition"]
 
     def test_bands_scatter_to_the_dense_arrays(self):
         spec = TruncationSpec(alpha=0.3, m=5)

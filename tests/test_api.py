@@ -31,7 +31,8 @@ LIBRARY = ("correlation", "strategy", "tilted_chsh", "separating", "analysis", "
 def test_package_exports_every_library_name():
     expected = [name for mod in LIBRARY for name in importlib.import_module(f"qcorrkit.{mod}").__all__]
     assert sorted(qcorrkit.__all__) == sorted(expected + ["__version__"])
-    assert {"certify_truncation", "certify_strategy", "SeesawError"} <= set(qcorrkit.__all__)
+    assert {"certify_banded_truncation", "certify_strategy", "SeesawError"} <= set(qcorrkit.__all__)
+    assert "certify_truncation" not in qcorrkit.__all__
 
 
 def test_readme_imports_are_exported():

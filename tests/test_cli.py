@@ -230,14 +230,16 @@ class TestVerifiers:
         assert json.loads(out)["passed"] is True
 
     def test_verify_names_the_rank_threshold(self):
-        # the dense rows of the m = 32 truncation that verify --alpha now reads off its bands
+        # the dense primitives on the m = 32 truncation that verify --alpha reads off its bands
         s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=32))
-        rows = {c["name"]: c for c in analysis.certify_truncation(s, 0.5, 1e-12)}
-        detail = rows["block_decomposition"]["detail"]
-        assert "not a projection" in detail
-        assert re.search(r"kept rank \d+ of 64, eigenvalues above \d\.\d{3}e-\d+", detail)
-        for name in ("schmidt_partition", "descent_chain_length"):
-            assert not rows[name]["pass"] and "above its cutoff" in rows[name]["detail"]
+        split = separating.SHIFTED_SPLIT
+        sub = strategy.restrict_questions(s, separating.SHIFTED_QUESTIONS, separating.SHIFTED_QUESTIONS)
+        with pytest.raises(analysis.BlockDecompositionError, match="not a projection") as raised:
+            analysis.strategy_block_decompose(sub, split.alice_partition, split.bob_partition)
+        assert re.search(r"kept rank \d+ of 64, eigenvalues above \d\.\d{3}e-\d+", str(raised.value))
+        with pytest.raises(analysis.AnalysisError, match=r"holds \d+ of D = 64 coefficients above its cutoff"):
+            analysis.verify_schmidt_bijections(s, 0.5)
+        assert analysis.descent_chain(analysis.schmidt(s.state, s.dA, s.dB).spectrum, 0.5).max_length < 64
 
     def test_verify_reference_passes(self, capsys):
         code, out, _ = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
@@ -276,59 +278,43 @@ class TestVerifiers:
         def fail(*args, **kwargs):
             raise analysis.BlockDecompositionError("marker")
 
-        monkeypatch.setattr(analysis, "_decompose", fail)
-        rows = analysis.certify_truncation(ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4)), 0.5, 1e-12)
-        marked = {"name": "block_decomposition", "residual": float("inf"), "tolerance": 1e-9,
-                  "pass": False, "detail": "marker"}
-        assert [c for c in rows if not c["pass"]] == [marked]
-
         monkeypatch.setattr(analysis, "_band_blocks", fail)
         code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])
         assert code == 2
         assert "block_decomposition" in err and "marker" in err
-        assert [c for c in strict_loads(out)["checks"] if not c["pass"]] == [{**marked, "residual": None}]
+        marked = {"name": "block_decomposition", "residual": None, "tolerance": 1e-9,
+                  "pass": False, "detail": "marker"}
+        assert [c for c in strict_loads(out)["checks"] if not c["pass"]] == [marked]
 
-    def test_verify_builds_validates_and_decomposes_once(self, monkeypatch):
-        calls = {"validate": [], "induce": [], "svd": 0}
-        validate, svd = strategy.validate, np.linalg.svd
+    def test_step_that_raised_fails_at_any_tol(self, capsys):
+        # at tol inf every block is below tol, so the decomposition raises: its row fails even
+        # though its residual, inf, is within the inf limit
+        code, out, err = run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4", "--tol", "inf"])
+        assert code == 2
+        failed = [c for c in strict_loads(out)["checks"] if not c["pass"]]
+        assert failed == [{"name": "block_decomposition", "residual": None, "tolerance": None, "pass": False,
+                           "detail": "block 0 has no sub-correlation: weight at or below tol inf"}]
+        assert err == ("verification failed: block_decomposition residual inf > inf: "
+                       "block 0 has no sub-correlation: weight at or below tol inf\n")
 
-        def counted_validate(s, *args, **kwargs):
-            calls["validate"].append((s.m, s.n))
-            return validate(s, *args, **kwargs)
+    def test_verify_runs_one_question4_pass(self, capsys, monkeypatch):
+        passes, projections = [], []
+        y4_pass = analysis._y4_pass
 
-        def counted_induce(s, *args, **kwargs):
-            calls["induce"].append((s.m, s.n, s.dA))
-            return induce(s, *args, **kwargs)
+        def counted_pass(project, *args, **kwargs):
+            passes.append(1)
 
-        def counted_svd(*args, **kwargs):
-            calls["svd"] += 1
-            return svd(*args, **kwargs)
+            def counted_project(*key):
+                projections.append(key)
+                return project(*key)
 
-        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
-        monkeypatch.setattr(strategy, "validate", counted_validate)
-        monkeypatch.setattr(analysis, "induce", counted_induce)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        assert all(row["pass"] for row in analysis.certify_truncation(s, 0.5, 1e-12))
-        # the 2x2-question restriction is neither validated nor induced again
-        assert calls["validate"] == [(4, 5)]
-        assert [c for c in calls["induce"] if c[2] == 8] == [(4, 5, 8)]
-        # the state spectrum S plus the split spectra S0, S1 and S2
-        assert calls["svd"] == 4
+            return y4_pass(counted_project, *args, **kwargs)
 
-    def test_verify_runs_one_question4_pass(self, monkeypatch):
-        calls = 0
-        substate = analysis.projected_substate
-
-        def counted_substate(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return substate(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "projected_substate", counted_substate)
-        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=4))
-        assert all(row["pass"] for row in analysis.certify_truncation(s, 0.5, 1e-12))
-        # 8 for the two blocks on 2x2 questions, 6 for the single question-4 pass
-        assert calls == 14
+        monkeypatch.setattr(analysis, "_y4_pass", counted_pass)
+        assert run_capture(capsys, ["verify", "--alpha", "0.5", "--m", "4"])[0] == 0
+        # one pass, which forms each of its six projections of the state once
+        assert len(passes) == 1
+        assert len(projections) == len(set(projections)) == 6
 
     def test_verify_derives_the_tilt_parameters_twice(self, capsys, monkeypatch):
         calls = 0
@@ -698,6 +684,30 @@ class TestStrategyFiles:
         code, out, _ = run_capture(capsys, command.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[command]
+
+    # exit code, sha256 of stdout and the stderr text of `verify --alpha` where a row fails
+    # (the three alpha edges) and at the first m whose dense spectrum the SVD clips
+    VERIFY_PINS = {
+        "verify --alpha 0.1 --m 2": (
+            2, "699662c6fd174dd24960e74bdda61c5d18b6abb223ae562eb659812640787951",
+            "verification failed: block_chsh_match residual 5.140424964755752e-05 > 8.000000000000003e-06: "
+            "residual 5.140e-05 > tolerance 8.000e-06\n"),
+        "verify --alpha 0.00001 --m 2": (
+            2, "315431911921476d7e6042e326e9563e2624c9d3d274e5dc92b43f45cc6668ea",
+            "verification failed: block_decomposition residual inf > 1e-09: "
+            "block 0 has no sub-correlation: weight at or below tol 1.0e-09\n"),
+        "verify --alpha 0.99999 --m 2": (
+            2, "5fecbbcd1b9672ece065c26b48b4d30c5a49b872f1ac618ac24c2414db2553e0",
+            "verification failed: tables_printed_match residual 2.596811654598241e-12 > 1e-12: "
+            "residual 2.597e-12 > tolerance 1.000e-12\n"),
+        "verify --alpha 0.5 --m 32": (
+            0, "374e557601ff083bf18ded0b243c90f18cb8987d13f6c74763226f90ab72faca", ""),
+    }
+
+    @pytest.mark.parametrize("command", sorted(VERIFY_PINS))
+    def test_verify_output_pinned(self, capsys, command):
+        code, out, err = run_capture(capsys, command.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == self.VERIFY_PINS[command]
 
     # sha256 of the restart trace CSV that `seesaw --trace-out` writes
     TRACE_SHA256 = "6b5d8d8f4763558be9ec38874fbcdafb95f15cb8e2c0691e7ac1be8a2d18b91f"
