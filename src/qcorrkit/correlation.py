@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -299,14 +300,30 @@ def block_structure_check(p: Correlation, spec: BlockSpec, tol: float = 1e-9) ->
     return BlockCheckResult(True, tuple(float(w) for w in weights), tuple(blocks), None)
 
 
-def _check_question_subset(subset: Sequence[int], size: int, side: str) -> list[int]:
-    xs = [int(v) for v in subset]
-    if not xs:
-        raise CorrelationError(f"{side} question subset must be nonempty")
+def _check_indices(values: Iterable[int], size: int, what: str,
+                   error: type[ValueError] = CorrelationError) -> list[int]:
+    """``values`` as distinct indices into range(size), or ``error`` naming ``what``.
+
+    Each value goes through ``operator.index``, so a numpy integer passes and
+    a float such as 0.7 is refused, never truncated.
+    """
+    values = list(values)
+    try:
+        xs = [operator.index(v) for v in values]
+    except TypeError:
+        raise error(f"{what} {values!r} must be integers") from None
     if len(set(xs)) != len(xs):
-        raise CorrelationError(f"{side} question subset has duplicates: {xs}")
+        raise error(f"{what} has duplicates: {xs}")
     if any(not (0 <= v < size) for v in xs):
-        raise CorrelationError(f"{side} question subset {xs} out of range({size})")
+        raise error(f"{what} {xs} out of range({size})")
+    return xs
+
+
+def _check_question_subset(subset: Sequence[int], size: int, side: str,
+                           error: type[ValueError] = CorrelationError) -> list[int]:
+    xs = _check_indices(subset, size, f"{side} question subset", error)
+    if not xs:
+        raise error(f"{side} question subset must be nonempty")
     return xs
 
 

@@ -15,12 +15,13 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .correlation import INDUCED_NORM_TOL, Correlation, _check_question_subset
+from .correlation import INDUCED_NORM_TOL, Correlation, _check_indices, _check_question_subset
 
 __all__ = [
     "Strategy",
@@ -420,16 +421,30 @@ def validate(s: Strategy) -> ValidationReport:
     orthogonality of elements belonging to the same question, at
     ``STATE_NORM_TOL`` and ``PROJECTOR_TOL``.  A residual that is not
     ``<=`` its tolerance is an issue, so a NaN residual is one.
+
+    From dimension ``_BLOCKED_FROM`` on, a question whose elements share more
+    than one diagonal block (:func:`_diagonal_blocks`, read from the exact
+    nonzero pattern) and whose entries are all finite is checked block by
+    block: every product and difference is exactly zero off the blocks, so
+    each squared residual is the sum of its blocks' squared residuals, equal
+    to the full one up to rounding.  Every other question takes the products
+    of its full elements, bit for bit as before; so does one holding a NaN or
+    an infinity, whose inf * 0 = nan reaches past its blocks.
     """
     sides = []
     for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
-        eye = np.eye(meas.shape[-1])
-        pairs = list(itertools.combinations(range(meas.shape[1]), 2))
-        herm, idem = np.empty(meas.shape[:2]), np.empty(meas.shape[:2])
-        complete, ortho = np.empty(len(meas)), np.empty((len(meas), len(pairs)))
-        # products element by element: the stacked forms (a transpose over the
-        # stack, fancy-indexed pairs) copy more and measured slower at D = 256
+        questions, answers, dim = meas.shape[:3]
+        pairs = list(itertools.combinations(range(answers), 2))
+        herm, idem = np.empty((questions, answers)), np.empty((questions, answers))
+        complete, ortho = np.empty(questions), np.empty((questions, len(pairs)))
+        eye = np.eye(dim)
         for x, elements in enumerate(meas):
+            blocked = _block_residuals(elements, pairs) if dim >= _BLOCKED_FROM else None
+            if blocked is not None:
+                herm[x], idem[x], complete[x], ortho[x] = blocked
+                continue
+            # products element by element: the stacked forms (a transpose over the
+            # stack, fancy-indexed pairs) copy more and measured slower at D = 256
             for a, proj in enumerate(elements):
                 herm[x, a] = np.linalg.norm(proj - proj.conj().T)
                 idem[x, a] = np.linalg.norm(proj @ proj - proj)
@@ -438,6 +453,73 @@ def validate(s: Strategy) -> ValidationReport:
                 ortho[x, k] = np.linalg.norm(elements[a] @ elements[a2])
         sides.append((side, herm, idem, complete, ortho))
     return _report(abs(float(np.linalg.norm(s.state)) - 1.0), sides)
+
+
+# the dimension from which validate multiplies inside diagonal blocks; below
+# it the full products cost less than finding the blocks (BENCH_42.json
+# `percall`: the truncation's 4 x 5 questions gain from D = 64, its 2 x 2 from 72)
+_BLOCKED_FROM = 80
+
+# On the truncation at D = 256, _diagonal_blocks and _block_residuals make no
+# array under 1 KiB whose length grows with D or with the block count: numpy
+# keeps such freed buffers for reuse, and one first taken high on the heap can
+# keep the heap from shrinking (perfbench certify-ladder's peak RSS read
+# 116 MB, not 101 MB).
+
+
+def _diagonal_blocks(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The contiguous diagonal blocks of one question's elements, as start and size arrays.
+
+    A block is a shortest run of indices that no nonzero entry of any element
+    links to an index outside it.  Entries are compared with 0 exactly, so a
+    NaN or a 1e-300 links its row and column, and each element is zero
+    outside the blocks.
+    """
+    dim = elements.shape[-1]
+    linked = (elements != 0).any(axis=0)
+    np.fill_diagonal(linked, True)
+    first = np.argmax(linked, axis=1)
+    last = dim - 1 - np.argmax(linked[:, ::-1], axis=1)
+    # links over the cut after i: from a row up to i past i, or from a row after i back to i or before
+    over = np.maximum.accumulate(last) - np.arange(dim)
+    over[:-1] += np.arange(1, dim) - np.minimum.accumulate(first[::-1])[-2::-1]
+    stop = np.flatnonzero(np.equal(over, 0, out=linked[0])) + 1  # into a row of linked, not a new mask
+    start = np.concatenate(([0], stop[:-1]))
+    return start, stop - start
+
+
+def _block_residuals(elements: np.ndarray, pairs: list[tuple[int, int]]) -> tuple | None:
+    """One question's Hermitian, idempotent, completeness and orthogonality residuals,
+    in :func:`validate`'s layout, from the products inside its diagonal blocks.
+
+    None when the question has one block, or when a block holds a NaN or an
+    infinity.  Blocks of one size are gathered into one (answers, blocks,
+    size, size) stack.
+    """
+    start, size = _diagonal_blocks(elements)
+    if len(start) == 1:
+        return None
+    answers = len(elements)
+    herm, idem, complete, ortho = np.zeros(answers), np.zeros(answers), 0.0, np.zeros(len(pairs))
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    start = start[np.argsort(size, kind="stable")]
+    done = 0
+    for k, count in sorted(Counter(size.tolist()).items()):
+        at = start[done : done + count, None] + np.arange(k)
+        done += count
+        blocks = elements[:, at[:, :, None], at[:, None, :]]
+        if not np.isfinite(blocks).all():
+            return None
+        herm += _squared(blocks - blocks.conj().swapaxes(-1, -2))
+        idem += _squared(blocks @ blocks - blocks)
+        complete += _squared(blocks.sum(axis=0) - np.eye(k))
+        ortho += _squared(blocks[first] @ blocks[second])
+    return np.sqrt(herm), np.sqrt(idem), np.sqrt(complete), np.sqrt(ortho)
+
+
+def _squared(stack: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm summed over the last three axes, (..., blocks, size, size)."""
+    return (stack * stack.conj()).real.sum(axis=(-3, -2, -1))
 
 
 def _report(state_norm: float, sides) -> ValidationReport:
@@ -507,16 +589,15 @@ def projected_substate(
     """Apply the summed answer projector on one side: (sum_a Pi^a (x) I)|psi>.
 
     The result is unnormalized; its squared norm is the probability mass the
-    given answers carry on that question.
+    given answers carry on that question.  The question and the answers are
+    integers (numpy's pass, floats raise) and the answers distinct, else
+    :class:`StrategyError`.
     """
     if side not in ("A", "B"):
         raise StrategyError(f"side must be 'A' or 'B', got {side!r}")
     meas = s.alice_meas if side == "A" else s.bob_meas
-    if not (0 <= question < len(meas)):
-        raise StrategyError(f"question {question} out of range({len(meas)})")
-    answers = [int(a) for a in answers]
-    if any(not (0 <= a < meas.shape[1]) for a in answers):
-        raise StrategyError(f"answers {answers} out of range({meas.shape[1]})")
+    (question,) = _check_indices([question], len(meas), "question", StrategyError)
+    answers = _check_indices(answers, meas.shape[1], "answers", StrategyError)
     proj = meas[question, answers].sum(axis=0)
     psi = s.state_matrix()
     out = proj @ psi if side == "A" else psi @ proj.T
@@ -524,9 +605,12 @@ def projected_substate(
 
 
 def restrict_questions(s: Strategy, xs: Sequence[int], ys: Sequence[int]) -> Strategy:
-    """Keep only the given distinct questions on each side (state and answers unchanged)."""
-    xs = _check_question_subset(xs, s.m, "alice")
-    ys = _check_question_subset(ys, s.n, "bob")
+    """Keep only the given distinct questions on each side (state and answers unchanged).
+
+    Questions are checked as :func:`correlation.restrict` checks them, but raise :class:`StrategyError`.
+    """
+    xs = _check_question_subset(xs, s.m, "alice", StrategyError)
+    ys = _check_question_subset(ys, s.n, "bob", StrategyError)
     return Strategy(
         dA=s.dA,
         dB=s.dB,

@@ -1,8 +1,11 @@
 """Strategies: validation, induced correlations, projectors, substates, serialization."""
 
 import functools
+import itertools
 import json
 import re
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from qcorrkit import strategy
 from qcorrkit.correlation import CorrelationError, distance, restrict
 from qcorrkit.separating import TruncationSpec, exact_pstar, ideal_truncated_strategy
 from qcorrkit.strategy import (
+    PROJECTOR_TOL,
     InvalidStrategyError,
     Strategy,
     StrategyError,
@@ -417,6 +421,198 @@ class TestValidate:
             assert validate(s).ok
 
 
+BLOCKED_FROM = strategy._BLOCKED_FROM
+# |blocked - full| <= BLOCK_RTOL * |full| + BLOCK_ATOL per residual: the two
+# paths form the same in-block entries, up to the order BLAS adds them in
+BLOCK_RTOL, BLOCK_ATOL = 1e-13, 1e-14
+
+
+def per_element_residuals(s: Strategy) -> list:
+    """``validate``'s residual arrays as it computed them before blocking: every product on the full elements."""
+    sides = []
+    for side, meas in (("A", s.alice_meas), ("B", s.bob_meas)):
+        eye = np.eye(meas.shape[-1])
+        pairs = list(itertools.combinations(range(meas.shape[1]), 2))
+        herm, idem = np.empty(meas.shape[:2]), np.empty(meas.shape[:2])
+        complete, ortho = np.empty(len(meas)), np.empty((len(meas), len(pairs)))
+        for x, elements in enumerate(meas):
+            for a, proj in enumerate(elements):
+                herm[x, a] = np.linalg.norm(proj - proj.conj().T)
+                idem[x, a] = np.linalg.norm(proj @ proj - proj)
+            complete[x] = np.linalg.norm(elements.sum(axis=0) - eye)
+            for k, (a, a2) in enumerate(pairs):
+                ortho[x, k] = np.linalg.norm(elements[a] @ elements[a2])
+        sides.append((side, herm, idem, complete, ortho))
+    return sides
+
+
+def validated_residuals(s: Strategy) -> tuple[list, strategy.ValidationReport]:
+    """The residual arrays ``validate`` hands to its report, and the report."""
+    seen, report = [], strategy._report
+
+    def record(state_norm, sides):
+        seen.extend(sides)
+        return report(state_norm, sides)
+
+    with mock.patch.object(strategy, "_report", record):
+        return seen, validate(s)
+
+
+def issue_keys(report) -> list:
+    return [(i.kind, i.side, i.question, i.answers) for i in report.issues]
+
+
+def assert_same_as_per_element(s: Strategy, exact: bool) -> None:
+    """``validate`` reports the issues the per-element products give, in their order, with
+    their residuals bit for bit (``exact``) or within the blocking bound."""
+    expected = per_element_residuals(s)
+    got, report = validated_residuals(s)
+    want = strategy._report(abs(float(np.linalg.norm(s.state)) - 1.0), expected)
+    assert issue_keys(report) == issue_keys(want)
+    for (side, *arrays), (side_want, *arrays_want) in zip(got, expected, strict=True):
+        assert side == side_want
+        for arr, ref in zip(arrays, arrays_want, strict=True):
+            if exact:
+                np.testing.assert_array_equal(arr, ref)
+            else:
+                np.testing.assert_allclose(arr, ref, rtol=BLOCK_RTOL, atol=BLOCK_ATOL)
+
+
+def block_diagonal_measurements(rng, dim: int, questions: int, answers: int, sizes: Sequence[int],
+                                real: bool) -> np.ndarray:
+    """Projective measurements whose questions are contiguous block-diagonal stacks.
+
+    Each question cuts 0..dim into runs of lengths drawn from ``sizes`` (the
+    last one cut short at dim); on each run a random orthogonal or unitary
+    basis is shared out among the answers.
+    """
+    out = np.zeros((questions, answers, dim, dim), dtype=float if real else complex)
+    for x in range(questions):
+        start = 0
+        while start < dim:
+            k = min(int(rng.choice(sizes)), dim - start)
+            basis = np.linalg.qr(rng.normal(size=(k, k)))[0] if real else haar_unitary(rng, k)
+            owner = rng.integers(0, answers, size=k)
+            for a in range(answers):
+                cols = basis[:, owner == a]
+                out[x, a, start : start + k, start : start + k] = cols @ cols.conj().T
+            start += k
+    return out
+
+
+def perturbed(meas: np.ndarray, how: str, x: int, a: int) -> np.ndarray:
+    """``meas`` with element (x, a) scaled, dropped, or added onto the next answer's, as in ``TestValidate``."""
+    meas = meas.copy()
+    if how == "scaled":
+        meas[x, a] *= 1.001
+    elif how == "dropped":
+        meas[x, a] = 0
+    elif how == "overlapping" and meas.shape[1] > 1:
+        meas[x, (a + 1) % meas.shape[1]] += meas[x, a]
+    return meas
+
+
+def random_state(rng, size: int) -> np.ndarray:
+    state = rng.normal(size=size)
+    return state / np.linalg.norm(state)
+
+
+class TestBlockedValidate:
+    @given(seeds, st.sampled_from([(1, 12), (BLOCKED_FROM, BLOCKED_FROM + 12)]),
+           st.sampled_from([(1, 12), (BLOCKED_FROM, BLOCKED_FROM + 12)]),
+           st.booleans(), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from(["valid", "scaled", "dropped", "overlapping"]))
+    def test_matches_per_element_products(self, seed, alice_dims, bob_dims, real, max_block, answers, how):
+        rng = np.random.default_rng(seed)
+        dA, dB = int(rng.integers(*alice_dims, endpoint=True)), int(rng.integers(*bob_dims, endpoint=True))
+        alice = block_diagonal_measurements(rng, dA, 2, answers, range(1, max_block + 1), real)
+        bob = block_diagonal_measurements(rng, dB, 3, answers, range(1, max_block + 1), real)
+        alice = perturbed(alice, how, int(rng.integers(2)), int(rng.integers(answers)))
+        bob = perturbed(bob, how, int(rng.integers(3)), int(rng.integers(answers)))
+        s = Strategy(dA, dB, random_state(rng, dA * dB), alice, bob)
+        assert_same_as_per_element(s, exact=max(dA, dB) < BLOCKED_FROM)
+
+    @pytest.mark.parametrize("layout", ["one block", "below the rule", "permuted"])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_full_path_is_bit_for_bit(self, layout, real):
+        rng = np.random.default_rng(7)
+        dim = BLOCKED_FROM - 1 if layout == "below the rule" else BLOCKED_FROM + 4
+        if layout == "one block":
+            meas = strategy._random_measurements(rng, dim, 3, 3)
+            meas = meas.real.copy() if real else meas
+        else:
+            meas = block_diagonal_measurements(rng, dim, 3, 3, (2, 4) if layout == "permuted" else (1, 2, 3, 4), real)
+        if layout == "permuted":
+            # even indices first, then odd: every block has both, so each stack joins into one
+            perm = np.r_[0:dim:2, 1:dim:2]
+            meas = meas[:, :, perm][:, :, :, perm]
+            assert all(len(strategy._diagonal_blocks(elements)[0]) == 1 for elements in meas)
+        meas = perturbed(meas, "scaled", 1, 2)
+        s = Strategy(dim, dim, random_state(rng, dim * dim), meas, meas)
+        assert not validate(s).ok
+        assert_same_as_per_element(s, exact=True)
+
+    def test_ideal_truncation_blocked(self):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.95, m=BLOCKED_FROM // 2))
+        for elements in s.alice_meas:
+            start, size = strategy._diagonal_blocks(elements)
+            assert set(size.tolist()) <= {1, 2} and len(start) > 1
+        assert validate(s).ok
+        assert_same_as_per_element(s, exact=False)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_takes_full_products(self, value):
+        rng = np.random.default_rng(3)
+        dim = BLOCKED_FROM
+        meas = block_diagonal_measurements(rng, dim, 3, 3, (1, 2), real=True)
+        meas[1, 0, 5, 5] = value
+        s = Strategy(dim, dim, random_state(rng, dim * dim), meas, meas)
+        with np.errstate(invalid="ignore"):  # inf - inf, as the per-element products meet it
+            report = validate(s)
+            assert not report.ok and not np.isfinite(report.max_residual)
+            assert {(i.side, i.question) for i in report.issues} == {("A", 1), ("B", 1)}
+            got, _ = validated_residuals(s)
+            for (_, *arrays), (_, *arrays_want) in zip(got, per_element_residuals(s)):
+                for arr, ref in zip(arrays, arrays_want):
+                    np.testing.assert_array_equal(arr[1], ref[1])
+            assert_same_as_per_element(s, exact=False)
+
+    @pytest.mark.parametrize("entry, blocks", [
+        ((1, 4), [(0, 6), (6, 2)]),
+        ((5, 2), [(0, 2), (2, 4), (6, 2)]),
+        ((7, 0), [(0, 8)]),
+    ])
+    def test_tiny_off_block_entry_merges_blocks(self, entry, blocks):
+        elements = np.zeros((2, 8, 8))
+        for start in range(0, 8, 2):
+            elements[0, start : start + 2, start : start + 2] = 0.5
+        elements[1] = np.eye(8) - elements[0]
+        assert list(zip(*strategy._diagonal_blocks(elements))) == [(k, 2) for k in range(0, 8, 2)]
+        elements[1][entry] = 1e-300
+        start, size = strategy._diagonal_blocks(elements)
+        assert list(zip(start.tolist(), size.tolist())) == blocks
+
+    @pytest.mark.parametrize("value", [1e-300, 1e-6])
+    def test_off_block_entry_is_checked(self, value):
+        rng = np.random.default_rng(5)
+        dim = BLOCKED_FROM + 2
+        meas = block_diagonal_measurements(rng, dim, 2, 3, (1, 2), real=False)
+        meas[0, 1, 3, dim - 4] = value
+        s = Strategy(dim, dim, random_state(rng, dim * dim), meas, meas)
+        assert validate(s).ok == (value < PROJECTOR_TOL)
+        assert_same_as_per_element(s, exact=False)
+
+    def test_one_answer_has_no_orthogonality_pairs(self):
+        dim = BLOCKED_FROM
+        meas = np.eye(dim)[None, None].repeat(2, axis=0)
+        s = Strategy(dim, dim, random_state(np.random.default_rng(1), dim * dim), meas, meas)
+        got, report = validated_residuals(s)
+        assert report.ok and all(ortho.shape == (2, 0) for *_, ortho in got)
+        broken = Strategy(dim, dim, s.state, perturbed(meas, "scaled", 1, 0), meas)
+        assert {i.kind for i in validate(broken).issues} == {"idempotent", "completeness"}
+        assert_same_as_per_element(broken, exact=False)
+
+
 class TestInduce:
     def test_product_deterministic(self):
         p = induce(product_deterministic_strategy())
@@ -548,6 +744,18 @@ class TestProjectedSubstate:
         with pytest.raises(StrategyError, match="answers"):
             projected_substate(s, "A", 0, (7,))
 
+    @pytest.mark.parametrize("question, answers, message", [
+        (0, [0, 0], r"answers has duplicates: \[0, 0\]"),
+        (0, [0.7], r"answers \[0.7\] must be integers"),
+        (0.5, [0], r"question \[0.5\] must be integers"),
+    ])
+    def test_answers_are_distinct_integers(self, question, answers, message):
+        s = ideal_truncated_strategy(TruncationSpec(alpha=0.5, m=2))
+        with pytest.raises(StrategyError, match=message):
+            projected_substate(s, "A", question, answers)
+        mass = np.linalg.norm(projected_substate(s, "A", np.int64(0), [np.int64(0)])) ** 2
+        assert mass == pytest.approx(0.8)
+
 
 class TestCombinators:
     def test_restrict_questions(self, rng):
@@ -565,10 +773,30 @@ class TestCombinators:
     ])
     def test_restrict_questions_checks_as_restrict(self, rng, xs, ys, message):
         s = random_strategy(rng, m=3, n=3)
-        with pytest.raises(CorrelationError, match=message):
+        with pytest.raises(StrategyError, match=message):
             restrict_questions(s, xs, ys)
         with pytest.raises(CorrelationError, match=message):
             restrict(induce(s), xs, ys)
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([0.7, 2.9], [1.2], r"alice question subset \[0.7, 2.9\] must be integers"),
+        ([0.5], [3.99], r"alice question subset \[0.5\] must be integers"),
+        ([0], [3.99], r"bob question subset \[3.99\] must be integers"),
+        ([0], ["1"], "bob question subset .* must be integers"),
+    ])
+    def test_question_subsets_refuse_non_integers(self, rng, xs, ys, message):
+        s = random_strategy(rng, m=3, n=4)
+        with pytest.raises(StrategyError, match=message):
+            restrict_questions(s, xs, ys)
+        with pytest.raises(CorrelationError, match=message):
+            restrict(induce(s), xs, ys)
+
+    def test_question_subsets_take_numpy_integers(self, rng):
+        s = random_strategy(rng, m=3, n=3)
+        sub = restrict_questions(s, np.array([2, 0]), [np.int64(1)])
+        np.testing.assert_array_equal(sub.alice_meas, s.alice_meas[[2, 0]])
+        np.testing.assert_array_equal(restrict(induce(s), np.array([2, 0]), [np.int32(1)]).table,
+                                      induce(s).table[[2, 0]][:, [1]])
 
     def test_direct_sum_strategies_induces_block_diagonal(self, rng):
         s1 = ideal_strategy(params_from_alpha(0.5))
